@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from itertools import compress
 
 import numpy as np
 
@@ -24,6 +25,11 @@ from .forecast import ForecasterConfig, fit
 from .series import TimeSeries, split
 
 PACKET_CLASSES = ("Known", "Unknown", "Attack")
+UNKNOWN, ATTACK = PACKET_CLASSES.index("Unknown"), PACKET_CLASSES.index("Attack")
+
+# Records symbolized and classified per block: bounds the memory of the block
+# path whatever the number of records.
+BLOCK_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -52,18 +58,33 @@ class FieldEncoder:
 
     def encode(self, value) -> tuple[np.ndarray, bool]:
         """Returns (bits, unknown_flag). Out-of-vocabulary -> all zeros."""
-        bits = np.zeros(self.width, dtype=np.int8)
+        bits, unknown = self.encode_column([value])
+        return bits[0], bool(unknown[0])
+
+    def encode_column(self, values: list) -> tuple[np.ndarray, np.ndarray]:
+        """Encode one field of many records: an (n, width) int8 bit block and
+        an (n,) unknown-value flag."""
+        n = len(values)
         if self.kind == "one_hot":
-            try:
-                bits[self.vocabulary.index(value)] = 1
-            except ValueError:
-                return bits, True
-            return bits, False
-        # thermometer: set the value's bin and every lower bin
-        v = float(value)
-        bin_index = sum(1 for e in self.bin_edges if v >= e)
-        bits[:bin_index + 1] = 1
-        return bits, False
+            index = np.array([self._first_match(v) for v in values], dtype=np.int64)
+            known = index >= 0
+            bits = np.zeros((n, self.width), dtype=np.int8)
+            bits[np.flatnonzero(known), index[known]] = 1
+            return bits, ~known
+        # thermometer: the bin is the count of edges at or below the value
+        # (edges in any order, NaN never counted); set it and every lower bin
+        v = np.array([float(x) for x in values], dtype=np.float64)
+        edges = np.array(self.bin_edges, dtype=np.float64)
+        bin_index = (v[:, None] >= edges).sum(axis=1)
+        bits = (np.arange(self.width) <= bin_index[:, None]).astype(np.int8)
+        return bits, np.zeros(n, dtype=bool)
+
+    def _first_match(self, value) -> int:
+        """Index of the value's first vocabulary match; -1 when there is none."""
+        try:
+            return self.vocabulary.index(value)
+        except ValueError:
+            return -1
 
 
 @dataclass(frozen=True)
@@ -98,19 +119,41 @@ class SymbolSchema:
         return cls(encoders=tuple(encoders))
 
 
+def symbolize_block(records: list[EventLogRecord], schema: SymbolSchema,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symbolize many records at once, one encoder's column block at a time.
+
+    Returns the (n, total_bits) int8 code matrix, the (n,) unknown-value flag
+    and the (n,) mask of records whose field set matches the schema. Records
+    that do not match are not encoded: their rows stay zero and unflagged.
+    """
+    names = {e.name for e in schema.encoders}
+    n = len(records)
+    matched = np.fromiter((rec.fields.keys() == names for rec in records),
+                          dtype=bool, count=n)
+    rows = records if matched.all() else list(compress(records, matched))
+    vectors = np.zeros((n, schema.total_bits), dtype=np.int8)
+    unknown = np.zeros(n, dtype=bool)
+    col = 0
+    for enc in schema.encoders:
+        bits, flag = enc.encode_column([rec.fields[enc.name] for rec in rows])
+        vectors[matched, col:col + enc.width] = bits
+        unknown[matched] |= flag
+        col += enc.width
+    return vectors, unknown, matched
+
+
+def _mismatch(record: EventLogRecord, schema: SymbolSchema) -> SchemaMismatch:
+    names = sorted({e.name for e in schema.encoders})
+    return SchemaMismatch(f"schema fields {names} vs record {sorted(record.fields)}")
+
+
 def symbolize(record: EventLogRecord, schema: SymbolSchema) -> tuple[np.ndarray, bool]:
     """Concatenated per-field binary code plus an unknown-value flag."""
-    names = {e.name for e in schema.encoders}
-    got = set(record.fields)
-    if names != got:
-        raise SchemaMismatch(f"schema fields {sorted(names)} vs record {sorted(got)}")
-    parts = []
-    unknown = False
-    for enc in schema.encoders:
-        bits, flag = enc.encode(record.fields[enc.name])
-        parts.append(bits)
-        unknown = unknown or flag
-    return np.concatenate(parts), unknown
+    vectors, unknown, matched = symbolize_block([record], schema)
+    if not matched[0]:
+        raise _mismatch(record, schema)
+    return vectors[0], bool(unknown[0])
 
 
 @dataclass
@@ -141,12 +184,17 @@ class CC4Network:
         s = self.vectors.sum(axis=1)
         return self.radius - s + 1
 
+    def fires_block(self, vectors: np.ndarray) -> np.ndarray:
+        """(n, hidden) firing matrix of an (n, width) block of probes. The
+        products are taken in int32, so no probe width overflows them."""
+        vectors = np.asarray(vectors, dtype=np.int8)
+        if vectors.ndim != 2 or vectors.shape[1] != self.width:
+            raise WidthMismatch(f"probe width {vectors.shape[1:]} vs network {self.width}")
+        products = vectors.astype(np.int32) @ self.hidden_weights().T.astype(np.int32)
+        return products + self.hidden_biases().astype(np.int32) > 0
+
     def fires(self, vector: np.ndarray) -> np.ndarray:
-        vector = np.asarray(vector, dtype=np.int8)
-        if vector.shape != (self.width,):
-            raise WidthMismatch(f"probe width {vector.shape} vs network {self.width}")
-        activation = self.hidden_weights() @ vector + self.hidden_biases()
-        return activation > 0
+        return self.fires_block(np.asarray(vector)[None])[0]
 
     def to_json_obj(self) -> dict:
         # Weights are reconstructed from the vectors, never stored.
@@ -187,22 +235,55 @@ def cc4_train(samples: list[tuple[np.ndarray, str]], radius: int) -> CC4Network:
                       classes=[cls for _, cls in samples])
 
 
+def classify_block(network: CC4Network, vectors: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Classify an (n, width) block of probes: (n,) indices into
+    PACKET_CLASSES and (n,) ambiguity flags. The class is the first maximum of
+    the class scores in PACKET_CLASSES order, flagged when several classes tie
+    for it; a probe on which no neuron fires is Unknown and flagged."""
+    firing = network.fires_block(vectors)
+    # output weights: +1 from each neuron to its own class, -1 to the rest
+    own_class = np.array(network.classes)[:, None] == np.array(PACKET_CLASSES)
+    scores = firing.astype(np.int32) @ np.where(own_class, 1, -1).astype(np.int32)
+    winners = scores == scores.max(axis=1, keepdims=True)
+    classes = winners.argmax(axis=1)
+    ambiguous = winners.sum(axis=1) > 1
+    # with no neuron firing every score is 0, a tie that is already flagged
+    classes[~firing.any(axis=1)] = UNKNOWN
+    return classes, ambiguous
+
+
 def cc4_classify(network: CC4Network, vector: np.ndarray) -> tuple[str, bool]:
-    """Argmax over class scores from firing neurons. No firing neuron means
-    Unknown with the ambiguity flag; score ties resolve in PACKET_CLASSES
-    order with the flag set."""
-    firing = network.fires(vector)
-    if not firing.any():
-        return "Unknown", True
-    scores = {cls: 0 for cls in PACKET_CLASSES}
-    for fired, cls in zip(firing, network.classes):
-        if not fired:
-            continue
-        for c in scores:
-            scores[c] += 1 if c == cls else -1
-    best = max(scores.values())
-    winners = [c for c in PACKET_CLASSES if scores[c] == best]
-    return winners[0], len(winners) > 1
+    """(class, ambiguous) of one probe; see classify_block."""
+    classes, ambiguous = classify_block(network, np.asarray(vector)[None])
+    return PACKET_CLASSES[classes[0]], bool(ambiguous[0])
+
+
+def training_samples(events: list[EventLogRecord], schema: SymbolSchema,
+                     attack_cells: set[tuple[int, str]], start: datetime,
+                     interval_seconds: float) -> list[tuple[np.ndarray, str]]:
+    """Labeled (vector, class) pairs for CC4 training, in event order: an
+    event is Attack when its (interval index, source id) cell is in
+    `attack_cells`, else Known. Duplicate vectors keep their first label. A
+    record whose field set does not match the schema raises SchemaMismatch."""
+    samples: list[tuple[np.ndarray, str]] = []
+    seen: set[bytes] = set()
+    for lo in range(0, len(events), BLOCK_SIZE):
+        block = events[lo:lo + BLOCK_SIZE]
+        vectors, _, matched = symbolize_block(block, schema)
+        if not matched.all():
+            raise _mismatch(block[int(np.argmin(matched))], schema)
+        _, first = np.unique(vectors, axis=0, return_index=True)
+        for i in np.sort(first):
+            key = vectors[i].tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+            event = block[i]
+            idx = int((event.timestamp - start).total_seconds() // interval_seconds)
+            cls = "Attack" if (idx, event.source_id) in attack_cells else "Known"
+            samples.append((vectors[i].copy(), cls))
+    return samples
 
 
 # --- streaming pipeline -----------------------------------------------------
@@ -218,7 +299,6 @@ class StreamConfig:
     gap_threshold: int = 3
     train_fraction: float = 0.5
     rate_detectors: bool = True
-    queue_capacity: int = 1024       # bound for staged/concurrent deployments
 
 
 @dataclass
@@ -338,24 +418,29 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
     accepted.sort(key=lambda r: (r.timestamp, r.source_id))
     intrusion_alerts: list[AnomalyAlert] = []
     per_source: dict[str, list[datetime]] = {}
-    for rec in accepted:
-        try:
-            vector, unknown_value = symbolize(rec, schema)
-        except SchemaMismatch:
-            counts.dropped_malformed += 1
+    for lo in range(0, len(accepted), BLOCK_SIZE):
+        block = accepted[lo:lo + BLOCK_SIZE]
+        vectors, unknown_value, matched = symbolize_block(block, schema)
+        counts.dropped_malformed += len(block) - int(matched.sum())
+        block = list(compress(block, matched))
+        if not block:
             continue
-        packet_class, ambiguous = cc4_classify(network, vector)
-        counts.emitted_classifications += 1
-        per_source.setdefault(rec.source_id, []).append(rec.timestamp)
-        flag = packet_class == "Attack" or (config.strict_unknown
-                                            and packet_class == "Unknown")
-        if flag:
+        classes, ambiguous = classify_block(network, vectors[matched])
+        ambiguous |= unknown_value[matched]
+        counts.emitted_classifications += len(block)
+        for rec in block:
+            per_source.setdefault(rec.source_id, []).append(rec.timestamp)
+        flag = classes == ATTACK
+        if config.strict_unknown:
+            flag |= classes == UNKNOWN
+        for i in np.flatnonzero(flag).tolist():
+            rec = block[i]
             intrusion_alerts.append(AnomalyAlert(
                 timestamp=rec.timestamp, kind="Intrusion",
                 observed=1.0, expected=0.0, band=None,
-                severity="Critical" if packet_class == "Attack" else "Warning",
-                source=rec.source_id, packet_class=packet_class,
-                ambiguous=ambiguous or unknown_value))
+                severity="Critical" if classes[i] == ATTACK else "Warning",
+                source=rec.source_id, packet_class=PACKET_CLASSES[classes[i]],
+                ambiguous=bool(ambiguous[i])))
 
     rate_alerts: list[AnomalyAlert] = []
     if config.rate_detectors and accepted:

@@ -307,17 +307,9 @@ def _train_from_labels(events, labels_path, schema, interval_seconds,
     labels = simulate.read_labels_csv(labels_path)
     attack_cells = {(i, d) for i, d, _ in labels}
     start = min(e.timestamp for e in events)
-    samples = []
-    seen = set()
-    for event in sorted(events, key=lambda e: (e.timestamp, e.source_id)):
-        idx = int((event.timestamp - start).total_seconds() // interval_seconds)
-        vector, _ = cc4.symbolize(event, schema)
-        key = vector.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        cls = "Attack" if (idx, event.source_id) in attack_cells else "Known"
-        samples.append((vector, cls))
+    ordered = sorted(events, key=lambda e: (e.timestamp, e.source_id))
+    samples = cc4.training_samples(ordered, schema, attack_cells, start,
+                                   interval_seconds)
     return cc4.cc4_train(samples, radius)
 
 

@@ -29,7 +29,6 @@ Z_TABLE = {
 }
 
 KINDS = ("Surge", "Dropout", "IdentityFlood", "Intrusion")
-SEVERITIES = ("Warning", "Critical")
 
 DEFAULT_WINDOW = 24
 
@@ -119,13 +118,6 @@ def write_alerts_jsonl(alerts: list[AnomalyAlert], path) -> None:
 def _severity(excess: float, threshold: float) -> str:
     # Critical when the exceedance is more than twice the threshold half-width.
     return "Critical" if excess > 2.0 * threshold else "Warning"
-
-
-def _window_means(values: np.ndarray, width: int) -> np.ndarray:
-    n_windows = len(values) // width
-    if n_windows == 0:
-        return np.empty(0)
-    return values[:n_windows * width].reshape(n_windows, width).mean(axis=1)
 
 
 def detect_surges(series: TimeSeries, model: FittedForecaster, confidence: float,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cc4 import EventLogRecord, FieldEncoder, SymbolSchema, symbolize
+from .cc4 import EventLogRecord, FieldEncoder, SymbolSchema
 from .detect import AnomalyAlert
 from .errors import InvalidScript, TimeBaseMismatch
 from .ingest import FLOW_COLUMNS, format_timestamp
@@ -205,27 +205,6 @@ def event_schema() -> SymbolSchema:
         FieldEncoder(name="status", kind="one_hot",
                      vocabulary=("ok", "overflow", "retry")),
     ))
-
-
-def training_samples(trace: LabeledTrace,
-                     schema: SymbolSchema) -> list[tuple[np.ndarray, str]]:
-    """Labeled (vector, class) pairs for CC4 training: an event is Attack when
-    its (interval, source) carries an attack label, else Known. Duplicate
-    vectors keep their first label."""
-    attack_cells = {(i, d) for i, d, _ in trace.labels}
-    samples: list[tuple[np.ndarray, str]] = []
-    seen: set[bytes] = set()
-    for event in trace.events:
-        idx = int((event.timestamp - trace.start).total_seconds()
-                  // trace.interval_seconds)
-        vector, _ = symbolize(event, schema)
-        key = vector.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        cls = "Attack" if (idx, event.source_id) in attack_cells else "Known"
-        samples.append((vector, cls))
-    return samples
 
 
 # --- file output ------------------------------------------------------------

@@ -35,6 +35,14 @@ class TestEncoders:
         bits, unknown = enc.encode("z")
         assert bits.tolist() == [0, 0] and unknown
 
+    def test_one_hot_matches_by_equality_first_word(self):
+        # a value matches the first word equal to it, hashable or not
+        enc = cc4.FieldEncoder(name="f", kind="one_hot",
+                               vocabulary=({1}, 1.0, 1, frozenset({1})))
+        assert enc.encode(frozenset({1}))[0].tolist() == [1, 0, 0, 0]
+        assert enc.encode(1)[0].tolist() == [0, 1, 0, 0]
+        assert enc.encode([1])[1]
+
     def test_thermometer_bins(self):
         enc = cc4.FieldEncoder(name="v", kind="thermometer",
                                bin_edges=(5.0, 20.0, 100.0))
@@ -143,6 +151,20 @@ class TestNetwork:
         assert back.classes == net.classes
         probe = np.array([1, 1, 1])
         assert cc4.cc4_classify(back, probe) == cc4.cc4_classify(net, probe)
+
+    @pytest.mark.parametrize("width", [200, 300])
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_wide_network_activations_do_not_overflow(self, width, radius):
+        # Widths above 127 overflow an int8 product of weights and probe.
+        stored = np.ones(width, dtype=np.int8)
+        net = cc4.cc4_train([(stored, "Attack")], radius=radius)
+        assert net.fires(stored).tolist() == [True]
+        assert cc4.cc4_classify(net, stored) == ("Attack", False)
+        at_radius, beyond = stored.copy(), stored.copy()
+        at_radius[:radius] = 0
+        beyond[:radius + 1] = 0
+        assert net.fires(at_radius).tolist() == [True]
+        assert net.fires(beyond).tolist() == [False]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 5 - 1),

@@ -218,3 +218,28 @@ class TestDetectAndStream:
                    "--out", str(second), "--radius", "0") == 0
         assert (first / "alerts.jsonl").read_bytes() == \
             (second / "alerts.jsonl").read_bytes()
+
+    def test_stream_mismatched_record(self, trace_dir, tmp_path, capsys):
+        # A record whose field set does not match the schema fails training
+        # with a data error, and is counted malformed by a trained network.
+        events = tmp_path / "events.jsonl"
+        lines = (trace_dir / "events.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[-1])
+        del record["status"]
+        events.write_text("\n".join(lines + [json.dumps(record)]) + "\n",
+                          encoding="utf-8")
+        assert run("stream", "--input", str(events),
+                   "--labels", str(trace_dir / "labels.csv"),
+                   "--out", str(tmp_path / "trained")) == 2
+        assert "SchemaMismatch" in capsys.readouterr().err
+        first = tmp_path / "first"
+        assert run("stream", "--input", str(trace_dir / "events.jsonl"),
+                   "--labels", str(trace_dir / "labels.csv"),
+                   "--out", str(first)) == 0
+        out = tmp_path / "saved"
+        assert run("stream", "--input", str(events),
+                   "--network", str(first / "network.json"),
+                   "--out", str(out)) == 0
+        counts = json.loads((out / "stream_counts.json").read_text(encoding="utf-8"))
+        assert counts["dropped_malformed"] == 1
+        assert counts["dropped_duplicate"] == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gatewatch import simulate as sim
-from gatewatch.cc4 import cc4_classify, cc4_train
+from gatewatch.cc4 import cc4_classify, cc4_train, training_samples
 from gatewatch.detect import AnomalyAlert
 from gatewatch.errors import InvalidScript, TimeBaseMismatch
 from gatewatch.ingest import parse_flow_csv
@@ -123,7 +123,9 @@ class TestGeneration:
 def test_training_samples_label_attack_cells():
     trace = sim.generate_trace(sim.default_flood_config(seed=3))
     schema = sim.event_schema()
-    samples = sim.training_samples(trace, schema)
+    attack_cells = {(i, d) for i, d, _ in trace.labels}
+    samples = training_samples(trace.events, schema, attack_cells,
+                               trace.start, trace.interval_seconds)
     classes = {cls for _, cls in samples}
     assert classes == {"Known", "Attack"}
     # one-shot training on the trace's own samples recalls them at radius 0
