@@ -8,14 +8,13 @@ and prints precision/recall against the scripted ground truth.
 import argparse
 
 from gatewatch import (
-    ForecasterConfig,
     detect_dropout,
     detect_identity_flood,
-    detect_surges,
-    fit,
     generate_trace,
+    mean_shift_alerts,
     score_detections,
     split,
+    z_score,
 )
 from gatewatch.cc4 import new_id_counts
 from gatewatch.simulate import (
@@ -29,8 +28,8 @@ def flood(seed: int):
     trace = generate_trace(default_flood_config(seed=seed))
     series = trace.device_series["camera-1"]
     train, test = split(series, 0.5)
-    model = fit(ForecasterConfig(variant="holt_winters", hw_period=24), train)
-    alerts = detect_surges(test, model, 0.95, window=24, source="camera-1")
+    alerts = mean_shift_alerts(test, 0, train.clean_values(), z_score(0.95), 24,
+                               "Surge", "camera-1")
     return score_detections(alerts, trace, coverage=24), len(alerts)
 
 

@@ -11,8 +11,8 @@ from .ingest import FlowRecord, IngestReport, parse_flow_csv, clean, to_series
 from .forecast import ForecasterConfig, ForecastResult, FittedForecaster, fit
 from .lstm import lstm_param_count, total_param_count, LstmParams
 from .detect import (Z_TABLE, z_score, confidence_interval, ConfidenceBand,
-                     AnomalyAlert, detect_surges, detect_dropout,
-                     detect_identity_flood, merge_alerts)
+                     AnomalyAlert, mean_shift_alerts, detect_surges,
+                     detect_dropout, detect_identity_flood, merge_alerts)
 from .evaluate import mse, mape, compare_models, ModelReport
 from .cc4 import (EventLogRecord, SymbolSchema, FieldEncoder, CC4Network,
                   symbolize, cc4_train, cc4_classify, stream_pipeline,

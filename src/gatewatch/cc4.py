@@ -8,6 +8,7 @@ alerts into a single timestamp-ordered alert stream.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import compress
@@ -17,12 +18,12 @@ import numpy as np
 from .detect import (
     AnomalyAlert,
     detect_dropout,
-    detect_surges,
+    mean_shift_alerts,
     merge_alerts,
+    z_score,
 )
 from .errors import EmptyTrainingSet, SchemaMismatch, WidthMismatch
-from .forecast import ForecasterConfig, fit
-from .series import TimeSeries, split
+from .series import TimeSeries
 
 PACKET_CLASSES = ("Known", "Unknown", "Attack")
 UNKNOWN, ATTACK = PACKET_CLASSES.index("Unknown"), PACKET_CLASSES.index("Attack")
@@ -297,7 +298,6 @@ class StreamConfig:
     confidence: float = 0.95
     surge_window: int = 24
     gap_threshold: int = 3
-    train_fraction: float = 0.5
     rate_detectors: bool = True
 
 
@@ -357,6 +357,10 @@ def new_id_counts(records: list[EventLogRecord], start: datetime,
 
 def _rate_alerts(per_source: dict[str, list[datetime]], config: StreamConfig,
                  start: datetime, duration: int) -> list[AnomalyAlert]:
+    z = z_score(config.confidence)
+    # Surge scoring takes the first half of the run as each source's baseline
+    # and scores the rest; runs shorter than four intervals get none.
+    n_train = math.ceil(0.5 * duration)
     alerts: list[AnomalyAlert] = []
     for source, stamps in sorted(per_source.items()):
         counts = np.zeros(duration)
@@ -369,16 +373,8 @@ def _rate_alerts(per_source: dict[str, list[datetime]], config: StreamConfig,
         alerts.extend(detect_dropout(rates, config.gap_threshold,
                                      zero_is_silence=True, source=source))
         if duration >= 4:
-            try:
-                train, test = split(rates, config.train_fraction)
-                model = fit(ForecasterConfig(variant="moving_average",
-                                             ma_window=1), train)
-                alerts.extend(detect_surges(test, model, config.confidence,
-                                            mode="mean_shift",
-                                            window=config.surge_window,
-                                            source=source))
-            except Exception:
-                pass  # degenerate rate series: no surge scoring for this source
+            alerts.extend(mean_shift_alerts(rates, n_train, counts[:n_train], z,
+                                            config.surge_window, "Surge", source))
     return alerts
 
 

@@ -28,9 +28,7 @@ CONFIG_KEYS = {
     "value_col", "interval", "aggregator", "model", "period", "confidence",
     "mode", "train_frac", "seed", "horizon", "window", "gap_threshold",
     "radius", "strict_unknown", "scenario", "magnitude", "source_ip",
-    "ma_window", "hw_alpha", "hw_beta", "hw_gamma", "lt_seasonal_dummies",
-    "lstm_units", "lstm_dropout", "lstm_learning_rate", "lstm_batch_size",
-    "lstm_epochs", "lstm_num_timesteps", "lstm_num_chunks", "skew_intervals",
+    "ma_window", "lstm_epochs", "lstm_num_timesteps", "lstm_num_chunks",
 }
 
 
@@ -151,17 +149,23 @@ def _forecaster_config(args) -> ForecasterConfig:
     )
 
 
+def _series_from_csv(args) -> tuple[ts.TimeSeries, ingest.IngestReport]:
+    records, report = ingest.parse_flow_csv(args.input, getattr(
+        args, "value_col", "Fwd Pkt Len Mean"))
+    if getattr(args, "source_ip", None):
+        records = [r for r in records if r.source_ip == args.source_ip]
+    records, report.rows_dropped_missing, report.rows_dropped_duplicate = \
+        ingest.clean(records)
+    series = ingest.to_series(records, getattr(args, "interval", 3600.0),
+                              getattr(args, "aggregator", "mean"))
+    return series, report
+
+
 def _load_series(args) -> ts.TimeSeries:
     path = Path(args.input)
     if path.suffix == ".json":
         return ts.TimeSeries.from_json(path.read_text(encoding="utf-8"))
-    records, _ = ingest.parse_flow_csv(path, getattr(args, "value_col",
-                                                     "Fwd Pkt Len Mean"))
-    if getattr(args, "source_ip", None):
-        records = [r for r in records if r.source_ip == args.source_ip]
-    records, _, _ = ingest.clean(records)
-    return ingest.to_series(records, getattr(args, "interval", 3600.0),
-                            getattr(args, "aggregator", "mean"))
+    return _series_from_csv(args)[0]
 
 
 def _outdir(args) -> Path:
@@ -178,14 +182,8 @@ def _write_json(path: Path, obj) -> None:
 
 
 def cmd_ingest(args) -> int:
-    records, report = ingest.parse_flow_csv(args.input, args.value_col)
-    if args.source_ip:
-        records = [r for r in records if r.source_ip == args.source_ip]
-    records, dropped_missing, dropped_dupe = ingest.clean(records)
-    report.rows_dropped_missing = dropped_missing
-    report.rows_dropped_duplicate = dropped_dupe
+    result, report = _series_from_csv(args)
     out = _outdir(args)
-    result = ingest.to_series(records, args.interval, args.aggregator)
     _write_json(out / "series.json", result.to_json_obj())
     _write_json(out / "ingest_report.json", report.to_json_obj())
     return EXIT_OK
@@ -248,15 +246,17 @@ def cmd_detect(args) -> int:
     data = _load_series(args)
     train, test = ts.split(data, args.train_frac)
     train = ts.impute_short_gaps(train)
-    config = _forecaster_config(args)
-    model = fit(config, train) if not train.has_missing() else None
-    alerts = []
-    if model is not None:
-        alerts.extend(detect.detect_surges(
-            test, model, args.confidence, mode=args.mode, window=args.window,
-            source=args.source_ip or ""))
-    alerts.extend(detect.detect_dropout(data, args.gap_threshold,
-                                        source=args.source_ip or ""))
+    source = args.source_ip or ""
+    if args.mode == "residual":
+        alerts = detect.detect_surges(
+            test, fit(_forecaster_config(args), train), args.confidence,
+            mode="residual", source=source)
+    else:
+        # The band needs only the observed training points: nothing is fitted.
+        alerts = detect.mean_shift_alerts(
+            test, 0, train.clean_values(), detect.z_score(args.confidence),
+            args.window, "Surge", source)
+    alerts.extend(detect.detect_dropout(data, args.gap_threshold, source=source))
     merged = detect.merge_alerts(alerts)
     out = _outdir(args)
     detect.write_alerts_jsonl(merged, out / "alerts.jsonl")
@@ -331,6 +331,9 @@ def main(argv=None) -> int:
         _apply_config_file(args)
         if getattr(args, "input", None) is None and args.command != "simulate":
             raise UsageError(f"{args.command} requires --input")
+        for name in ("window", "gap_threshold"):
+            if getattr(args, name, 1) < 1:
+                raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)

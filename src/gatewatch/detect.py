@@ -14,7 +14,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import UnsupportedConfidence
+from .errors import AllMissing, UnsupportedConfidence
 from .forecast import FittedForecaster
 from .series import TimeSeries
 
@@ -120,16 +120,46 @@ def _severity(excess: float, threshold: float) -> str:
     return "Critical" if excess > 2.0 * threshold else "Warning"
 
 
+def mean_shift_alerts(series: TimeSeries, first: int, baseline, z: float,
+                      window: int, kind: str, source: str = "") -> list[AnomalyAlert]:
+    """Score series[first:] in consecutive windows of n points against the
+    X +/- z * s / sqrt(n) band, with X and s taken over the observed training
+    points in `baseline`, so the band brackets where an n-point window mean
+    should land. A window whose mean of observed points falls outside is
+    flagged; a window with no observed point is skipped."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    baseline = np.asarray(baseline, dtype=float)
+    if len(baseline) == 0:
+        raise AllMissing("no observed training point to build the band from")
+    s = float(baseline.std(ddof=1)) if len(baseline) > 1 else 0.0
+    band = ConfidenceBand(X=float(baseline.mean()), s=s, n=window, z=z)
+    threshold = band.half_width
+    scored = np.where(series.missing, np.nan, series.values)[first:]
+    alerts: list[AnomalyAlert] = []
+    for w in range(len(scored) // window):
+        chunk = scored[w * window:(w + 1) * window]
+        chunk = chunk[~np.isnan(chunk)]
+        if len(chunk) == 0:
+            continue
+        mean = float(chunk.mean())
+        excess = abs(mean - band.X) - threshold
+        if excess > 0:
+            alerts.append(AnomalyAlert(
+                timestamp=series.timestamp_at(first + w * window),
+                kind=kind, observed=mean, expected=band.X, band=band,
+                severity=_severity(excess, threshold), source=source))
+    return alerts
+
+
 def detect_surges(series: TimeSeries, model: FittedForecaster, confidence: float,
                   mode: str = "mean_shift", window: int = DEFAULT_WINDOW,
                   source: str = "") -> list[AnomalyAlert]:
     """Flag surges in a scored series against a model fitted on a disjoint
     training prefix.
 
-    mean_shift: cut the scored series into consecutive windows of n points;
-    the band is X +/- z * s / sqrt(n) with X and s taken over the training
-    period, so it brackets where an n-point window mean should land. A window
-    whose mean falls outside is flagged.
+    mean_shift: mean_shift_alerts over the whole series, with the model's
+    training values as the baseline.
 
     residual: point t is flagged when |observed - forecast| > z * sigma_r,
     with teacher-forced one-step forecasts.
@@ -137,30 +167,12 @@ def detect_surges(series: TimeSeries, model: FittedForecaster, confidence: float
     if mode not in ("mean_shift", "residual"):
         raise ValueError(f"unknown mode {mode!r}")
     z = z_score(confidence)
-    alerts: list[AnomalyAlert] = []
-
     if mode == "mean_shift":
-        train = model.train_values
-        s = float(train.std(ddof=1)) if len(train) > 1 else 0.0
-        band = ConfidenceBand(X=float(train.mean()), s=s, n=window, z=z)
-        threshold = band.half_width
-        values = np.where(series.missing, np.nan, series.values)
-        n_windows = len(values) // window
-        for w in range(n_windows):
-            chunk = values[w * window:(w + 1) * window]
-            chunk = chunk[~np.isnan(chunk)]
-            if len(chunk) == 0:
-                continue
-            mean = float(chunk.mean())
-            excess = abs(mean - band.X) - threshold
-            if excess > 0:
-                alerts.append(AnomalyAlert(
-                    timestamp=series.timestamp_at(w * window),
-                    kind="Surge", observed=mean, expected=band.X, band=band,
-                    severity=_severity(excess, threshold), source=source))
-        return alerts
+        return mean_shift_alerts(series, 0, model.train_values, z, window,
+                                 "Surge", source)
 
     # residual mode
+    alerts: list[AnomalyAlert] = []
     sigma = model.residual_std
     threshold = z * sigma
     preds = model.one_step_on(np.where(series.missing, np.nan, series.values))
@@ -218,35 +230,16 @@ def detect_identity_flood(per_interval_new_ids: TimeSeries, confidence: float,
                           train_fraction: float = 0.5, window: int = 1,
                           source: str = "") -> list[AnomalyAlert]:
     """Mean-shift surge logic applied to the count of never-before-seen
-    source ids per interval; alerts carry kind=IdentityFlood."""
+    source ids per interval; alerts carry kind=IdentityFlood. No alerts when
+    the training prefix has no observed point."""
     z = z_score(confidence)
-    n = len(per_interval_new_ids)
-    n_train = max(1, math.ceil(train_fraction * n))
-    values = np.where(per_interval_new_ids.missing, np.nan,
-                      per_interval_new_ids.values)
-    train = values[:n_train]
-    train = train[~np.isnan(train)]
-    if len(train) == 0:
+    n_train = max(1, math.ceil(train_fraction * len(per_interval_new_ids)))
+    observed = ~per_interval_new_ids.missing[:n_train]
+    if not observed.any():
         return []
-    s = float(train.std(ddof=1)) if len(train) > 1 else 0.0
-    band = ConfidenceBand(X=float(train.mean()), s=s, n=window, z=z)
-    threshold = band.half_width
-    alerts: list[AnomalyAlert] = []
-    scored = values[n_train:]
-    n_windows = len(scored) // window
-    for w in range(n_windows):
-        chunk = scored[w * window:(w + 1) * window]
-        chunk = chunk[~np.isnan(chunk)]
-        if len(chunk) == 0:
-            continue
-        mean = float(chunk.mean())
-        excess = abs(mean - band.X) - threshold
-        if excess > 0:
-            alerts.append(AnomalyAlert(
-                timestamp=per_interval_new_ids.timestamp_at(n_train + w * window),
-                kind="IdentityFlood", observed=mean, expected=band.X, band=band,
-                severity=_severity(excess, threshold), source=source))
-    return alerts
+    return mean_shift_alerts(per_interval_new_ids, n_train,
+                             per_interval_new_ids.values[:n_train][observed], z,
+                             window, "IdentityFlood", source)
 
 
 def merge_alerts(*alert_lists: list[AnomalyAlert]) -> list[AnomalyAlert]:

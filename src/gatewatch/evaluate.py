@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,10 +145,7 @@ def compare_models(configs: list[ForecasterConfig], series: TimeSeries,
         row, _ = _score_row(config.label(), PATTERN_CLASS[config.variant],
                             config, train, test)
         report.rows.append(row)
-    persistence = replace(configs[0], variant="moving_average", ma_window=1) \
-        if configs else ForecasterConfig(variant="moving_average", ma_window=1)
-    persistence = ForecasterConfig(variant="moving_average", ma_window=1,
-                                   rng_seed=persistence.rng_seed)
+    persistence = ForecasterConfig(variant="moving_average", ma_window=1)
     row, _ = _score_row("persistence", PATTERN_CLASS["persistence"],
                         persistence, train, test)
     report.rows.append(row)

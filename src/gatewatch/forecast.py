@@ -79,40 +79,28 @@ def _hw_initial_state(y: np.ndarray, m: int):
     return level, trend, seasonals
 
 
-def _hw_run(y: np.ndarray, alpha, beta, gamma, m: int):
-    """Additive Holt-Winters recurrences; alpha/beta/gamma may be arrays of
-    equal shape K to evaluate a whole parameter grid in one pass.
+def _hw_run(y: np.ndarray, alpha, beta, gamma, m: int, level, trend,
+            S: np.ndarray, t0: int):
+    """Additive Holt-Winters recurrence over y, whose first point is at time
+    t0, continued from the state (level, trend, S).
 
-    Returns (one-step preds for t >= m, final level, final trend, seasonal array).
+    alpha/beta/gamma are floats for one parameter set, or K-vectors to
+    evaluate a whole grid in one pass; S is then (m,) or (m, K), and is
+    updated in place. A NaN observation carries into the state.
+
+    Returns (one-step preds of shape S.shape[1:] + (len(y),), final level,
+    final trend).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    scalar = alpha.ndim == 0
-    beta = np.asarray(beta, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    level0, trend0, seas0 = _hw_initial_state(y, m)
-    if scalar:
-        level = np.array([level0])
-        trend = np.array([trend0])
-        S = seas0[None, :].copy()
-        alpha, beta, gamma = alpha[None], beta[None], gamma[None]
-    else:
-        K = len(alpha)
-        level = np.full(K, level0)
-        trend = np.full(K, trend0)
-        S = np.tile(seas0, (K, 1))
-    n = len(y)
-    preds = np.empty((len(level), n - m))
-    for t in range(m, n):
-        phase = t % m
-        yhat = level + trend + S[:, phase]
-        preds[:, t - m] = yhat
+    preds = np.empty(S.shape[1:] + (len(y),))
+    for i, obs in enumerate(y.tolist()):
+        phase = (t0 + i) % m
+        seasonal = S[phase]
+        preds[..., i] = level + trend + seasonal
         prev_level = level
-        level = alpha * (y[t] - S[:, phase]) + (1.0 - alpha) * (level + trend)
+        level = alpha * (obs - seasonal) + (1.0 - alpha) * (level + trend)
         trend = beta * (level - prev_level) + (1.0 - beta) * trend
-        S[:, phase] = gamma * (y[t] - level) + (1.0 - gamma) * S[:, phase]
-    if scalar:
-        return preds[0], float(level[0]), float(trend[0]), S[0]
-    return preds, level, trend, S
+        S[phase] = gamma * (obs - level) + (1.0 - gamma) * seasonal
+    return preds, level, trend
 
 
 def _hw_select_constants(y: np.ndarray, m: int) -> tuple[float, float, float]:
@@ -121,7 +109,9 @@ def _hw_select_constants(y: np.ndarray, m: int) -> tuple[float, float, float]:
     a = np.array([c[0] for c in combos])
     b = np.array([c[1] for c in combos])
     g = np.array([c[2] for c in combos])
-    preds, _, _, _ = _hw_run(y, a, b, g, m)
+    level, trend, seasonals = _hw_initial_state(y, m)
+    S = np.tile(seasonals[:, None], (1, len(combos)))
+    preds, _, _ = _hw_run(y[m:], a, b, g, m, level, trend, S, m)
     mses = np.mean((preds - y[m:]) ** 2, axis=1)
     best = int(np.argmin(mses))  # argmin is first-hit, so ties are stable
     return combos[best]
@@ -199,19 +189,9 @@ class FittedForecaster:
             hist = np.concatenate([y[-w:], new_values])
             return np.array([hist[i:i + w].mean() for i in range(k)])
         if v == "holt_winters":
-            m = self.config.hw_period
-            alpha, beta, gamma = self.hw_constants
             level, trend, S = self.hw_state
-            S = S.copy()
-            preds = np.empty(k)
-            for i in range(k):
-                t = n + i
-                phase = t % m
-                preds[i] = level + trend + S[phase]
-                prev_level = level
-                level = alpha * (new_values[i] - S[phase]) + (1 - alpha) * (level + trend)
-                trend = beta * (level - prev_level) + (1 - beta) * trend
-                S[phase] = gamma * (new_values[i] - level) + (1 - gamma) * S[phase]
+            preds, _, _ = _hw_run(new_values, *self.hw_constants,
+                                  self.config.hw_period, level, trend, S.copy(), n)
             return preds
         if v == "linear_trend":
             t = np.arange(n, n + k)
@@ -314,11 +294,13 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
             alpha, beta, gamma = given
         else:
             alpha, beta, gamma = _hw_select_constants(y, m)
-        preds, level, trend, S = _hw_run(y, alpha, beta, gamma, m)
+        level, trend, S = _hw_initial_state(y, m)
+        preds, level, trend = _hw_run(y[m:], alpha, beta, gamma, m, level, trend,
+                                      S, m)
         model = FittedForecaster(config=config, train_values=y,
                                  result=_result_from_fitted(y, preds, m),
                                  hw_constants=(alpha, beta, gamma),
-                                 hw_state=(level, trend, S))
+                                 hw_state=(float(level), float(trend), S))
         return model
 
     if v == "linear_trend":

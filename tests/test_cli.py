@@ -53,6 +53,35 @@ class TestUsageErrors:
                    "--config", str(config)) == 1
         assert "warp_factor" in capsys.readouterr().err
 
+    def test_every_config_key_is_a_flag(self):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if a.dest == "command")
+        dests = {action.dest for sub in subparsers.choices.values()
+                 for action in sub._actions}
+        assert cli.CONFIG_KEYS <= dests, sorted(cli.CONFIG_KEYS - dests)
+
+    @pytest.mark.parametrize("command", ["detect", "stream"])
+    @pytest.mark.parametrize("name", ["window", "gap_threshold"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_window_and_gap_threshold_below_one(self, trace_dir, tmp_path,
+                                                capsys, command, name, via):
+        if command == "detect":
+            argv = ["detect", "--input", str(trace_dir / "flow.csv"),
+                    "--source-ip", "10.0.0.2"]
+        else:
+            argv = ["stream", "--input", str(trace_dir / "events.jsonl"),
+                    "--labels", str(trace_dir / "labels.csv")]
+        argv += ["--out", str(tmp_path / "o")]
+        if via == "flag":
+            argv += ["--" + name.replace("_", "-"), "0"]
+        else:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({name: 0}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and err.count("\n") == 1
+
 
 class TestDataErrors:
     def test_missing_input_file(self, tmp_path, capsys):
@@ -64,6 +93,13 @@ class TestDataErrors:
         path = series_file(tmp_path, seasonal_values(200))
         assert run("forecast", "--input", str(path), "--out",
                    str(tmp_path / "o"), "--confidence", "0.97") == 2
+        assert "UnsupportedConfidence" in capsys.readouterr().err
+
+    def test_untabulated_confidence_on_stream(self, trace_dir, tmp_path,
+                                              capsys):
+        assert run("stream", "--input", str(trace_dir / "events.jsonl"),
+                   "--labels", str(trace_dir / "labels.csv"),
+                   "--out", str(tmp_path / "o"), "--confidence", "0.97") == 2
         assert "UnsupportedConfidence" in capsys.readouterr().err
 
     def test_series_too_short(self, tmp_path, capsys):
@@ -185,6 +221,30 @@ class TestDetectAndStream:
         assert any(a["kind"] == "Surge" for a in alerts)
         stamps = [a["ts"] for a in alerts]
         assert stamps == sorted(stamps)
+
+    def test_detect_mean_shift_fits_no_model(self, tmp_path):
+        # 30 points are too few for a Holt-Winters fit (2 x 24), but the
+        # mean-shift band needs only the training points.
+        path = series_file(tmp_path, seasonal_values(30))
+        assert run("detect", "--input", str(path), "--out", str(tmp_path / "o"),
+                   "--window", "5") == 0
+        assert (tmp_path / "o" / "alerts.jsonl").exists()
+
+    def test_detect_residual_rejects_unimputable_training_gap(self, tmp_path,
+                                                              capsys):
+        values = seasonal_values()
+        values[100:105] = [None] * 5
+        path = series_file(tmp_path, values)
+        assert run("detect", "--input", str(path), "--out", str(tmp_path / "o"),
+                   "--mode", "residual") == 2
+        assert "MissingValuesPresent" in capsys.readouterr().err
+
+    def test_detect_mean_shift_needs_an_observed_training_point(self, tmp_path,
+                                                                capsys):
+        path = series_file(tmp_path, [None] * 10 + [1.0] * 10)
+        assert run("detect", "--input", str(path), "--out", str(tmp_path / "o"),
+                   "--window", "2") == 2
+        assert "AllMissing" in capsys.readouterr().err
 
     def test_stream_from_labels(self, trace_dir, tmp_path):
         out = tmp_path / "stream"

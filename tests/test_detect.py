@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gatewatch import detect
-from gatewatch.errors import UnsupportedConfidence
+from gatewatch.errors import AllMissing, UnsupportedConfidence
 from gatewatch.forecast import ForecasterConfig, fit
 from gatewatch.series import TimeSeries
 
@@ -155,6 +155,22 @@ class TestIdentityFlood:
     def test_quiet_counts_do_not_alert(self):
         series = make([1.0, 2.0, 1.0, 2.0] * 6)
         assert detect.detect_identity_flood(series, 0.999) == []
+
+
+class TestMeanShiftCore:
+    def test_scores_after_first_against_the_baseline(self):
+        series = make([1.0, 2.0, 1.0, 2.0, 1.5, 1.5, 9.0, 9.0])
+        alerts = detect.mean_shift_alerts(series, 4, [1.0, 2.0, 1.0, 2.0],
+                                          1.960, 2, "Surge", "s")
+        assert [a.timestamp for a in alerts] == [series.timestamp_at(6)]
+        assert alerts[0].observed == 9.0 and alerts[0].expected == 1.5
+
+    def test_rejects_empty_baseline_and_window_below_one(self):
+        series = make([1.0, 2.0, 3.0])
+        with pytest.raises(AllMissing):
+            detect.mean_shift_alerts(series, 0, [], 1.960, 1, "Surge")
+        with pytest.raises(ValueError):
+            detect.mean_shift_alerts(series, 0, [1.0], 1.960, 0, "Surge")
 
 
 def test_merge_is_time_ordered_and_stable():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gatewatch import forecast as fc
 from gatewatch.errors import MissingValuesPresent, SeriesTooShort
@@ -118,3 +119,36 @@ def test_one_step_on_continues_the_recurrence():
                    make(train_vals))
     preds = model.one_step_on(test_vals)
     assert np.max(np.abs(preds - test_vals)) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(period=st.integers(2, 8), extra=st.integers(0, 20),
+       k=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+       constants=st.tuples(*[st.sampled_from(fc.HW_GRID)] * 3))
+def test_one_step_on_is_the_fit_recurrence_continued(period, extra, k, seed,
+                                                     constants):
+    # Fitting and scoring share one recurrence: scoring new points from the
+    # saved state gives, bit for bit, the one-step fits over train + new.
+    rng = np.random.default_rng(seed)
+    y = rng.normal(0, 1, 2 * period + extra + k).cumsum()
+    alpha, beta, gamma = constants
+    config = fc.ForecasterConfig(variant="holt_winters", hw_period=period,
+                                 hw_alpha=alpha, hw_beta=beta, hw_gamma=gamma)
+    n = len(y) - k
+    scored = fc.fit(config, make(y[:n])).one_step_on(y[n:])
+    whole = fc.fit(config, make(y)).result.fitted
+    assert scored.tolist() == whole[-k:]
+
+
+def test_hw_grid_rows_equal_single_parameter_runs():
+    # The grid search and the single fit run the same recurrence, on
+    # K-vectors and on floats; each grid row must be that fit's predictions.
+    y = sine(cycles=6, period=8, noise=0.3).values
+    combos = [(0.1, 0.1, 0.1), (0.5, 0.2, 0.3), (0.9, 0.9, 0.9), (0.3, 0.7, 0.1)]
+    alpha, beta, gamma = (np.array(c) for c in zip(*combos))
+    level, trend, S = fc._hw_initial_state(y, 8)
+    grid, _, _ = fc._hw_run(y[8:], alpha, beta, gamma, 8, level, trend,
+                            np.tile(S[:, None], (1, len(combos))), 8)
+    for row, constants in zip(grid, combos):
+        single, _, _ = fc._hw_run(y[8:], *constants, 8, level, trend, S.copy(), 8)
+        assert row.tolist() == single.tolist()
