@@ -23,7 +23,7 @@ from .detect import (
     z_score,
 )
 from .errors import EmptyTrainingSet, SchemaMismatch, WidthMismatch
-from .series import TimeSeries
+from .series import TimeSeries, interval_index
 
 PACKET_CLASSES = ("Known", "Unknown", "Attack")
 UNKNOWN, ATTACK = PACKET_CLASSES.index("Unknown"), PACKET_CLASSES.index("Attack")
@@ -275,14 +275,15 @@ def training_samples(events: list[EventLogRecord], schema: SymbolSchema,
         if not matched.all():
             raise _mismatch(block[int(np.argmin(matched))], schema)
         _, first = np.unique(vectors, axis=0, return_index=True)
-        for i in np.sort(first):
+        first = np.sort(first).tolist()
+        slots = interval_index([block[i].timestamp for i in first], start,
+                               interval_seconds)
+        for i, idx in zip(first, slots.tolist()):
             key = vectors[i].tobytes()
             if key in seen:
                 continue
             seen.add(key)
-            event = block[i]
-            idx = int((event.timestamp - start).total_seconds() // interval_seconds)
-            cls = "Attack" if (idx, event.source_id) in attack_cells else "Known"
+            cls = "Attack" if (idx, block[i].source_id) in attack_cells else "Known"
             samples.append((vectors[i].copy(), cls))
     return samples
 
@@ -298,7 +299,6 @@ class StreamConfig:
     confidence: float = 0.95
     surge_window: int = 24
     gap_threshold: int = 3
-    rate_detectors: bool = True
 
 
 @dataclass
@@ -341,33 +341,42 @@ def read_events_jsonl(path) -> list[EventLogRecord]:
 
 def new_id_counts(records: list[EventLogRecord], start: datetime,
                   interval_seconds: float, duration: int) -> TimeSeries:
-    """Count distinct never-before-seen source ids per interval."""
-    counts = np.zeros(duration)
-    seen: set[str] = set()
-    for rec in sorted(records, key=lambda r: (r.timestamp, r.source_id)):
-        if rec.source_id in seen:
-            continue
-        seen.add(rec.source_id)
-        idx = int((rec.timestamp - start).total_seconds() // interval_seconds)
-        if 0 <= idx < duration:
-            counts[idx] += 1
+    """Count distinct never-before-seen source ids per interval: each source
+    counts once, in the interval of its earliest record."""
+    earliest: dict[str, datetime] = {}
+    for rec in records:
+        earliest[rec.source_id] = min(earliest.get(rec.source_id, rec.timestamp),
+                                      rec.timestamp)
+    slots = interval_index(earliest.values(), start, interval_seconds)
+    counts = np.bincount(slots[(slots >= 0) & (slots < duration)],
+                         minlength=duration).astype(float)
     return TimeSeries(start=start, interval_seconds=interval_seconds,
                       values=counts, missing=np.zeros(duration, dtype=bool))
 
 
-def _rate_alerts(per_source: dict[str, list[datetime]], config: StreamConfig,
+def _rate_alerts(records: list[EventLogRecord], config: StreamConfig,
                  start: datetime, duration: int) -> list[AnomalyAlert]:
+    """Dropout and surge alerts on each source's record count per interval,
+    sources in sorted order. Every record lies in [start, start + duration
+    intervals)."""
     z = z_score(config.confidence)
     # Surge scoring takes the first half of the run as each source's baseline
     # and scores the rest; runs shorter than four intervals get none.
     n_train = math.ceil(0.5 * duration)
+    ids = [r.source_id for r in records]
+    sources = sorted(set(ids))
+    row_of = {source: k for k, source in enumerate(sources)}
+    rows = np.fromiter((row_of[source] for source in ids), dtype=np.int64, count=len(ids))
+    slots = interval_index([r.timestamp for r in records], start, config.interval_seconds)
+    # Cells of the (sources x duration) count matrix, sorted so that each
+    # source's cells are one slice. The matrix is never built whole: thousands
+    # of one-shot Sybil sources would make it far larger than the input.
+    cells = np.sort(rows * duration + slots)
+    bounds = np.searchsorted(cells, np.arange(len(sources) + 1) * duration)
     alerts: list[AnomalyAlert] = []
-    for source, stamps in sorted(per_source.items()):
-        counts = np.zeros(duration)
-        for ts in stamps:
-            idx = int((ts - start).total_seconds() // config.interval_seconds)
-            if 0 <= idx < duration:
-                counts[idx] += 1
+    for k, source in enumerate(sources):
+        counts = np.bincount(cells[bounds[k]:bounds[k + 1]] - k * duration,
+                             minlength=duration).astype(float)
         rates = TimeSeries(start=start, interval_seconds=config.interval_seconds,
                            values=counts, missing=np.zeros(duration, dtype=bool))
         alerts.extend(detect_dropout(rates, config.gap_threshold,
@@ -413,7 +422,7 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
 
     accepted.sort(key=lambda r: (r.timestamp, r.source_id))
     intrusion_alerts: list[AnomalyAlert] = []
-    per_source: dict[str, list[datetime]] = {}
+    emitted: list[EventLogRecord] = []
     for lo in range(0, len(accepted), BLOCK_SIZE):
         block = accepted[lo:lo + BLOCK_SIZE]
         vectors, unknown_value, matched = symbolize_block(block, schema)
@@ -424,8 +433,7 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
         classes, ambiguous = classify_block(network, vectors[matched])
         ambiguous |= unknown_value[matched]
         counts.emitted_classifications += len(block)
-        for rec in block:
-            per_source.setdefault(rec.source_id, []).append(rec.timestamp)
+        emitted.extend(block)
         flag = classes == ATTACK
         if config.strict_unknown:
             flag |= classes == UNKNOWN
@@ -439,10 +447,9 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
                 ambiguous=bool(ambiguous[i])))
 
     rate_alerts: list[AnomalyAlert] = []
-    if config.rate_detectors and accepted:
+    if accepted:
         start = accepted[0].timestamp
-        span = (accepted[-1].timestamp - start).total_seconds()
-        duration = int(span // config.interval_seconds) + 1
-        rate_alerts = _rate_alerts(per_source, config, start, duration)
+        last = interval_index([accepted[-1].timestamp], start, config.interval_seconds)
+        rate_alerts = _rate_alerts(emitted, config, start, int(last[0]) + 1)
 
     return merge_alerts(intrusion_alerts, rate_alerts), counts

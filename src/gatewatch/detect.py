@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AllMissing, UnsupportedConfidence
 from .forecast import FittedForecaster
-from .series import TimeSeries
+from .series import TimeSeries, runs
 
 Z_TABLE = {
     0.80: 1.282,
@@ -204,16 +204,8 @@ def detect_dropout(series: TimeSeries, gap_threshold: int,
     if zero_is_silence:
         silent |= (~series.missing) & (series.values == 0)
     alerts: list[AnomalyAlert] = []
-    n = len(series)
-    i = 0
-    while i < n:
-        if not silent[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and silent[j]:
-            j += 1
-        run = j - i
+    starts, ends = runs(silent)
+    for i, run in zip(starts.tolist(), (ends - starts).tolist()):
         if run >= gap_threshold:
             excess = run - gap_threshold
             alerts.append(AnomalyAlert(
@@ -222,7 +214,6 @@ def detect_dropout(series: TimeSeries, gap_threshold: int,
                 band=None,
                 severity=_severity(float(excess), float(gap_threshold)),
                 source=source))
-        i = j
     return alerts
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllTargetsZero, EmptyInput, LengthMismatch
-from .forecast import FittedForecaster, ForecasterConfig, fit
+from .forecast import ForecasterConfig, fit
 from .series import TimeSeries, split
 
 # Broad pattern suitability of each family, as commonly tabulated.
@@ -112,7 +112,7 @@ class ModelReport:
 
 
 def _score_row(name: str, pattern: str, config: ForecasterConfig,
-               train: TimeSeries, test: TimeSeries) -> tuple[ModelRow, FittedForecaster | None]:
+               train: TimeSeries, test: TimeSeries) -> ModelRow:
     t0 = time.perf_counter()
     try:
         model = fit(config, train)
@@ -126,13 +126,13 @@ def _score_row(name: str, pattern: str, config: ForecasterConfig,
         return ModelRow(name=name, pattern_class=pattern, train_len=len(train),
                         test_mse=row_mse, test_mape_pct=pct,
                         mape_skipped_zero_targets=skipped,
-                        fit_seconds=elapsed), model
+                        fit_seconds=elapsed)
     except Exception as exc:  # per-model failure is recorded, not fatal
         return ModelRow(name=name, pattern_class=pattern, train_len=len(train),
                         test_mse=None, test_mape_pct=None,
                         mape_skipped_zero_targets=0,
                         fit_seconds=time.perf_counter() - t0,
-                        error=f"{type(exc).__name__}: {exc}"), None
+                        error=f"{type(exc).__name__}: {exc}")
 
 
 def compare_models(configs: list[ForecasterConfig], series: TimeSeries,
@@ -142,13 +142,11 @@ def compare_models(configs: list[ForecasterConfig], series: TimeSeries,
     train, test = split(series, train_fraction)
     report = ModelReport()
     for config in configs:
-        row, _ = _score_row(config.label(), PATTERN_CLASS[config.variant],
-                            config, train, test)
-        report.rows.append(row)
+        report.rows.append(_score_row(config.label(), PATTERN_CLASS[config.variant],
+                                      config, train, test))
     persistence = ForecasterConfig(variant="moving_average", ma_window=1)
-    row, _ = _score_row("persistence", PATTERN_CLASS["persistence"],
-                        persistence, train, test)
-    report.rows.append(row)
+    report.rows.append(_score_row("persistence", PATTERN_CLASS["persistence"],
+                                  persistence, train, test))
     scored = [r for r in report.rows if r.test_mse is not None]
     report.ranking = [r.name for r in sorted(scored, key=lambda r: (r.test_mse, r.name))]
     return report

@@ -136,7 +136,6 @@ class FittedForecaster:
     lt_coefs: np.ndarray | None = None
     lstm_params: lstm.LstmParams | None = None
     scaler: Scaler | None = None
-    train_trace: lstm.TrainTrace | None = None
 
     @property
     def variant(self) -> str:
@@ -323,7 +322,7 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
     scaled = TimeSeries(start=train.start, interval_seconds=train.interval_seconds,
                         values=scaler.apply(y), missing=train.missing)
     X, targets = sliding_windows(scaled, T)
-    params, trace = lstm.train_chunked(
+    params, _ = lstm.train_chunked(
         X, targets, config.lstm_units,
         num_chunks=config.lstm_num_chunks, batch_size=config.lstm_batch_size,
         epochs=config.lstm_epochs, learning_rate=config.lstm_learning_rate,
@@ -331,5 +330,5 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
     fitted = scaler.invert(lstm.predict(params, X))
     model = FittedForecaster(config=config, train_values=y,
                              result=_result_from_fitted(y, fitted, T),
-                             lstm_params=params, scaler=scaler, train_trace=trace)
+                             lstm_params=params, scaler=scaler)
     return model

@@ -20,7 +20,7 @@ from .errors import (
     MissingColumn,
     TimestampParseError,
 )
-from .series import TimeSeries
+from .series import TimeSeries, interval_index
 
 TIMESTAMP_FORMAT = "%d/%m/%Y %I:%M:%S %p"
 
@@ -190,26 +190,20 @@ def to_series(records: list[FlowRecord], interval_seconds: float,
     usable = [r for r in records if r.is_clean]
     if not usable:
         raise EmptyInput("no clean records to bucket")
+    # Sorted by time, so bincount adds each bucket's values in the same
+    # left-to-right order as summing the bucket.
     usable.sort(key=lambda r: r.timestamp)
     first = usable[0].timestamp
-    last = usable[-1].timestamp
-    n_buckets = int((last - first).total_seconds() // interval_seconds) + 1
-    buckets: list[list[float]] = [[] for _ in range(n_buckets)]
-    for rec in usable:
-        idx = int((rec.timestamp - first).total_seconds() // interval_seconds)
-        buckets[idx].append(rec.value)
-    values = np.full(n_buckets, np.nan)
-    missing = np.ones(n_buckets, dtype=bool)
-    for i, bucket in enumerate(buckets):
-        if not bucket:
-            continue
-        missing[i] = False
+    slots = interval_index([r.timestamp for r in usable], first, interval_seconds)
+    counts = np.bincount(slots)
+    if aggregator == "count":
+        values = counts.astype(float)
+    else:
+        values = np.bincount(slots, weights=[r.value for r in usable])
         if aggregator == "mean":
-            values[i] = sum(bucket) / len(bucket)
-        elif aggregator == "sum":
-            values[i] = sum(bucket)
-        else:
-            values[i] = len(bucket)
+            values /= np.maximum(counts, 1)
+    missing = counts == 0
+    values[missing] = np.nan
     return TimeSeries(start=first, interval_seconds=interval_seconds,
                       values=values, missing=missing)
 

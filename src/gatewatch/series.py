@@ -1,7 +1,8 @@
 """Uniform time-series container and preparation utilities.
 
-Scaling, chronological splitting, sliding windows for sequence models, and
-seasonality / stationarity diagnostics.
+The interval grid (which interval a timestamp falls in, maximal runs of
+flagged points), scaling, chronological splitting, sliding windows for
+sequence models, and seasonality / stationarity diagnostics.
 """
 from __future__ import annotations
 
@@ -26,9 +27,24 @@ SEASONALITY_ACF_THRESHOLD = 0.3
 # tolerated before the series is called non-stationary.
 STATIONARITY_DRIFT_THRESHOLD = 0.5
 STATIONARITY_SEGMENTS = 4
+# Missing runs up to this length are interpolated; longer ones are dropouts.
+MAX_IMPUTED_RUN = 2
 
-# Window length used for full-scale LSTM runs; desk-scale tests use 48.
-DEFAULT_NUM_TIMESTEPS = 1008
+
+def interval_index(stamps, start: datetime, interval_seconds: float) -> np.ndarray:
+    """Index of the interval each stamp falls in on the grid that starts at
+    `start`: int((t - start).total_seconds() // interval_seconds) for each t,
+    as an int64 array (negative before `start`)."""
+    offsets = np.array([(t - start).total_seconds() for t in stamps], dtype=np.float64)
+    return (offsets // interval_seconds).astype(np.int64)
+
+
+def runs(mask) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of True in a boolean mask as (starts, ends): run k covers
+    mask[starts[k]:ends[k]]."""
+    padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
+    edges = np.diff(padded.astype(np.int8))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
 
 def _utc(dt: datetime) -> datetime:
@@ -189,30 +205,22 @@ def fit_scaler(series: TimeSeries) -> Scaler:
     return Scaler(min=float(clean.min()), max=float(clean.max()))
 
 
-def impute_short_gaps(series: TimeSeries, max_run: int = 2) -> TimeSeries:
-    """Linearly interpolate missing runs of length <= max_run.
+def impute_short_gaps(series: TimeSeries) -> TimeSeries:
+    """Linearly interpolate missing runs of length <= MAX_IMPUTED_RUN.
 
     Longer runs stay missing: those are for dropout detection, not hiding.
     Leading/trailing runs are never imputed (no anchor on one side).
     """
     values = series.values.copy()
     missing = series.missing.copy()
-    n = len(values)
-    i = 0
-    while i < n:
-        if not missing[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and missing[j]:
-            j += 1
+    starts, ends = runs(missing)
+    for i, j in zip(starts.tolist(), ends.tolist()):
         run = j - i
-        if run <= max_run and i > 0 and j < n:
+        if run <= MAX_IMPUTED_RUN and i > 0 and j < len(values):
             left, right = values[i - 1], values[j]
             for k in range(run):
                 values[i + k] = left + (right - left) * (k + 1) / (run + 1)
                 missing[i + k] = False
-        i = j
     return TimeSeries(start=series.start, interval_seconds=series.interval_seconds,
                       values=values, missing=missing)
 

@@ -197,7 +197,7 @@ class TestStreamPipeline:
         events.append(_event(10, "dev-2", proto="udp", packets=500.0))
         events.append(events[8])                       # duplicate inside skew
         events.append(_event(9, "dev-1"))              # duplicate of minute 9
-        config = cc4.StreamConfig(rate_detectors=False)
+        config = cc4.StreamConfig()
         alerts, counts = cc4.stream_pipeline(events, schema(), _network(), config)
         assert counts.records_in == 13
         assert counts.dropped_duplicate == 2
@@ -211,8 +211,7 @@ class TestStreamPipeline:
         assert intrusions[0].severity == "Critical"
 
     def test_late_records_dropped_not_reordered(self):
-        config = cc4.StreamConfig(interval_seconds=60.0, skew_intervals=5,
-                                  rate_detectors=False)
+        config = cc4.StreamConfig(interval_seconds=60.0, skew_intervals=5)
         events = [_event(0, "a"), _event(20, "a"), _event(1, "a")]
         _, counts = cc4.stream_pipeline(events, schema(), _network(), config)
         assert counts.dropped_late == 1
@@ -220,8 +219,8 @@ class TestStreamPipeline:
 
     def test_strict_unknown_raises_alerts(self):
         odd = [_event(0, "a", proto="wifi", packets=50.0)]
-        lax = cc4.StreamConfig(rate_detectors=False, strict_unknown=False)
-        strict = cc4.StreamConfig(rate_detectors=False, strict_unknown=True)
+        lax = cc4.StreamConfig(strict_unknown=False)
+        strict = cc4.StreamConfig(strict_unknown=True)
         quiet, _ = cc4.stream_pipeline(odd, schema(), _network(), lax)
         loud, _ = cc4.stream_pipeline(odd, schema(), _network(), strict)
         assert quiet == []
@@ -239,7 +238,7 @@ class TestStreamPipeline:
 
     def test_alert_json_includes_class_fields(self):
         events = [_event(0, "dev-2", proto="udp", packets=500.0)]
-        config = cc4.StreamConfig(rate_detectors=False)
+        config = cc4.StreamConfig()
         alerts, _ = cc4.stream_pipeline(events, schema(), _network(), config)
         obj = json.loads(alerts[0].to_json())
         assert obj["class"] == "Attack"

@@ -2,8 +2,11 @@
 
 The reference functions below are the per-record encode/score loops, kept
 here verbatim except that activations are summed in int64 (the int8 product
-they used overflowed above 127 bits; the probes here are narrower).
+they used overflowed above 127 bits; the probes here are narrower). The
+per-source, per-stamp rate count loop and the sort-every-record new-identity
+count are kept the same way, as references for the interval-grid versions.
 """
+import math
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -13,8 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatewatch import cc4
-from gatewatch.detect import AnomalyAlert, merge_alerts
+from gatewatch.detect import (
+    AnomalyAlert,
+    detect_dropout,
+    mean_shift_alerts,
+    merge_alerts,
+    z_score,
+)
 from gatewatch.errors import SchemaMismatch
+from gatewatch.series import TimeSeries
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
 NAN = float("nan")
@@ -83,6 +93,39 @@ def ref_training_samples(events, schema, attack_cells, start, interval_seconds):
     return samples
 
 
+def ref_rate_alerts(per_source, config, start, duration):
+    z = z_score(config.confidence)
+    n_train = math.ceil(0.5 * duration)
+    alerts = []
+    for source, stamps in sorted(per_source.items()):
+        counts = np.zeros(duration)
+        for ts in stamps:
+            idx = int((ts - start).total_seconds() // config.interval_seconds)
+            if 0 <= idx < duration:
+                counts[idx] += 1
+        rates = TimeSeries(start=start, interval_seconds=config.interval_seconds,
+                           values=counts, missing=np.zeros(duration, dtype=bool))
+        alerts.extend(detect_dropout(rates, config.gap_threshold,
+                                     zero_is_silence=True, source=source))
+        if duration >= 4:
+            alerts.extend(mean_shift_alerts(rates, n_train, counts[:n_train], z,
+                                            config.surge_window, "Surge", source))
+    return alerts
+
+
+def ref_new_id_counts(records, start, interval_seconds, duration):
+    counts = np.zeros(duration)
+    seen = set()
+    for rec in sorted(records, key=lambda r: (r.timestamp, r.source_id)):
+        if rec.source_id in seen:
+            continue
+        seen.add(rec.source_id)
+        idx = int((rec.timestamp - start).total_seconds() // interval_seconds)
+        if 0 <= idx < duration:
+            counts[idx] += 1
+    return counts
+
+
 def ref_stream_pipeline(records, schema, network, config):
     counts = cc4.StreamCounts()
     skew = timedelta(seconds=config.skew_intervals * config.interval_seconds)
@@ -130,11 +173,11 @@ def ref_stream_pipeline(records, schema, network, config):
                 ambiguous=ambiguous or unknown_value))
 
     rate_alerts = []
-    if config.rate_detectors and accepted:
+    if accepted:
         start = accepted[0].timestamp
         span = (accepted[-1].timestamp - start).total_seconds()
         duration = int(span // config.interval_seconds) + 1
-        rate_alerts = cc4._rate_alerts(per_source, config, start, duration)
+        rate_alerts = ref_rate_alerts(per_source, config, start, duration)
     return merge_alerts(intrusion_alerts, rate_alerts), counts
 
 
@@ -236,8 +279,7 @@ def test_block_path_matches_per_record_reference(data):
     network = data.draw(networks(schema.total_bits))
     block_size = data.draw(st.sampled_from([1, 2, 3, 7, cc4.BLOCK_SIZE]))
     config = cc4.StreamConfig(interval_seconds=60.0,
-                              strict_unknown=data.draw(st.booleans()),
-                              rate_detectors=data.draw(st.booleans()))
+                              strict_unknown=data.draw(st.booleans()))
     got, want = block_and_reference(records, schema, network)
     assert got == want
     for rec, expected in zip(records, want):
@@ -263,6 +305,11 @@ def test_block_path_matches_per_record_reference(data):
     want_samples = ref_training_samples(well_formed, schema, cells, start, 60.0)
     assert [(v.tolist(), c) for v, c in samples] == \
         [(v.tolist(), c) for v, c in want_samples]
+    # a window that starts after some first sightings and ends before others
+    window_start = T0 + timedelta(minutes=5)
+    new_ids = cc4.new_id_counts(records, window_start, 90.0, 12)
+    assert new_ids.values.tobytes() == \
+        ref_new_id_counts(records, window_start, 90.0, 12).tobytes()
 
 
 @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
@@ -287,8 +334,7 @@ def test_stream_across_the_block_boundary(n):
     network = cc4.CC4Network(
         radius=1, vectors=rng.integers(0, 2, (9, schema.total_bits)),
         classes=["Known", "Attack", "Unknown"] * 3)
-    config = cc4.StreamConfig(interval_seconds=60.0, strict_unknown=True,
-                              rate_detectors=False)
+    config = cc4.StreamConfig(interval_seconds=60.0, strict_unknown=True)
     got, want = block_and_reference(records, schema, network)
     assert got == want
     assert cc4.stream_pipeline(records, schema, network, config) == \

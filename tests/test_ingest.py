@@ -1,7 +1,9 @@
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gatewatch import ingest
 from gatewatch.errors import (
@@ -152,6 +154,59 @@ def test_to_series_bucket_count_rule():
     first, last = recs[0].timestamp, recs[1].timestamp
     expected = int((last - first).total_seconds() // 60) + 1
     assert len(series) == expected
+
+
+def ref_to_series(records, interval_seconds, aggregator):
+    """The list-of-lists bucketing loop that np.bincount replaced."""
+    usable = sorted((r for r in records if r.is_clean), key=lambda r: r.timestamp)
+    first = usable[0].timestamp
+    last = usable[-1].timestamp
+    n_buckets = int((last - first).total_seconds() // interval_seconds) + 1
+    buckets = [[] for _ in range(n_buckets)]
+    for rec in usable:
+        idx = int((rec.timestamp - first).total_seconds() // interval_seconds)
+        buckets[idx].append(rec.value)
+    values = np.full(n_buckets, np.nan)
+    missing = np.ones(n_buckets, dtype=bool)
+    for i, bucket in enumerate(buckets):
+        if not bucket:
+            continue
+        missing[i] = False
+        if aggregator == "mean":
+            values[i] = sum(bucket) / len(bucket)
+        elif aggregator == "sum":
+            values[i] = sum(bucket)
+        else:
+            values[i] = len(bucket)
+    return first, values, missing
+
+
+T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+
+
+@given(rows=st.lists(st.tuples(st.integers(0, 5_000_000_000),
+                               st.one_of(st.none(), st.floats(-1e9, 1e9))),
+                     min_size=1, max_size=40),
+       repeats=st.lists(st.integers(0, 39), max_size=5),
+       interval=st.sampled_from([60.0, 3600.0, 0.7, 1234.5]))
+def test_to_series_matches_bucket_loop(rows, repeats, interval):
+    # microsecond stamps up to ~83 minutes apart, some repeated exactly
+    rows = rows + [rows[i] for i in repeats if i < len(rows)]
+    records = [ingest.FlowRecord(
+        flow_id=f"f{k}", timestamp=T0 + timedelta(microseconds=us),
+        fwd_pkt_len_mean=v, fwd_seg_size_avg=v, init_fwd_win_byts=-1,
+        init_bwd_win_byts=100, fwd_seg_size_min=0, value=v)
+        for k, (us, v) in enumerate(rows)]
+    for aggregator in ("mean", "sum", "count"):
+        if not any(r.is_clean for r in records):
+            with pytest.raises(EmptyInput):
+                ingest.to_series(records, interval, aggregator)
+            continue
+        series = ingest.to_series(records, interval, aggregator)
+        first, values, missing = ref_to_series(records, interval, aggregator)
+        assert series.start == first
+        assert series.values.tobytes() == values.tobytes()
+        assert series.missing.tolist() == missing.tolist()
 
 
 def test_to_series_empty_input():

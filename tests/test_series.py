@@ -1,6 +1,8 @@
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gatewatch import series as ts
@@ -114,7 +116,90 @@ class TestDiagnose:
         assert r1.segment_mean_drift == pytest.approx(r2.segment_mean_drift)
 
 
+INTERVALS = st.one_of(st.sampled_from([60.0, 3600.0, 86400.0, 0.7, 7.3, 1e-3]),
+                      st.floats(min_value=1e-3, max_value=1e6))
+
+
+class TestIntervalIndex:
+    @given(start_us=st.integers(0, 999_999),
+           offsets_us=st.lists(st.integers(-10**12, 10**12), max_size=30),
+           multiples=st.lists(st.integers(-10**6, 10**6), max_size=30),
+           interval=INTERVALS)
+    @example(start_us=0, offsets_us=[2_100_000], multiples=[], interval=0.7)
+    def test_matches_python_floor_division(self, start_us, offsets_us, multiples,
+                                           interval):
+        # stamps on or next to a grid line, where the float quotient rounds
+        offsets_us += [round(k * interval * 1e6) for k in multiples
+                       if abs(k * interval) <= 1e6]
+        start = datetime(2021, 1, 1, 12, 30, 15, start_us, tzinfo=timezone.utc)
+        stamps = [start + timedelta(microseconds=o) for o in offsets_us]
+        got = ts.interval_index(stamps, start, interval)
+        assert got.dtype == np.int64
+        assert got.tolist() == [int((t - start).total_seconds() // interval)
+                                for t in stamps]
+
+
+def naive_runs(mask):
+    starts, ends = [], []
+    i = 0
+    while i < len(mask):
+        if not mask[i]:
+            i += 1
+            continue
+        j = i
+        while j < len(mask) and mask[j]:
+            j += 1
+        starts.append(i)
+        ends.append(j)
+        i = j
+    return starts, ends
+
+
+class TestRuns:
+    @given(st.lists(st.booleans(), max_size=60))
+    @example([])
+    @example([True])
+    @example([False])
+    @example([True] * 7)
+    @example([False] * 7)
+    def test_matches_naive_scan(self, mask):
+        starts, ends = ts.runs(mask)
+        assert (starts.tolist(), ends.tolist()) == naive_runs(mask)
+
+
+def ref_impute_short_gaps(series, max_run=2):
+    values = series.values.copy()
+    missing = series.missing.copy()
+    n = len(values)
+    i = 0
+    while i < n:
+        if not missing[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and missing[j]:
+            j += 1
+        run = j - i
+        if run <= max_run and i > 0 and j < n:
+            left, right = values[i - 1], values[j]
+            for k in range(run):
+                values[i + k] = left + (right - left) * (k + 1) / (run + 1)
+                missing[i + k] = False
+        i = j
+    return values, missing
+
+
 class TestImpute:
+    @given(st.lists(st.one_of(st.none(), st.floats(-1e6, 1e6)), min_size=1, max_size=40))
+    @example([None, None, 1.0, None, 2.0, None, None, None, 3.0, None])
+    @example([None])
+    def test_matches_run_scan_reference(self, values):
+        series = make(values)
+        out = ts.impute_short_gaps(series)
+        want_values, want_missing = ref_impute_short_gaps(series)
+        assert out.values.tobytes() == want_values.tobytes()
+        assert out.missing.tolist() == want_missing.tolist()
+
     def test_short_runs_filled(self):
         out = ts.impute_short_gaps(make([1, None, 3]))
         assert out.values.tolist() == [1, 2, 3]
