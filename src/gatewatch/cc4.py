@@ -17,13 +17,13 @@ import numpy as np
 
 from .detect import (
     AnomalyAlert,
-    detect_dropout,
-    mean_shift_alerts,
+    dropout_block,
+    mean_shift_block,
     merge_alerts,
     z_score,
 )
 from .errors import EmptyTrainingSet, SchemaMismatch, WidthMismatch
-from .series import TimeSeries, interval_index
+from .series import TimeSeries, interval_index, to_utc
 
 PACKET_CLASSES = ("Known", "Unknown", "Attack")
 UNKNOWN, ATTACK = PACKET_CLASSES.index("Unknown"), PACKET_CLASSES.index("Attack")
@@ -31,6 +31,10 @@ UNKNOWN, ATTACK = PACKET_CLASSES.index("Unknown"), PACKET_CLASSES.index("Attack"
 # Records symbolized and classified per block: bounds the memory of the block
 # path whatever the number of records.
 BLOCK_SIZE = 4096
+# Cells of the (sources x intervals) rate-count block scored at once: bounds
+# the memory of rate scoring whatever the number of sources. A group holds at
+# least one source.
+RATE_BLOCK_CELLS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -320,22 +324,40 @@ class StreamCounts:
 
 
 def parse_event_obj(obj: dict) -> EventLogRecord:
+    """One event record; its stamp is taken to UTC, a naive stamp being UTC
+    already, so every record and alert of a stream runs on one clock."""
+    if not isinstance(obj, dict):
+        raise SchemaMismatch("event record must be a JSON object")
     ts = obj.get("ts")
     src = obj.get("src")
     if not ts or not src:
         raise SchemaMismatch("event record requires nonempty ts and src")
+    if not isinstance(ts, str):
+        raise SchemaMismatch(f"event ts must be a string, not {ts!r}")
+    try:
+        timestamp = datetime.fromisoformat(ts)
+    except ValueError:
+        raise SchemaMismatch(f"event ts {ts!r} is not an ISO 8601 stamp") from None
     fields = {k: v for k, v in obj.items() if k not in ("ts", "src")}
-    return EventLogRecord(timestamp=datetime.fromisoformat(ts),
-                          source_id=str(src), fields=fields)
+    return EventLogRecord(timestamp=to_utc(timestamp), source_id=str(src),
+                          fields=fields)
 
 
 def read_events_jsonl(path) -> list[EventLogRecord]:
+    """Every event of a JSON-lines log; blank lines are skipped. A line that is
+    not an event record raises SchemaMismatch naming its line number."""
     events = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 events.append(parse_event_obj(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise SchemaMismatch(f"line {number}: not JSON: {exc}") from None
+            except SchemaMismatch as exc:
+                raise SchemaMismatch(f"line {number}: {exc}") from None
     return events
 
 
@@ -357,9 +379,10 @@ def new_id_counts(records: list[EventLogRecord], start: datetime,
 def _rate_alerts(records: list[EventLogRecord], config: StreamConfig,
                  start: datetime, duration: int) -> list[AnomalyAlert]:
     """Dropout and surge alerts on each source's record count per interval,
-    sources in sorted order. Every record lies in [start, start + duration
-    intervals)."""
+    scored a group of sources at a time, groups in sorted source order.
+    Every record lies in [start, start + duration intervals)."""
     z = z_score(config.confidence)
+    start = to_utc(start)
     # Surge scoring takes the first half of the run as each source's baseline
     # and scores the rest; runs shorter than four intervals get none.
     n_train = math.ceil(0.5 * duration)
@@ -369,21 +392,24 @@ def _rate_alerts(records: list[EventLogRecord], config: StreamConfig,
     rows = np.fromiter((row_of[source] for source in ids), dtype=np.int64, count=len(ids))
     slots = interval_index([r.timestamp for r in records], start, config.interval_seconds)
     # Cells of the (sources x duration) count matrix, sorted so that each
-    # source's cells are one slice. The matrix is never built whole: thousands
-    # of one-shot Sybil sources would make it far larger than the input.
+    # group of sources is one slice. The whole matrix is never built:
+    # thousands of one-shot Sybil sources would make it far larger than the
+    # input.
     cells = np.sort(rows * duration + slots)
-    bounds = np.searchsorted(cells, np.arange(len(sources) + 1) * duration)
+    group = max(1, RATE_BLOCK_CELLS // duration)
     alerts: list[AnomalyAlert] = []
-    for k, source in enumerate(sources):
-        counts = np.bincount(cells[bounds[k]:bounds[k + 1]] - k * duration,
-                             minlength=duration).astype(float)
-        rates = TimeSeries(start=start, interval_seconds=config.interval_seconds,
-                           values=counts, missing=np.zeros(duration, dtype=bool))
-        alerts.extend(detect_dropout(rates, config.gap_threshold,
-                                     zero_is_silence=True, source=source))
+    for lo in range(0, len(sources), group):
+        names = sources[lo:lo + group]
+        first, last = np.searchsorted(cells, [lo * duration, (lo + len(names)) * duration])
+        counts = np.bincount(cells[first:last] - lo * duration,
+                             minlength=len(names) * duration)
+        counts = counts.astype(float).reshape(len(names), duration)
+        alerts.extend(dropout_block(counts == 0, config.gap_threshold, start,
+                                    config.interval_seconds, names))
         if duration >= 4:
-            alerts.extend(mean_shift_alerts(rates, n_train, counts[:n_train], z,
-                                            config.surge_window, "Surge", source))
+            alerts.extend(mean_shift_block(counts, n_train, counts[:, :n_train], z,
+                                           config.surge_window, "Surge", start,
+                                           config.interval_seconds, names))
     return alerts
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cc4, detect, evaluate, ingest, series as ts, simulate
-from .errors import GatewatchError, NonFiniteLoss
+from .errors import EmptyTrainingSet, GatewatchError, NonFiniteLoss
 from .forecast import ForecasterConfig, fit
 
 EXIT_OK = 0
@@ -304,6 +304,8 @@ def cmd_stream(args) -> int:
 
 def _train_from_labels(events, labels_path, schema, interval_seconds,
                        radius) -> cc4.CC4Network:
+    if not events:
+        raise EmptyTrainingSet("no event in the input to train on")
     labels = simulate.read_labels_csv(labels_path)
     attack_cells = {(i, d) for i, d, _ in labels}
     start = min(e.timestamp for e in events)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AllMissing, UnsupportedConfidence
 from .forecast import FittedForecaster
-from .series import TimeSeries, runs
+from .series import TimeSeries, runs, slot_time
 
 Z_TABLE = {
     0.80: 1.282,
@@ -120,6 +120,47 @@ def _severity(excess: float, threshold: float) -> str:
     return "Critical" if excess > 2.0 * threshold else "Warning"
 
 
+def mean_shift_block(values: np.ndarray, first: int, baseline, z: float,
+                     window: int, kind: str, start: datetime,
+                     interval_seconds: float, sources) -> list[AnomalyAlert]:
+    """mean_shift_alerts for every row of a (k, n) block at once. Row r of
+    `values` (NaN where missing) is scored from column `first` on against the
+    band of the observed training points in row r of the (k, b) `baseline`;
+    its alerts are stamped on the grid at `start` and carry sources[r].
+    Alerts come row by row, windows in order."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    baseline = np.asarray(baseline, dtype=float)
+    if baseline.shape[1] == 0:
+        raise AllMissing("no observed training point to build the band from")
+    k = len(values)
+    X = baseline.mean(axis=1)
+    s = baseline.std(axis=1, ddof=1) if baseline.shape[1] > 1 else np.zeros(k)
+    threshold = z * s / math.sqrt(window)
+    count = (values.shape[1] - first) // window
+    if count <= 0:
+        return []
+    windows = values[:, first:first + count * window].reshape(k, count, window)
+    means = windows.mean(axis=2)
+    # A window holding a missing point keeps the mean of its observed points,
+    # taken on its own: zeros padded into numpy's pairwise summation could
+    # round it differently.
+    for r, w in np.argwhere(np.isnan(means)).tolist():
+        chunk = windows[r, w][~np.isnan(windows[r, w])]
+        if len(chunk):
+            means[r, w] = chunk.mean()
+    excess = np.abs(means - X[:, None]) - threshold[:, None]
+    alerts: list[AnomalyAlert] = []
+    for r, w in np.argwhere(excess > 0).tolist():
+        band = ConfidenceBand(X=float(X[r]), s=float(s[r]), n=window, z=z)
+        alerts.append(AnomalyAlert(
+            timestamp=slot_time(start, interval_seconds, first + w * window),
+            kind=kind, observed=float(means[r, w]), expected=band.X, band=band,
+            severity=_severity(float(excess[r, w]), float(threshold[r])),
+            source=sources[r]))
+    return alerts
+
+
 def mean_shift_alerts(series: TimeSeries, first: int, baseline, z: float,
                       window: int, kind: str, source: str = "") -> list[AnomalyAlert]:
     """Score series[first:] in consecutive windows of n points against the
@@ -127,29 +168,9 @@ def mean_shift_alerts(series: TimeSeries, first: int, baseline, z: float,
     points in `baseline`, so the band brackets where an n-point window mean
     should land. A window whose mean of observed points falls outside is
     flagged; a window with no observed point is skipped."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    baseline = np.asarray(baseline, dtype=float)
-    if len(baseline) == 0:
-        raise AllMissing("no observed training point to build the band from")
-    s = float(baseline.std(ddof=1)) if len(baseline) > 1 else 0.0
-    band = ConfidenceBand(X=float(baseline.mean()), s=s, n=window, z=z)
-    threshold = band.half_width
-    scored = np.where(series.missing, np.nan, series.values)[first:]
-    alerts: list[AnomalyAlert] = []
-    for w in range(len(scored) // window):
-        chunk = scored[w * window:(w + 1) * window]
-        chunk = chunk[~np.isnan(chunk)]
-        if len(chunk) == 0:
-            continue
-        mean = float(chunk.mean())
-        excess = abs(mean - band.X) - threshold
-        if excess > 0:
-            alerts.append(AnomalyAlert(
-                timestamp=series.timestamp_at(first + w * window),
-                kind=kind, observed=mean, expected=band.X, band=band,
-                severity=_severity(excess, threshold), source=source))
-    return alerts
+    values = np.where(series.missing, np.nan, series.values)
+    return mean_shift_block(values[None], first, [baseline], z, window, kind,
+                            series.start, series.interval_seconds, [source])
 
 
 def detect_surges(series: TimeSeries, model: FittedForecaster, confidence: float,
@@ -193,28 +214,42 @@ def detect_surges(series: TimeSeries, model: FittedForecaster, confidence: float
     return alerts
 
 
+def dropout_block(silent: np.ndarray, gap_threshold: int, start: datetime,
+                  interval_seconds: float, sources) -> list[AnomalyAlert]:
+    """detect_dropout for every row of a (k, n) silence mask at once: row r's
+    alerts are stamped on the grid at `start` and carry sources[r]. Alerts
+    come row by row, runs in order."""
+    if gap_threshold < 1:
+        raise ValueError("gap_threshold must be >= 1")
+    k, n = silent.shape
+    # a quiet column after each row keeps runs from joining across rows
+    padded = np.zeros((k, n + 1), dtype=bool)
+    padded[:, :n] = silent
+    starts, ends = runs(padded.ravel())
+    lengths = ends - starts
+    long = lengths >= gap_threshold
+    rows, cols = np.divmod(starts[long], n + 1)
+    alerts: list[AnomalyAlert] = []
+    for r, i, run in zip(rows.tolist(), cols.tolist(), lengths[long].tolist()):
+        excess = run - gap_threshold
+        alerts.append(AnomalyAlert(
+            timestamp=slot_time(start, interval_seconds, i),
+            kind="Dropout", observed=float(run), expected=float(gap_threshold),
+            band=None, severity=_severity(float(excess), float(gap_threshold)),
+            source=sources[r]))
+    return alerts
+
+
 def detect_dropout(series: TimeSeries, gap_threshold: int,
                    zero_is_silence: bool = False,
                    source: str = "") -> list[AnomalyAlert]:
     """One Dropout alert per maximal silent run of length >= gap_threshold,
     timestamped at the run start. observed = run length."""
-    if gap_threshold < 1:
-        raise ValueError("gap_threshold must be >= 1")
     silent = series.missing.copy()
     if zero_is_silence:
         silent |= (~series.missing) & (series.values == 0)
-    alerts: list[AnomalyAlert] = []
-    starts, ends = runs(silent)
-    for i, run in zip(starts.tolist(), (ends - starts).tolist()):
-        if run >= gap_threshold:
-            excess = run - gap_threshold
-            alerts.append(AnomalyAlert(
-                timestamp=series.timestamp_at(i),
-                kind="Dropout", observed=float(run), expected=float(gap_threshold),
-                band=None,
-                severity=_severity(float(excess), float(gap_threshold)),
-                source=source))
-    return alerts
+    return dropout_block(silent[None], gap_threshold, series.start,
+                         series.interval_seconds, [source])
 
 
 def detect_identity_flood(per_interval_new_ids: TimeSeries, confidence: float,

@@ -1,8 +1,9 @@
 """Uniform time-series container and preparation utilities.
 
-The interval grid (which interval a timestamp falls in, maximal runs of
-flagged points), scaling, chronological splitting, sliding windows for
-sequence models, and seasonality / stationarity diagnostics.
+The interval grid (which interval a timestamp falls in, where an interval
+starts, maximal runs of flagged points), scaling, chronological splitting,
+sliding windows for sequence models, and seasonality / stationarity
+diagnostics.
 """
 from __future__ import annotations
 
@@ -47,7 +48,13 @@ def runs(mask) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
 
-def _utc(dt: datetime) -> datetime:
+def slot_time(start: datetime, interval_seconds: float, index: int) -> datetime:
+    """Start of interval `index` on the grid that starts at `start`."""
+    return start + timedelta(seconds=interval_seconds * index)
+
+
+def to_utc(dt: datetime) -> datetime:
+    """The same instant in UTC; a naive stamp is taken to be UTC already."""
     if dt.tzinfo is None:
         return dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)
@@ -71,7 +78,7 @@ class TimeSeries:
             raise ValueError("interval must be positive")
         if not np.all(np.isfinite(values[~missing])):
             raise ValueError("non-missing values must be finite")
-        object.__setattr__(self, "start", _utc(self.start))
+        object.__setattr__(self, "start", to_utc(self.start))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "missing", missing)
 
@@ -90,10 +97,10 @@ class TimeSeries:
 
     @property
     def end(self) -> datetime:
-        return self.start + timedelta(seconds=self.interval_seconds * (len(self) - 1))
+        return self.timestamp_at(len(self) - 1)
 
     def timestamp_at(self, index: int) -> datetime:
-        return self.start + timedelta(seconds=self.interval_seconds * index)
+        return slot_time(self.start, self.interval_seconds, index)
 
     def clean_values(self) -> np.ndarray:
         return self.values[~self.missing]

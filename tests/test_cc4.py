@@ -262,6 +262,13 @@ def test_parse_event_requires_ts_and_src():
         cc4.parse_event_obj({"ts": "2021-01-01T00:00:00"})
 
 
+def test_parse_event_takes_every_stamp_to_utc():
+    for ts in ("2021-01-01T00:00:00", "2021-01-01T00:00:00+00:00",
+               "2021-01-01T05:00:00+05:00", "2020-12-31T19:00:00-05:00"):
+        stamp = cc4.parse_event_obj({"ts": ts, "src": "x"}).timestamp
+        assert stamp == T0 and stamp.tzinfo is timezone.utc
+
+
 def test_new_id_counts():
     events = [_event(0, "a"), _event(0, "b"), _event(1, "a"), _event(2, "c")]
     series = cc4.new_id_counts(events, T0, 60.0, 4)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from gatewatch import cc4
 from gatewatch.detect import (
+    Z_TABLE,
     AnomalyAlert,
     detect_dropout,
     mean_shift_alerts,
@@ -339,6 +340,39 @@ def test_stream_across_the_block_boundary(n):
     assert got == want
     assert cc4.stream_pipeline(records, schema, network, config) == \
         ref_stream_pipeline(records, schema, network, config)
+
+
+RATE_SOURCES = ["a", "b", "c", "d", "e", "f", "g"]
+RATE_SCHEMA = cc4.SymbolSchema(encoders=(
+    cc4.FieldEncoder(name="packets", kind="thermometer", bin_edges=(5.0, 20.0)),))
+RATE_NETWORK = cc4.CC4Network(radius=0, vectors=np.array([[1, 1, 0]]),
+                              classes=["Attack"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rate_scoring_in_groups_matches_the_per_source_reference(data):
+    # Runs of 1-6 intervals straddle the 4-interval surge floor; windows may
+    # be wider than the scored half and gap thresholds longer than the run.
+    records = data.draw(st.lists(st.builds(
+        lambda second, src, packets: cc4.EventLogRecord(
+            timestamp=T0 + timedelta(seconds=second), source_id=src,
+            fields={"packets": packets}),
+        st.integers(min_value=0, max_value=359),
+        st.sampled_from(RATE_SOURCES),
+        st.integers(min_value=0, max_value=30)), min_size=1, max_size=60))
+    config = cc4.StreamConfig(
+        interval_seconds=60.0, skew_intervals=10,
+        confidence=data.draw(st.sampled_from(sorted(Z_TABLE))),
+        surge_window=data.draw(st.integers(min_value=1, max_value=8)),
+        gap_threshold=data.draw(st.integers(min_value=1, max_value=8)))
+    stamps = [rec.timestamp for rec in records]
+    duration = int((max(stamps) - min(stamps)).total_seconds() // 60) + 1
+    group = data.draw(st.sampled_from([1, 2, 3, None]))
+    cells = cc4.RATE_BLOCK_CELLS if group is None else group * duration
+    with mock.patch.object(cc4, "RATE_BLOCK_CELLS", cells):
+        got = cc4.stream_pipeline(records, RATE_SCHEMA, RATE_NETWORK, config)
+    assert got == ref_stream_pipeline(records, RATE_SCHEMA, RATE_NETWORK, config)
 
 
 def test_non_numeric_thermometer_value_raises_value_error():

@@ -1,4 +1,5 @@
 import json
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -107,6 +108,33 @@ class TestDataErrors:
         assert run("forecast", "--input", str(path), "--out",
                    str(tmp_path / "o"), "--model", "holt_winters") == 2
         assert "SeriesTooShort" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"ts": "2021-01-01T00:00:00+00:00", "src": "a"', "line 3: not JSON"),
+        ('{"src": "a", "proto": "udp"}', "line 3: event record requires nonempty ts"),
+        ('{"ts": 1609459200, "src": "a"}', "line 3: event ts must be a string"),
+        ('{"ts": "yesterday", "src": "a"}', "line 3: event ts 'yesterday' is not"),
+        ('["2021-01-01T00:00:00+00:00", "a"]', "line 3: event record must be a JSON object"),
+    ], ids=["not-json", "no-ts", "numeric-ts", "unparseable-ts", "not-an-object"])
+    def test_stream_malformed_event_line(self, trace_dir, tmp_path, capsys,
+                                         line, message):
+        lines = (trace_dir / "events.jsonl").read_text(encoding="utf-8").splitlines()
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines[:2] + [line] + lines[2:]) + "\n",
+                          encoding="utf-8")
+        assert run("stream", "--input", str(events),
+                   "--labels", str(trace_dir / "labels.csv"),
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: SchemaMismatch: ") and message in err
+
+    def test_stream_labels_on_empty_input(self, trace_dir, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n", encoding="utf-8")
+        assert run("stream", "--input", str(events),
+                   "--labels", str(trace_dir / "labels.csv"),
+                   "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("error: data: EmptyTrainingSet")
 
 
 class TestSimulateAndIngest:
@@ -303,3 +331,36 @@ class TestDetectAndStream:
         counts = json.loads((out / "stream_counts.json").read_text(encoding="utf-8"))
         assert counts["dropped_malformed"] == 1
         assert counts["dropped_duplicate"] == 0
+
+    def test_stream_stamps_share_one_clock(self, trace_dir, tmp_path):
+        # A stamp without an offset is UTC and any offset is taken to UTC, so
+        # naive, +05:00 and mixed copies of a log give the UTC log's alerts.
+        # One device goes quiet for a stretch, so Intrusion and Dropout
+        # alerts are merged on one clock.
+        lines = (trace_dir / "events.jsonl").read_text(encoding="utf-8").splitlines()
+        quiet = json.loads(lines[0])["src"]
+        lines = [line for k, line in enumerate(lines)
+                 if not (len(lines) // 3 < k < len(lines) // 2
+                         and json.loads(line)["src"] == quiet)]
+        plus5 = timezone(timedelta(hours=5))
+        variants = {
+            "utc": lambda k, t: t,
+            "naive": lambda k, t: t.replace(tzinfo=None),
+            "plus5": lambda k, t: t.astimezone(plus5),
+            "mixed": lambda k, t: t.replace(tzinfo=None) if k % 2 else t.astimezone(plus5),
+        }
+        alerts = {}
+        for name, restamp in variants.items():
+            objs = [json.loads(line) for line in lines]
+            for k, obj in enumerate(objs):
+                obj["ts"] = restamp(k, datetime.fromisoformat(obj["ts"])).isoformat()
+            events = tmp_path / f"{name}.jsonl"
+            events.write_text("".join(json.dumps(obj) + "\n" for obj in objs),
+                              encoding="utf-8")
+            assert run("stream", "--input", str(events),
+                       "--labels", str(trace_dir / "labels.csv"),
+                       "--out", str(tmp_path / name)) == 0
+            alerts[name] = (tmp_path / name / "alerts.jsonl").read_text(encoding="utf-8")
+        kinds = {json.loads(line)["kind"] for line in alerts["utc"].splitlines()}
+        assert {"Intrusion", "Dropout"} <= kinds
+        assert alerts["naive"] == alerts["plus5"] == alerts["mixed"] == alerts["utc"]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatewatch import detect
@@ -171,6 +171,133 @@ class TestMeanShiftCore:
             detect.mean_shift_alerts(series, 0, [], 1.960, 1, "Surge")
         with pytest.raises(ValueError):
             detect.mean_shift_alerts(series, 0, [1.0], 1.960, 0, "Surge")
+
+
+# --- one-series reference loops ----------------------------------------------
+# The window-at-a-time mean-shift loop and the point-at-a-time dropout scan
+# that the row-wise cores replaced, kept as references.
+
+
+def _ref_severity(excess, threshold):
+    return "Critical" if excess > 2.0 * threshold else "Warning"
+
+
+def ref_mean_shift_alerts(series, first, baseline, z, window, kind, source=""):
+    baseline = np.asarray(baseline, dtype=float)
+    s = float(baseline.std(ddof=1)) if len(baseline) > 1 else 0.0
+    band = detect.ConfidenceBand(X=float(baseline.mean()), s=s, n=window, z=z)
+    threshold = band.half_width
+    scored = np.where(series.missing, np.nan, series.values)[first:]
+    alerts = []
+    for w in range(len(scored) // window):
+        chunk = scored[w * window:(w + 1) * window]
+        chunk = chunk[~np.isnan(chunk)]
+        if len(chunk) == 0:
+            continue
+        mean = float(chunk.mean())
+        excess = abs(mean - band.X) - threshold
+        if excess > 0:
+            alerts.append(detect.AnomalyAlert(
+                timestamp=series.timestamp_at(first + w * window),
+                kind=kind, observed=mean, expected=band.X, band=band,
+                severity=_ref_severity(excess, threshold), source=source))
+    return alerts
+
+
+def ref_detect_dropout(series, gap_threshold, zero_is_silence=False, source=""):
+    silent = series.missing.copy()
+    if zero_is_silence:
+        silent |= (~series.missing) & (series.values == 0)
+    alerts = []
+    n = len(series)
+    i = 0
+    while i < n:
+        if not silent[i]:
+            i += 1
+            continue
+        j = i
+        while j < n and silent[j]:
+            j += 1
+        run = j - i
+        if run >= gap_threshold:
+            alerts.append(detect.AnomalyAlert(
+                timestamp=series.timestamp_at(i),
+                kind="Dropout", observed=float(run), expected=float(gap_threshold),
+                band=None,
+                severity=_ref_severity(float(run - gap_threshold),
+                                       float(gap_threshold)),
+                source=source))
+        i = j
+    return alerts
+
+
+# Non-integer points, exact zeros (silence when zero_is_silence) and missing
+# points, so windows are whole, partly missing or wholly missing.
+POINTS = st.one_of(st.none(), st.just(0.0),
+                   st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+                   st.sampled_from([0.1, 0.2, 0.3, 1 / 3]))
+# A constant baseline has s = 0, so nearly every window is flagged and its mean
+# shows in the alert.
+BASELINES = st.one_of(
+    st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+             min_size=1, max_size=30),
+    st.lists(st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 7.0]), min_size=1, max_size=30),
+    st.builds(lambda x, n: [x] * n, st.sampled_from([0.1, 7.0]),
+              st.integers(min_value=1, max_value=30)))
+
+
+# Windows of 9 points or more are summed by numpy's unrolled pairwise loop, so
+# there a mean taken with missing points zeroed would round differently.
+WINDOWS = st.one_of(st.integers(min_value=1, max_value=4),
+                    st.integers(min_value=9, max_value=24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_row_cores_match_the_one_series_loops(data):
+    n = data.draw(st.integers(min_value=1, max_value=80))
+    series = make(data.draw(st.lists(POINTS, min_size=n, max_size=n)))
+    baseline = data.draw(BASELINES)
+    window = data.draw(WINDOWS)
+    first = data.draw(st.integers(min_value=0, max_value=n + 1))
+    z = data.draw(st.sampled_from(sorted(detect.Z_TABLE.values())))
+    gap_threshold = data.draw(st.integers(min_value=1, max_value=6))
+    zero_is_silence = data.draw(st.booleans())
+    assert detect.mean_shift_alerts(series, first, baseline, z, window,
+                                    "Surge", "s") == \
+        ref_mean_shift_alerts(series, first, baseline, z, window, "Surge", "s")
+    assert detect.detect_dropout(series, gap_threshold, zero_is_silence, "s") == \
+        ref_detect_dropout(series, gap_threshold, zero_is_silence, "s")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_wise_cores_match_the_one_series_loops_row_by_row(data):
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    n = data.draw(st.integers(min_value=1, max_value=60))
+    b = data.draw(st.integers(min_value=1, max_value=12))
+    rows = [make(data.draw(st.lists(POINTS, min_size=n, max_size=n)))
+            for _ in range(k)]
+    baselines = [data.draw(st.lists(
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+        min_size=b, max_size=b)) for _ in range(k)]
+    window = data.draw(WINDOWS)
+    first = data.draw(st.integers(min_value=0, max_value=n))
+    gap_threshold = data.draw(st.integers(min_value=1, max_value=5))
+    sources = [f"s{r}" for r in range(k)]
+    values = np.array([np.where(r.missing, np.nan, r.values) for r in rows])
+    start, interval = rows[0].start, rows[0].interval_seconds
+    got = detect.mean_shift_block(values, first, np.array(baselines), 1.960,
+                                  window, "Surge", start, interval, sources)
+    want = [a for r, src, base in zip(rows, sources, baselines)
+            for a in ref_mean_shift_alerts(r, first, base, 1.960, window,
+                                           "Surge", src)]
+    assert got == want
+    silent = np.array([r.missing for r in rows])
+    got = detect.dropout_block(silent, gap_threshold, start, interval, sources)
+    want = [a for r, src in zip(rows, sources)
+            for a in ref_detect_dropout(r, gap_threshold, source=src)]
+    assert got == want
 
 
 def test_merge_is_time_ordered_and_stable():
