@@ -420,7 +420,9 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
 
     Records are accepted in roughly increasing time; anything older than the
     bounded skew window is counted late and excluded, never silently
-    reordered. End of input flushes everything.
+    reordered. End of input flushes everything. A record without a source or
+    stamp, or with a field that holds a JSON list or object, is counted in
+    `dropped_malformed` and excluded before it can move the skew window.
     """
     counts = StreamCounts()
     skew = timedelta(seconds=config.skew_intervals * config.interval_seconds)
@@ -433,13 +435,18 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
         if not rec.source_id or rec.timestamp is None:
             counts.dropped_malformed += 1
             continue
+        key = rec.dedupe_key()
+        try:
+            duplicate = key in seen
+        except TypeError:  # unhashable: a field holds a JSON list or object
+            counts.dropped_malformed += 1
+            continue
         if max_ts is not None and rec.timestamp < max_ts - skew:
             counts.dropped_late += 1
             continue
         if max_ts is None or rec.timestamp > max_ts:
             max_ts = rec.timestamp
-        key = rec.dedupe_key()
-        if key in seen:
+        if duplicate:
             counts.dropped_duplicate += 1
             counts.dropped_malformed += 1
             continue

@@ -5,6 +5,13 @@ over the window, inverted dropout on the final hidden vector, and a linear
 head. Training is plain minibatch SGD on MSE over contiguous chunks of the
 window set, with chunk order reshuffled between epochs. Everything is seeded
 and single-threaded so runs are bit-reproducible.
+
+The time loop keeps the batch on the last axis, state (u, N), and stacks
+every gate's weights into one matrix M = [U | W | b] of shape (4u, u + 2), so
+a step is one matmul M @ [h; x_t; 1] (the fused-gate layout of Appleyard et
+al., arXiv:1604.01946). Inside the loop M's rows run i, f, o, g, which puts
+the three sigmoid gates in one contiguous block; the stored W, U and b, and
+so `model.json`, keep the GATES order.
 """
 from __future__ import annotations
 
@@ -28,10 +35,6 @@ def lstm_param_count(units: int, input_dim: int = 1) -> int:
 def total_param_count(units: int, input_dim: int = 1) -> int:
     """LSTM layer plus the one-unit linear head."""
     return lstm_param_count(units, input_dim) + units + 1
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass
@@ -85,42 +88,106 @@ class LstmParams:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LstmParams":
-        return cls(units=obj["units"], input_dim=obj["input_dim"],
-                   W=np.array(obj["W"]), U=np.array(obj["U"]), b=np.array(obj["b"]),
-                   dense_w=np.array(obj["dense_w"]), dense_b=float(obj["dense_b"]))
+        """The inverse of `to_json_obj`. A field that does not fit `units`
+        raises ValueError naming it; input_dim must be 1, since every window
+        is one feature per step."""
+        units = obj["units"]
+        if isinstance(units, bool) or not isinstance(units, int) or units < 1:
+            raise ValueError(f"lstm units must be an integer >= 1, not {units!r}")
+        if obj["input_dim"] != 1:
+            raise ValueError(f"lstm input_dim must be 1, not {obj['input_dim']!r}")
+        arrays = {}
+        for name, shape in (("W", (4 * units, 1)), ("U", (4 * units, units)),
+                            ("b", (4 * units,)), ("dense_w", (units,))):
+            try:
+                arr = np.array(obj[name], dtype=float)
+            except (TypeError, ValueError):
+                raise ValueError(f"lstm {name} is not a numeric array") from None
+            if arr.shape != shape:
+                raise ValueError(f"lstm {name} has shape {arr.shape}, "
+                                 f"want {shape} for {units} units")
+            arrays[name] = arr
+        return cls(units=units, input_dim=1, dense_b=float(obj["dense_b"]), **arrays)
+
+
+def _loop_rows(units: int) -> np.ndarray:
+    """Row order of the stacked gate matrix in the time loop: i, f, o, g, so
+    the three sigmoid gates are one block of 3u rows. It swaps the last two
+    GATES blocks, so the same index maps loop order back to GATES order."""
+    block = np.arange(units)
+    return np.concatenate([block + k * units for k in (0, 1, 3, 2)])
+
+
+def _stacked(params: LstmParams) -> np.ndarray:
+    """M = [U | W | b], (4u, u + 2), rows in loop order: one step's gate
+    pre-activations are M @ [h; x_t; 1]."""
+    return np.hstack([params.U, params.W, params.b[:, None]])[_loop_rows(params.units)]
+
+
+def _new_cache(units: int, T: int, N: int) -> dict:
+    """Buffers of one forward pass over T steps of N windows, batch on the last
+    axis: inputs[t] = [h_t; x_t; 1], the loop-order gate activations, the cell
+    state c_t and tanh(c_{t+1})."""
+    return {"inputs": np.empty((T + 1, units + 2, N)),
+            "gates": np.empty((T, 4 * units, N)),
+            "c": np.empty((T + 1, units, N)),
+            "tanh_c": np.empty((T, units, N))}
 
 
 def forward(params: LstmParams, X: np.ndarray, drop_mask: np.ndarray | None = None,
-            keep_cache: bool = False):
+            keep_cache: bool | dict = False):
     """Run the network over a batch of windows X (N, T).
 
-    drop_mask, when given, is the inverted-dropout multiplier for the final
-    hidden vector (train time only). Returns (predictions (N,), cache).
+    drop_mask, when given, is the (N, units) inverted-dropout multiplier for
+    the final hidden vector (train time only). keep_cache=True keeps every
+    step for `backward`; a cache returned by an earlier call on windows of the
+    same shape is refilled in place instead of allocated again. Without a
+    cache the state runs in two-slot rings. Returns (predictions (N,), cache).
     """
     N, T = X.shape
     u = params.units
-    h = np.zeros((N, u))
-    c = np.zeros((N, u))
-    cache = {"steps": [], "X": X, "drop_mask": drop_mask} if keep_cache else None
-    Wt, Ut = params.W.T, params.U.T
+    if isinstance(keep_cache, dict):
+        cache = keep_cache
+        if cache["gates"].shape != (T, 4 * u, N):
+            raise ValueError(f"cache holds {cache['gates'].shape[0]} steps of "
+                             f"{cache['gates'].shape[2]} windows, not {T} of {N}")
+    else:
+        cache = _new_cache(u, T if keep_cache else 1, N)
+    inputs, gates, cells, tanh_cs = (cache["inputs"], cache["gates"], cache["c"],
+                                     cache["tanh_c"])
+    slots = len(inputs)  # T + 1 with a cache, else 2: slot t % slots
+    inputs[0, :u] = 0.0
+    inputs[:, u + 1] = 1.0
+    cells[0] = 0.0
+    M = _stacked(params)
+    # Negated sigmoid rows: exp then reads -z straight from the matmul.
+    M[:3 * u] *= -1.0
+    XT = X.T
+    ig = np.empty((u, N))
     for t in range(T):
-        x_t = X[:, t:t + 1]  # (N, 1)
-        z = x_t @ Wt + h @ Ut + params.b
-        i = _sigmoid(z[:, :u])
-        f = _sigmoid(z[:, u:2 * u])
-        g = np.tanh(z[:, 2 * u:3 * u])
-        o = _sigmoid(z[:, 3 * u:])
-        c_prev = c
-        c = f * c_prev + i * g
-        tanh_c = np.tanh(c)
-        h_prev = h
-        h = o * tanh_c
-        if keep_cache:
-            cache["steps"].append((x_t, h_prev, c_prev, i, f, g, o, c, tanh_c))
-    h_eff = h if drop_mask is None else h * drop_mask
-    if keep_cache:
-        cache["h_eff"] = h_eff
-    y = h_eff @ params.dense_w + params.dense_b
+        cur, nxt, k = t % slots, (t + 1) % slots, t % len(gates)
+        inp, a, tanh_c = inputs[cur], gates[k], tanh_cs[k]
+        inp[u] = XT[t]
+        np.matmul(M, inp, out=a)
+        sig = a[:3 * u]
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.reciprocal(sig, out=sig)
+        g = a[3 * u:]
+        np.tanh(g, out=g)
+        c = cells[nxt]
+        np.multiply(a[u:2 * u], cells[cur], out=c)
+        np.multiply(a[:u], g, out=ig)
+        c += ig
+        np.tanh(c, out=tanh_c)
+        np.multiply(a[2 * u:3 * u], tanh_c, out=inputs[nxt, :u])
+    h_eff = inputs[T % slots, :u]
+    if drop_mask is not None:
+        h_eff = h_eff * drop_mask.T
+    y = params.dense_w @ h_eff + params.dense_b
+    if not keep_cache:
+        return y, None
+    cache.update(X=X, drop_mask=drop_mask, h_eff=h_eff)
     return y, cache
 
 
@@ -130,44 +197,65 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
 
 def backward(params: LstmParams, cache: dict, pred: np.ndarray,
              target: np.ndarray) -> LstmParams:
-    """Gradients of the batch-mean MSE w.r.t. every parameter (BPTT)."""
-    X = cache["X"]
-    N, T = X.shape
+    """Gradients of the batch-mean MSE w.r.t. every parameter (BPTT).
+
+    Each step's loop-order pre-activation gradient dz (4u, N) gives the
+    gradient of M = [U | W | b] as dz @ [h; x_t; 1].T and the hidden-state
+    gradient as M[:, :u].T @ dz; the M gradient is split back into U, W and b
+    in GATES order at the end.
+    """
+    N, T = cache["X"].shape
     u = params.units
     drop_mask = cache["drop_mask"]
-
-    grads = LstmParams(params.units, params.input_dim,
-                       np.zeros_like(params.W), np.zeros_like(params.U),
-                       np.zeros_like(params.b), np.zeros_like(params.dense_w), 0.0)
+    inputs, gates, cells, tanh_cs = (cache["inputs"], cache["gates"], cache["c"],
+                                     cache["tanh_c"])
 
     dy = 2.0 * (pred - target) / N  # (N,)
-    h_eff = cache["h_eff"]
-    grads.dense_w = h_eff.T @ dy
-    grads.dense_b = float(dy.sum())
-    dh = np.outer(dy, params.dense_w)
+    dense_w = cache["h_eff"] @ dy
+    dense_b = float(dy.sum())
+    dh = np.outer(params.dense_w, dy)  # (u, N)
     if drop_mask is not None:
-        dh = dh * drop_mask
+        dh *= drop_mask.T
 
-    dc_next = np.zeros((N, u))
+    M_hT = np.ascontiguousarray(_stacked(params)[:, :u].T)  # (u, 4u)
+    G = np.zeros((4 * u, u + 2))
+    G_t = np.empty_like(G)
+    dz = np.empty((4 * u, N))
+    dz_i, dz_f, dz_o, dz_g, dz_sig = (dz[:u], dz[u:2 * u], dz[2 * u:3 * u],
+                                      dz[3 * u:], dz[:3 * u])
+    dc = np.empty((u, N))
+    dc_next = np.zeros((u, N))
+    tmp = np.empty((3 * u, N))
+    sq = tmp[:u]
     for t in range(T - 1, -1, -1):
-        x_t, h_prev, c_prev, i, f, g, o, c, tanh_c = cache["steps"][t]
-        do = dh * tanh_c
-        dc = dh * o * (1.0 - tanh_c ** 2) + dc_next
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dc_next = dc * f
-        dz = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g ** 2),
-            do * o * (1.0 - o),
-        ], axis=1)  # (N, 4u)
-        grads.W += dz.T @ x_t
-        grads.U += dz.T @ h_prev
-        grads.b += dz.sum(axis=0)
-        dh = dz @ params.U
-    return grads
+        a, tanh_c = gates[t], tanh_cs[t]
+        i, f, o, g = a[:u], a[u:2 * u], a[2 * u:3 * u], a[3 * u:]
+        # dc = dh * o * (1 - tanh(c)^2) + dc_next
+        np.multiply(dh, o, out=dc)
+        np.multiply(tanh_c, tanh_c, out=sq)
+        np.subtract(1.0, sq, out=sq)
+        dc *= sq
+        dc += dc_next
+        # gradients at the activations i, f, o, g, then through them
+        np.multiply(dc, g, out=dz_i)
+        np.multiply(dc, cells[t], out=dz_f)
+        np.multiply(dh, tanh_c, out=dz_o)
+        np.multiply(dc, i, out=dz_g)
+        np.multiply(dc, f, out=dc_next)
+        sig = a[:3 * u]
+        dz_sig *= sig
+        np.subtract(1.0, sig, out=tmp)
+        dz_sig *= tmp
+        np.multiply(g, g, out=sq)
+        np.subtract(1.0, sq, out=sq)
+        dz_g *= sq
+        np.matmul(dz, inputs[t].T, out=G_t)
+        G += G_t
+        np.matmul(M_hT, dz, out=dh)
+    G = G[_loop_rows(u)]
+    return LstmParams(params.units, params.input_dim, W=G[:, u:u + 1].copy(),
+                      U=G[:, :u].copy(), b=G[:, u + 1].copy(), dense_w=dense_w,
+                      dense_b=dense_b)
 
 
 @dataclass
@@ -199,6 +287,7 @@ def train_chunked(X: np.ndarray, y: np.ndarray, units: int, *,
     chunks = np.array_split(np.arange(len(X)), num_chunks)
     trace = TrainTrace()
     keep = 1.0 - dropout
+    full_cache = None  # the first full batch's cache, refilled by every later one
     for _epoch in range(epochs):
         for cid in chunk_ids:
             idx = chunks[cid]
@@ -210,7 +299,11 @@ def train_chunked(X: np.ndarray, y: np.ndarray, units: int, *,
                     mask = (rng.random((len(batch), units)) < keep) / keep
                 else:
                     mask = None
-                pred, cache = forward(params, Xb, drop_mask=mask, keep_cache=True)
+                full = len(batch) == batch_size
+                reuse = full_cache if full and full_cache is not None else True
+                pred, cache = forward(params, Xb, drop_mask=mask, keep_cache=reuse)
+                if full:
+                    full_cache = cache
                 loss = mse_loss(pred, yb)
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(f"loss diverged to {loss}")

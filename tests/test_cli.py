@@ -332,6 +332,34 @@ class TestDetectAndStream:
         assert counts["dropped_malformed"] == 1
         assert counts["dropped_duplicate"] == 0
 
+    def test_stream_counts_list_and_object_fields_malformed(self, trace_dir, tmp_path):
+        # Fields holding a JSON list or object are dropped as malformed, even
+        # one stamped a day ahead: it moves no skew window, so every other
+        # record streams as it does without them.
+        lines = (trace_dir / "events.jsonl").read_text(encoding="utf-8").splitlines()
+        listed = json.loads(lines[-1])
+        listed["status"] = ["ok"]
+        ahead = json.loads(lines[len(lines) // 2])
+        ahead["proto"] = {"name": "udp"}
+        ahead["ts"] = (datetime.fromisoformat(ahead["ts"]) + timedelta(days=1)).isoformat()
+        events = tmp_path / "events.jsonl"
+        mixed = lines[:len(lines) // 2] + [json.dumps(ahead)] + lines[len(lines) // 2:]
+        events.write_text("\n".join(mixed + [json.dumps(listed)]) + "\n", encoding="utf-8")
+        outs = {}
+        for name, path in (("clean", trace_dir / "events.jsonl"), ("odd", events)):
+            outs[name] = tmp_path / name
+            assert run("stream", "--input", str(path),
+                       "--labels", str(trace_dir / "labels.csv"),
+                       "--out", str(outs[name])) == 0
+        clean, odd = (json.loads((out / "stream_counts.json").read_text(encoding="utf-8"))
+                      for out in outs.values())
+        assert odd["records_in"] == clean["records_in"] + 2
+        assert odd["dropped_malformed"] == clean["dropped_malformed"] + 2
+        for name in ("emitted_classifications", "dropped_duplicate", "dropped_late"):
+            assert odd[name] == clean[name], name
+        assert ((outs["odd"] / "alerts.jsonl").read_bytes()
+                == (outs["clean"] / "alerts.jsonl").read_bytes())
+
     def test_stream_stamps_share_one_clock(self, trace_dir, tmp_path):
         # A stamp without an offset is UTC and any offset is taken to UTC, so
         # naive, +05:00 and mixed copies of a log give the UTC log's alerts.

@@ -132,3 +132,19 @@ def test_predictions_are_bounded_by_dense_head(seed):
     pred = lstm.predict(params, X)
     bound = np.abs(params.dense_w).sum() + abs(params.dense_b) + 1e-12
     assert np.all(np.abs(pred) <= bound)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("input_dim", 2, "input_dim must be 1"),
+    ("units", 0, "units must be an integer >= 1"),
+    ("W", [[0.1, 0.2]] * 16, r"W has shape \(16, 2\), want \(16, 1\)"),
+    ("U", [[0.1] * 3] * 16, r"U has shape \(16, 3\), want \(16, 4\)"),
+    ("b", [0.0] * 15, r"b has shape \(15,\), want \(16,\)"),
+    ("dense_w", [[0.1]] * 4, r"dense_w has shape \(4, 1\), want \(4,\)"),
+    ("U", [[0.1] * 4] * 15 + [[0.1]], "U is not a numeric array"),
+])
+def test_params_json_with_misfit_field_is_refused(field, value, message):
+    obj = lstm.LstmParams.init(4, 1, np.random.default_rng(9)).to_json_obj()
+    obj[field] = value
+    with pytest.raises(ValueError, match=message):
+        lstm.LstmParams.from_json_obj(obj)

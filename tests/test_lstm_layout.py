@@ -1,0 +1,197 @@
+"""The stacked-gate, batch-last LSTM loop against the per-step reference it
+replaced: the same predictions and gradients up to the order of float sums."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gatewatch import lstm
+
+RTOL = 1e-10
+ATOL = 1e-13
+
+
+# --- reference: one (N, 4u) gate block per step, a list of per-step tuples ---
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def ref_forward(params, X, drop_mask=None, keep_cache=False):
+    N, T = X.shape
+    u = params.units
+    h = np.zeros((N, u))
+    c = np.zeros((N, u))
+    cache = {"steps": [], "X": X, "drop_mask": drop_mask} if keep_cache else None
+    Wt, Ut = params.W.T, params.U.T
+    for t in range(T):
+        x_t = X[:, t:t + 1]
+        z = x_t @ Wt + h @ Ut + params.b
+        i = _sigmoid(z[:, :u])
+        f = _sigmoid(z[:, u:2 * u])
+        g = np.tanh(z[:, 2 * u:3 * u])
+        o = _sigmoid(z[:, 3 * u:])
+        c_prev = c
+        c = f * c_prev + i * g
+        tanh_c = np.tanh(c)
+        h_prev = h
+        h = o * tanh_c
+        if keep_cache:
+            cache["steps"].append((x_t, h_prev, c_prev, i, f, g, o, c, tanh_c))
+    h_eff = h if drop_mask is None else h * drop_mask
+    if keep_cache:
+        cache["h_eff"] = h_eff
+    return h_eff @ params.dense_w + params.dense_b, cache
+
+
+def ref_backward(params, cache, pred, target):
+    N, T = cache["X"].shape
+    u = params.units
+    drop_mask = cache["drop_mask"]
+    grads = lstm.LstmParams(u, params.input_dim, np.zeros_like(params.W),
+                            np.zeros_like(params.U), np.zeros_like(params.b),
+                            np.zeros_like(params.dense_w), 0.0)
+    dy = 2.0 * (pred - target) / N
+    grads.dense_w = cache["h_eff"].T @ dy
+    grads.dense_b = float(dy.sum())
+    dh = np.outer(dy, params.dense_w)
+    if drop_mask is not None:
+        dh = dh * drop_mask
+    dc_next = np.zeros((N, u))
+    for t in range(T - 1, -1, -1):
+        x_t, h_prev, c_prev, i, f, g, o, c, tanh_c = cache["steps"][t]
+        do = dh * tanh_c
+        dc = dh * o * (1.0 - tanh_c ** 2) + dc_next
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dc_next = dc * f
+        dz = np.concatenate([di * i * (1.0 - i), df * f * (1.0 - f),
+                             dg * (1.0 - g ** 2), do * o * (1.0 - o)], axis=1)
+        grads.W += dz.T @ x_t
+        grads.U += dz.T @ h_prev
+        grads.b += dz.sum(axis=0)
+        dh = dz @ params.U
+    return grads
+
+
+def ref_train(X, y, units, *, num_chunks, batch_size, epochs, learning_rate,
+              dropout, seed):
+    """train_chunked's schedule (chunks, batches, masks, SGD) on the reference."""
+    rng = np.random.default_rng(seed)
+    params = lstm.LstmParams.init(units, 1, rng)
+    chunk_ids = list(range(num_chunks))
+    chunks = np.array_split(np.arange(len(X)), num_chunks)
+    keep = 1.0 - dropout
+    losses = []
+    for _epoch in range(epochs):
+        for cid in chunk_ids:
+            idx = chunks[cid]
+            loss = None
+            for lo in range(0, len(idx), batch_size):
+                batch = idx[lo:lo + batch_size]
+                mask = ((rng.random((len(batch), units)) < keep) / keep
+                        if dropout > 0 else None)
+                pred, cache = ref_forward(params, X[batch], mask, keep_cache=True)
+                loss = lstm.mse_loss(pred, y[batch])
+                grads = ref_backward(params, cache, pred, y[batch])
+                for name in ("W", "U", "b", "dense_w"):
+                    getattr(params, name).__isub__(learning_rate * getattr(grads, name))
+                params.dense_b -= learning_rate * grads.dense_b
+            if loss is not None:
+                losses.append(loss)
+        rng.shuffle(chunk_ids)
+    return params, losses
+
+
+def assert_params_close(got, want):
+    for name, arr in want.flat_arrays().items():
+        np.testing.assert_allclose(got.flat_arrays()[name], arr, rtol=RTOL, atol=ATOL,
+                                   err_msg=name)
+    assert got.dense_b == pytest.approx(want.dense_b, rel=RTOL, abs=ATOL)
+
+
+def case(n, t, units, seed, dropout):
+    rng = np.random.default_rng(seed)
+    params = lstm.LstmParams.init(units, 1, rng)
+    params.b += rng.normal(0, 0.5, params.b.shape)
+    X = rng.normal(0, 1.5, (n, t))
+    y = rng.normal(0, 1, n)
+    mask = (rng.random((n, units)) < 0.7) / 0.7 if dropout else None
+    return params, X, y, mask
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 24), t=st.integers(1, 30), units=st.integers(1, 7),
+       seed=st.integers(0, 2 ** 32 - 1), dropout=st.booleans())
+def test_forward_and_backward_match_per_step_reference(n, t, units, seed, dropout):
+    params, X, y, mask = case(n, t, units, seed, dropout)
+    want_pred, want_cache = ref_forward(params, X, mask, keep_cache=True)
+    pred, cache = lstm.forward(params, X, mask, keep_cache=True)
+    np.testing.assert_allclose(pred, want_pred, rtol=RTOL, atol=ATOL)
+    # Inference runs on the two-slot ring; it must agree with the cached pass.
+    np.testing.assert_allclose(lstm.forward(params, X, mask)[0], pred, rtol=RTOL, atol=ATOL)
+    assert_params_close(lstm.backward(params, cache, pred, y),
+                        ref_backward(params, want_cache, want_pred, y))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(2, 40), batch_size=st.integers(1, 9), num_chunks=st.integers(2, 4),
+       units=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       dropout=st.sampled_from([0.0, 0.25]))
+def test_train_chunked_matches_reference_training(n, batch_size, num_chunks, units,
+                                                  seed, dropout):
+    num_chunks = min(num_chunks, n)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, (n, 5))
+    y = 0.5 * X[:, -1] + rng.normal(0, 0.1, n)
+    kwargs = dict(num_chunks=num_chunks, batch_size=batch_size, epochs=2,
+                  learning_rate=0.05, dropout=dropout, seed=seed)
+    params, trace = lstm.train_chunked(X, y, units, **kwargs)
+    want, losses = ref_train(X, y, units, **kwargs)
+    assert_params_close(params, want)
+    np.testing.assert_allclose(trace.chunk_losses, losses, rtol=RTOL, atol=ATOL)
+
+
+def test_short_last_batch_and_several_chunks_match_reference():
+    # 23 windows in 3 chunks of 8, 8 and 7, batches of 3: every chunk ends in
+    # a short batch, between full batches that share one cache.
+    rng = np.random.default_rng(8)
+    X = rng.normal(0, 1, (23, 6))
+    y = X[:, -1] * 0.3
+    kwargs = dict(num_chunks=3, batch_size=3, epochs=3, learning_rate=0.05,
+                  dropout=0.2, seed=8)
+    params, trace = lstm.train_chunked(X, y, 4, **kwargs)
+    want, losses = ref_train(X, y, 4, **kwargs)
+    assert_params_close(params, want)
+    np.testing.assert_allclose(trace.chunk_losses, losses, rtol=RTOL, atol=ATOL)
+
+
+def test_reused_cache_carries_no_state_between_batches():
+    rng = np.random.default_rng(4)
+    params = lstm.LstmParams.init(3, 1, rng)
+    X_a, X_b, X_c = (rng.normal(0, 1, (n, 7)) for n in (5, 2, 5))
+    y_c = rng.normal(0, 1, 5)
+    mask = (rng.random((5, 3)) < 0.8) / 0.8
+    _, shared = lstm.forward(params, X_a, mask, keep_cache=True)
+    lstm.forward(params, X_b, keep_cache=True)  # a short batch between two full ones
+    for name in ("inputs", "gates", "c", "tanh_c"):
+        shared[name].fill(np.nan)  # whatever the buffers hold is overwritten
+    pred, cache = lstm.forward(params, X_c, keep_cache=shared)
+    assert cache is shared
+    fresh_pred, fresh = lstm.forward(params, X_c, keep_cache=True)
+    assert np.array_equal(pred, fresh_pred)
+    got = lstm.backward(params, cache, pred, y_c)
+    want = lstm.backward(params, fresh, fresh_pred, y_c)
+    for name, arr in want.flat_arrays().items():
+        assert np.array_equal(got.flat_arrays()[name], arr), name
+    assert got.dense_b == want.dense_b
+
+
+def test_cache_of_another_shape_is_refused():
+    params = lstm.LstmParams.init(2, 1, np.random.default_rng(0))
+    _, cache = lstm.forward(params, np.zeros((4, 6)), keep_cache=True)
+    with pytest.raises(ValueError, match="6 steps of 4 windows"):
+        lstm.forward(params, np.zeros((3, 6)), keep_cache=cache)
+
