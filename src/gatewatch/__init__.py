@@ -8,7 +8,7 @@ simulator for end-to-end evaluation.
 from .series import TimeSeries, Scaler, DiagnosticsReport, split, sliding_windows, \
     fit_scaler, diagnose, impute_short_gaps
 from .ingest import FlowRecord, IngestReport, parse_flow_csv, clean, to_series
-from .forecast import ForecasterConfig, ForecastResult, FittedForecaster, fit
+from .forecast import ForecasterConfig, FittedForecaster, fit
 from .lstm import lstm_param_count, total_param_count, LstmParams
 from .detect import (Z_TABLE, z_score, confidence_interval, ConfidenceBand,
                      AnomalyAlert, mean_shift_alerts, detect_surges,

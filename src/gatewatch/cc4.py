@@ -22,8 +22,8 @@ from .detect import (
     merge_alerts,
     z_score,
 )
-from .errors import EmptyTrainingSet, SchemaMismatch, WidthMismatch
-from .series import TimeSeries, interval_index, to_utc
+from .errors import EmptyTrainingSet, NonNumericValue, SchemaMismatch, WidthMismatch
+from .series import TimeSeries, band_stats, interval_index, to_utc
 
 PACKET_CLASSES = ("Known", "Unknown", "Attack")
 UNKNOWN, ATTACK = PACKET_CLASSES.index("Unknown"), PACKET_CLASSES.index("Attack")
@@ -68,7 +68,8 @@ class FieldEncoder:
 
     def encode_column(self, values: list) -> tuple[np.ndarray, np.ndarray]:
         """Encode one field of many records: an (n, width) int8 bit block and
-        an (n,) unknown-value flag."""
+        an (n,) unknown-value flag. A thermometer value that float() rejects
+        raises NonNumericValue."""
         n = len(values)
         if self.kind == "one_hot":
             index = np.array([self._first_match(v) for v in values], dtype=np.int64)
@@ -78,7 +79,16 @@ class FieldEncoder:
             return bits, ~known
         # thermometer: the bin is the count of edges at or below the value
         # (edges in any order, NaN never counted); set it and every lower bin
-        v = np.array([float(x) for x in values], dtype=np.float64)
+        try:
+            v = np.array([float(x) for x in values], dtype=np.float64)
+        except (TypeError, ValueError):
+            for x in values:
+                try:
+                    float(x)
+                except (TypeError, ValueError):
+                    raise NonNumericValue(
+                        f"field {self.name!r} holds {x!r}, not a number") from None
+            raise
         edges = np.array(self.bin_edges, dtype=np.float64)
         bin_index = (v[:, None] >= edges).sum(axis=1)
         bits = (np.arange(self.width) <= bin_index[:, None]).astype(np.int8)
@@ -407,7 +417,8 @@ def _rate_alerts(records: list[EventLogRecord], config: StreamConfig,
         alerts.extend(dropout_block(counts == 0, config.gap_threshold, start,
                                     config.interval_seconds, names))
         if duration >= 4:
-            alerts.extend(mean_shift_block(counts, n_train, counts[:, :n_train], z,
+            alerts.extend(mean_shift_block(counts, n_train,
+                                           *band_stats(counts[:, :n_train]), z,
                                            config.surge_window, "Surge", start,
                                            config.interval_seconds, names))
     return alerts

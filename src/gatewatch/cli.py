@@ -137,14 +137,14 @@ def _apply_config_file(args) -> None:
             setattr(args, attr, value)
 
 
-def _forecaster_config(args) -> ForecasterConfig:
+def _forecaster_config(args, variant: str) -> ForecasterConfig:
     return ForecasterConfig(
-        variant=getattr(args, "model", "holt_winters"),
-        ma_window=getattr(args, "ma_window", 3),
-        hw_period=getattr(args, "period", 24),
-        lstm_num_timesteps=getattr(args, "lstm_num_timesteps", 1008),
-        lstm_epochs=getattr(args, "lstm_epochs", 1),
-        lstm_num_chunks=getattr(args, "lstm_num_chunks", 1),
+        variant=variant,
+        ma_window=args.ma_window,
+        hw_period=args.period,
+        lstm_num_timesteps=args.lstm_num_timesteps,
+        lstm_epochs=args.lstm_epochs,
+        lstm_num_chunks=args.lstm_num_chunks,
         rng_seed=args.seed if args.seed is not None else 0,
     )
 
@@ -199,19 +199,22 @@ def cmd_inspect(args) -> int:
 
 def cmd_forecast(args) -> int:
     data = _load_series(args)
-    config = _forecaster_config(args)
-    model = fit(config, data)
+    model = fit(_forecaster_config(args, args.model), data)
     preds = model.forecast(args.horizon)
     z = detect.z_score(args.confidence)
     sigma = model.residual_std
+    warm = model.warmup
     out = _outdir(args)
-    obj = model.result.to_json_obj()
-    obj["forecasts"] = preds
-    _write_json(out / "forecast.json", obj)
+    _write_json(out / "forecast.json", {
+        "fitted": model.fitted.tolist(),
+        "warmup": warm,
+        "forecasts": preds,
+        "residuals": (data.values[warm:] - model.fitted).tolist(),
+        "residual_std": sigma,
+    })
     _write_json(out / "model.json", model.to_json_obj())
     lines = ["t,actual,predicted,lower,upper"]
-    warm = model.result.warmup
-    for i, fitted in enumerate(model.result.fitted):
+    for i, fitted in enumerate(model.fitted.tolist()):
         t = warm + i
         lines.append(f"{t},{data.values[t]!r},{fitted!r},"
                      f"{fitted - z * sigma!r},{fitted + z * sigma!r}")
@@ -224,14 +227,8 @@ def cmd_forecast(args) -> int:
 
 def cmd_compare(args) -> int:
     data = _load_series(args)
-    configs = []
-    for name in args.models.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        config = _forecaster_config(args)
-        config = ForecasterConfig(**{**config.__dict__, "variant": name})
-        configs.append(config)
+    configs = [_forecaster_config(args, name.strip())
+               for name in args.models.split(",") if name.strip()]
     report = evaluate.compare_models(configs, data, args.train_frac)
     # Persisted reports must be byte-reproducible; wall-clock timing is not.
     for row in report.rows:
@@ -249,7 +246,7 @@ def cmd_detect(args) -> int:
     source = args.source_ip or ""
     if args.mode == "residual":
         alerts = detect.detect_surges(
-            test, fit(_forecaster_config(args), train), args.confidence,
+            test, fit(_forecaster_config(args, args.model), train), args.confidence,
             mode="residual", source=source)
     else:
         # The band needs only the observed training points: nothing is fitted.

@@ -14,9 +14,9 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import AllMissing, UnsupportedConfidence
+from .errors import UnsupportedConfidence
 from .forecast import FittedForecaster
-from .series import TimeSeries, runs, slot_time
+from .series import TimeSeries, band_stats, runs, slot_time
 
 Z_TABLE = {
     0.80: 1.282,
@@ -71,9 +71,8 @@ def confidence_interval(window, confidence: float) -> ConfidenceBand:
     if not np.all(np.isfinite(values)):
         raise ValueError("window values must be finite")
     z = z_score(confidence)
-    n = len(values)
-    s = float(values.std(ddof=1)) if n > 1 else 0.0
-    return ConfidenceBand(X=float(values.mean()), s=s, n=n, z=z)
+    X, s = band_stats(values)
+    return ConfidenceBand(X=float(X), s=float(s), n=len(values), z=z)
 
 
 @dataclass(frozen=True)
@@ -120,22 +119,19 @@ def _severity(excess: float, threshold: float) -> str:
     return "Critical" if excess > 2.0 * threshold else "Warning"
 
 
-def mean_shift_block(values: np.ndarray, first: int, baseline, z: float,
+def mean_shift_block(values: np.ndarray, first: int, X, s, z: float,
                      window: int, kind: str, start: datetime,
                      interval_seconds: float, sources) -> list[AnomalyAlert]:
     """mean_shift_alerts for every row of a (k, n) block at once. Row r of
     `values` (NaN where missing) is scored from column `first` on against the
-    band of the observed training points in row r of the (k, b) `baseline`;
-    its alerts are stamped on the grid at `start` and carry sources[r].
-    Alerts come row by row, windows in order."""
+    band with centre X[r] and spread s[r] (`series.band_stats` of its
+    training points); its alerts are stamped on the grid at `start` and carry
+    sources[r]. Alerts come row by row, windows in order."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    baseline = np.asarray(baseline, dtype=float)
-    if baseline.shape[1] == 0:
-        raise AllMissing("no observed training point to build the band from")
     k = len(values)
-    X = baseline.mean(axis=1)
-    s = baseline.std(axis=1, ddof=1) if baseline.shape[1] > 1 else np.zeros(k)
+    X = np.asarray(X, dtype=float)
+    s = np.asarray(s, dtype=float)
     threshold = z * s / math.sqrt(window)
     count = (values.shape[1] - first) // window
     if count <= 0:
@@ -168,8 +164,9 @@ def mean_shift_alerts(series: TimeSeries, first: int, baseline, z: float,
     points in `baseline`, so the band brackets where an n-point window mean
     should land. A window whose mean of observed points falls outside is
     flagged; a window with no observed point is skipped."""
+    X, s = band_stats(baseline)
     values = np.where(series.missing, np.nan, series.values)
-    return mean_shift_block(values[None], first, [baseline], z, window, kind,
+    return mean_shift_block(values[None], first, [X], [s], z, window, kind,
                             series.start, series.interval_seconds, [source])
 
 
@@ -179,8 +176,8 @@ def detect_surges(series: TimeSeries, model: FittedForecaster, confidence: float
     """Flag surges in a scored series against a model fitted on a disjoint
     training prefix.
 
-    mean_shift: mean_shift_alerts over the whole series, with the model's
-    training values as the baseline.
+    mean_shift: windows of the whole series against the mean-shift band,
+    with the X and s the model stored from its training points.
 
     residual: point t is flagged when |observed - forecast| > z * sigma_r,
     with teacher-forced one-step forecasts.
@@ -189,8 +186,10 @@ def detect_surges(series: TimeSeries, model: FittedForecaster, confidence: float
         raise ValueError(f"unknown mode {mode!r}")
     z = z_score(confidence)
     if mode == "mean_shift":
-        return mean_shift_alerts(series, 0, model.train_values, z, window,
-                                 "Surge", source)
+        values = np.where(series.missing, np.nan, series.values)
+        return mean_shift_block(values[None], 0, [model.train_mean], [model.train_std],
+                                z, window, "Surge", series.start,
+                                series.interval_seconds, [source])
 
     # residual mode
     alerts: list[AnomalyAlert] = []

@@ -71,6 +71,10 @@ class SchemaMismatch(GatewatchError):
     pass
 
 
+class NonNumericValue(SchemaMismatch, ValueError):
+    """A thermometer field holds a value that is not a number."""
+
+
 class EmptyTrainingSet(GatewatchError):
     pass
 

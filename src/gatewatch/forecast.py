@@ -8,14 +8,14 @@ seasonal dummies), and the numpy LSTM. Fits are deterministic functions of
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 import numpy as np
 
 from . import lstm
 from .errors import MissingValuesPresent, SeriesTooShort
-from .series import Scaler, TimeSeries, fit_scaler, sliding_windows
+from .series import Scaler, TimeSeries, band_stats, fit_scaler, sliding_windows
 
 VARIANTS = ("moving_average", "holt_winters", "linear_trend", "lstm")
 
@@ -52,24 +52,6 @@ class ForecasterConfig:
         if self.variant == "linear_trend":
             return "linear_trend+dummies" if self.lt_seasonal_dummies else "linear_trend"
         return "lstm"
-
-
-@dataclass
-class ForecastResult:
-    fitted: list[float]       # one-step-ahead predictions for series[warmup:]
-    warmup: int
-    forecasts: list[float]
-    residuals: list[float]
-    residual_std: float       # population std of residuals
-
-    def to_json_obj(self) -> dict:
-        return {
-            "fitted": self.fitted,
-            "warmup": self.warmup,
-            "forecasts": self.forecasts,
-            "residuals": self.residuals,
-            "residual_std": self.residual_std,
-        }
 
 
 def _hw_initial_state(y: np.ndarray, m: int):
@@ -127,23 +109,29 @@ def _lt_design(t: np.ndarray, m: int, dummies: bool) -> np.ndarray:
 
 @dataclass
 class FittedForecaster:
+    """A fitted forecaster as its parameters: what `forecast`, `one_step_on`
+    and mean-shift scoring read, in O(parameters) whatever the training
+    length. `fitted` holds the in-sample one-step fit for the last
+    len(fitted) training points; it is never serialized, so a loaded model
+    has none."""
+
     config: ForecasterConfig
-    train_values: np.ndarray
-    result: ForecastResult
+    n_train: int
+    history: np.ndarray       # last ma_window / lstm_num_timesteps training values
+    train_mean: float         # band X and s over the training points
+    train_std: float
+    residual_std: float       # population std of the in-sample residuals
     # variant state
     hw_constants: tuple[float, float, float] | None = None
     hw_state: tuple[float, float, np.ndarray] | None = None  # level, trend, seasonals
     lt_coefs: np.ndarray | None = None
     lstm_params: lstm.LstmParams | None = None
     scaler: Scaler | None = None
+    fitted: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
 
     @property
-    def variant(self) -> str:
-        return self.config.variant
-
-    @property
-    def residual_std(self) -> float:
-        return self.result.residual_std
+    def warmup(self) -> int:
+        return self.n_train - len(self.fitted)
 
     # -- forecasting --------------------------------------------------------
 
@@ -151,11 +139,9 @@ class FittedForecaster:
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         v = self.config.variant
-        y = self.train_values
-        n = len(y)
+        n = self.n_train
         if v == "moving_average":
-            w = self.config.ma_window
-            return [float(y[-w:].mean())] * horizon
+            return [float(self.history.mean())] * horizon
         if v == "holt_winters":
             level, trend, S = self.hw_state
             m = self.config.hw_period
@@ -166,8 +152,7 @@ class FittedForecaster:
             X = _lt_design(t, self.config.hw_period, self.config.lt_seasonal_dummies)
             return (X @ self.lt_coefs).tolist()
         # lstm: roll forward recursively on its own predictions
-        T = self.config.lstm_num_timesteps
-        window = list(self.scaler.apply(y[-T:]))
+        window = list(self.scaler.apply(self.history))
         out = []
         for _ in range(horizon):
             pred = float(lstm.predict(self.lstm_params, np.array([window]))[0])
@@ -180,12 +165,11 @@ class FittedForecaster:
         training range: prediction i uses training data plus new_values[:i]."""
         new_values = np.asarray(new_values, dtype=float)
         v = self.config.variant
-        y = self.train_values
-        n = len(y)
+        n = self.n_train
         k = len(new_values)
         if v == "moving_average":
             w = self.config.ma_window
-            hist = np.concatenate([y[-w:], new_values])
+            hist = np.concatenate([self.history, new_values])
             return np.array([hist[i:i + w].mean() for i in range(k)])
         if v == "holt_winters":
             level, trend, S = self.hw_state
@@ -197,7 +181,7 @@ class FittedForecaster:
             X = _lt_design(t, self.config.hw_period, self.config.lt_seasonal_dummies)
             return X @ self.lt_coefs
         T = self.config.lstm_num_timesteps
-        hist = self.scaler.apply(np.concatenate([y[-T:], new_values]))
+        hist = self.scaler.apply(np.concatenate([self.history, new_values]))
         idx = np.arange(T)[None, :] + np.arange(k)[:, None]
         preds = lstm.predict(self.lstm_params, hist[idx])
         return self.scaler.invert(preds)
@@ -205,7 +189,9 @@ class FittedForecaster:
     # -- serialization -------------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        params: dict = {"train_values": self.train_values.tolist()}
+        params: dict = {"n_train": self.n_train, "history": self.history.tolist(),
+                        "train_mean": self.train_mean, "train_std": self.train_std,
+                        "residual_std": self.residual_std}
         if self.hw_constants is not None:
             level, trend, S = self.hw_state
             params.update(hw_constants=list(self.hw_constants),
@@ -220,7 +206,6 @@ class FittedForecaster:
             "parameters": params,
             "scaler": None if self.scaler is None
             else {"min": self.scaler.min, "max": self.scaler.max},
-            "result": self.result.to_json_obj(),
         }
 
     def to_json(self) -> str:
@@ -228,15 +213,12 @@ class FittedForecaster:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FittedForecaster":
-        config = ForecasterConfig(**obj["config"])
         params = obj["parameters"]
-        res = obj["result"]
-        result = ForecastResult(fitted=res["fitted"], warmup=res["warmup"],
-                                forecasts=res["forecasts"], residuals=res["residuals"],
-                                residual_std=res["residual_std"])
-        model = cls(config=config,
-                    train_values=np.array(params["train_values"], dtype=float),
-                    result=result)
+        model = cls(config=ForecasterConfig(**obj["config"]),
+                    n_train=params["n_train"],
+                    history=np.array(params["history"], dtype=float),
+                    train_mean=params["train_mean"], train_std=params["train_std"],
+                    residual_std=params["residual_std"])
         if "hw_constants" in params:
             model.hw_constants = tuple(params["hw_constants"])
             model.hw_state = (params["hw_level"], params["hw_trend"],
@@ -254,12 +236,18 @@ class FittedForecaster:
         return cls.from_json_obj(json.loads(text))
 
 
-def _result_from_fitted(values: np.ndarray, fitted: np.ndarray, warmup: int) -> ForecastResult:
-    residuals = values[warmup:] - fitted
+def _model(config: ForecasterConfig, y: np.ndarray, fitted: np.ndarray,
+           keep: int = 0, **state) -> FittedForecaster:
+    """The model of a fit over training values y whose in-sample one-step fit
+    covers y[len(y) - len(fitted):], keeping the last `keep` values."""
+    residuals = y[len(y) - len(fitted):] - fitted
     std = float(np.sqrt(np.mean(residuals ** 2) - np.mean(residuals) ** 2)) \
         if len(residuals) else 0.0
-    return ForecastResult(fitted=fitted.tolist(), warmup=warmup, forecasts=[],
-                          residuals=residuals.tolist(), residual_std=max(std, 0.0))
+    X, s = band_stats(y)
+    return FittedForecaster(config=config, n_train=len(y),
+                            history=y[len(y) - keep:].copy(),
+                            train_mean=float(X), train_std=float(s),
+                            residual_std=max(std, 0.0), fitted=fitted, **state)
 
 
 def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
@@ -277,10 +265,7 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
         if n < w + 1:
             raise SeriesTooShort(f"length {n} too short for window {w}")
         csum = np.concatenate([[0.0], np.cumsum(y)])
-        fitted = (csum[w:n] - csum[:n - w]) / w
-        model = FittedForecaster(config=config, train_values=y,
-                                 result=_result_from_fitted(y, fitted, w))
-        return model
+        return _model(config, y, (csum[w:n] - csum[:n - w]) / w, keep=w)
 
     if v == "holt_winters":
         m = config.hw_period
@@ -296,23 +281,15 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
         level, trend, S = _hw_initial_state(y, m)
         preds, level, trend = _hw_run(y[m:], alpha, beta, gamma, m, level, trend,
                                       S, m)
-        model = FittedForecaster(config=config, train_values=y,
-                                 result=_result_from_fitted(y, preds, m),
-                                 hw_constants=(alpha, beta, gamma),
-                                 hw_state=(float(level), float(trend), S))
-        return model
+        return _model(config, y, preds, hw_constants=(alpha, beta, gamma),
+                       hw_state=(float(level), float(trend), S))
 
     if v == "linear_trend":
         if n < 2:
             raise SeriesTooShort("linear trend needs at least 2 points")
-        t = np.arange(n)
-        X = _lt_design(t, config.hw_period, config.lt_seasonal_dummies)
+        X = _lt_design(np.arange(n), config.hw_period, config.lt_seasonal_dummies)
         coefs, *_ = np.linalg.lstsq(X, y, rcond=None)
-        fitted = X @ coefs
-        model = FittedForecaster(config=config, train_values=y,
-                                 result=_result_from_fitted(y, fitted, 0),
-                                 lt_coefs=coefs)
-        return model
+        return _model(config, y, X @ coefs, lt_coefs=coefs)
 
     # lstm
     T = config.lstm_num_timesteps
@@ -327,8 +304,5 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
         num_chunks=config.lstm_num_chunks, batch_size=config.lstm_batch_size,
         epochs=config.lstm_epochs, learning_rate=config.lstm_learning_rate,
         dropout=config.lstm_dropout, seed=config.rng_seed)
-    fitted = scaler.invert(lstm.predict(params, X))
-    model = FittedForecaster(config=config, train_values=y,
-                             result=_result_from_fitted(y, fitted, T),
-                             lstm_params=params, scaler=scaler)
-    return model
+    return _model(config, y, scaler.invert(lstm.predict(params, X)), keep=T,
+                   lstm_params=params, scaler=scaler)

@@ -1,9 +1,9 @@
 """Uniform time-series container and preparation utilities.
 
 The interval grid (which interval a timestamp falls in, where an interval
-starts, maximal runs of flagged points), scaling, chronological splitting,
-sliding windows for sequence models, and seasonality / stationarity
-diagnostics.
+starts, maximal runs of flagged points), the mean-shift band statistics,
+scaling, chronological splitting, sliding windows for sequence models, and
+seasonality / stationarity diagnostics.
 """
 from __future__ import annotations
 
@@ -203,6 +203,17 @@ def sliding_windows(series: TimeSeries, num_timesteps: int) -> tuple[np.ndarray,
     count = n - num_timesteps
     idx = np.arange(num_timesteps)[None, :] + np.arange(count)[:, None]
     return v[idx], v[num_timesteps:]
+
+
+def band_stats(points) -> tuple[np.ndarray, np.ndarray]:
+    """X and s of the mean-shift band over training points, taken along the
+    last axis: their mean and sample std (ddof=1), s = 0 for a single point."""
+    points = np.asarray(points, dtype=float)
+    if points.shape[-1] == 0:
+        raise AllMissing("no observed training point to build the band from")
+    X = points.mean(axis=-1)
+    s = points.std(axis=-1, ddof=1) if points.shape[-1] > 1 else np.zeros_like(X)
+    return X, s
 
 
 def fit_scaler(series: TimeSeries) -> Scaler:

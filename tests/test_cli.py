@@ -360,6 +360,33 @@ class TestDetectAndStream:
         assert ((outs["odd"] / "alerts.jsonl").read_bytes()
                 == (outs["clean"] / "alerts.jsonl").read_bytes())
 
+    @pytest.mark.parametrize("value", ["many", None])
+    @pytest.mark.parametrize("path", ["labels", "network"])
+    def test_stream_rejects_non_numeric_thermometer_value(self, trace_dir, tmp_path,
+                                                          capsys, value, path):
+        # A packets value that is not a number stops the stream with a data
+        # error naming the field and the value, when training on the labels
+        # and when classifying with a given network.
+        lines = (trace_dir / "events.jsonl").read_text(encoding="utf-8").splitlines()
+        odd = json.loads(lines[-1])
+        odd["packets"] = value
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines + [json.dumps(odd)]) + "\n", encoding="utf-8")
+        if path == "labels":
+            model = ("--labels", str(trace_dir / "labels.csv"))
+        else:
+            assert run("stream", "--input", str(trace_dir / "events.jsonl"),
+                       "--labels", str(trace_dir / "labels.csv"),
+                       "--out", str(tmp_path / "trained")) == 0
+            model = ("--network", str(tmp_path / "trained" / "network.json"))
+        capsys.readouterr()
+        assert run("stream", "--input", str(events), *model,
+                   "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: data: NonNumericValue: ")
+        assert "'packets'" in err and repr(value) in err
+
     def test_stream_stamps_share_one_clock(self, trace_dir, tmp_path):
         # A stamp without an offset is UTC and any offset is taken to UTC, so
         # naive, +05:00 and mixed copies of a log give the UTC log's alerts.

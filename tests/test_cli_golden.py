@@ -32,7 +32,7 @@ GOLDEN = {
     "fc_hw/forecast.json":
         "c90106584303f1950e590cae01e5b6287e6763d074e797ef32d5eced645faf21",
     "fc_hw/model.json":
-        "1a4e66580dac5df676c74f582abd024be981066e475af1c13a997d22f7c49761",
+        "0b8f08855e021ea457c445c8d505a5691bf1a5215b5cd694623f2cce14b431ac",
     "ing/ingest_report.json":
         "78cd52c0ae45fbdeaba12be3235634c0592362f9110296253bda43fd01f8b94c",
     "ing/series.json":

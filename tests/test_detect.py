@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from gatewatch import detect
 from gatewatch.errors import AllMissing, UnsupportedConfidence
-from gatewatch.forecast import ForecasterConfig, fit
-from gatewatch.series import TimeSeries
+from gatewatch.forecast import FittedForecaster, ForecasterConfig, fit
+from gatewatch.series import TimeSeries, band_stats, split
 
 
 def make(values, interval=3600.0):
@@ -173,6 +173,40 @@ class TestMeanShiftCore:
             detect.mean_shift_alerts(series, 0, [1.0], 1.960, 0, "Surge")
 
 
+# The model's stored band statistics: (config, series length, window); the
+# last case trains on two points, the fewest a sample std is taken over.
+STORED_BAND_CASES = [
+    (ForecasterConfig(variant="holt_winters", hw_period=24), 480, 24),
+    (ForecasterConfig(variant="moving_average", ma_window=3), 96, 5),
+    (ForecasterConfig(variant="linear_trend"), 40, 3),
+    (ForecasterConfig(variant="moving_average", ma_window=1), 4, 1),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("config, n, window", STORED_BAND_CASES,
+                         ids=["hw", "ma3", "lt", "ma1-two-points"])
+def test_mean_shift_scores_from_the_stored_band_statistics(config, n, window, seed):
+    # detect_surges scores against the X and s stored in the model: a fresh
+    # model, a reloaded one and the training points themselves give one
+    # byte stream.
+    rng = np.random.default_rng(seed)
+    values = (10.0 + np.sin(2 * np.pi * np.arange(n) / 24)
+              + rng.normal(0.0, 1.0, n)).tolist()
+    values[n // 2] += 40.0
+    if n > 8:
+        values[n // 2 + 1] = None
+    train, test = split(make(values), 0.5)
+    fresh = fit(config, train)
+    loaded = FittedForecaster.from_json(fresh.to_json())
+    want = "".join(a.to_json() + "\n" for a in detect.mean_shift_alerts(
+        test, 0, train.clean_values(), detect.z_score(0.95), window, "Surge", "s"))
+    assert want
+    for model in (fresh, loaded):
+        got = detect.detect_surges(test, model, 0.95, window=window, source="s")
+        assert "".join(a.to_json() + "\n" for a in got) == want
+
+
 # --- one-series reference loops ----------------------------------------------
 # The window-at-a-time mean-shift loop and the point-at-a-time dropout scan
 # that the row-wise cores replaced, kept as references.
@@ -287,7 +321,7 @@ def test_row_wise_cores_match_the_one_series_loops_row_by_row(data):
     sources = [f"s{r}" for r in range(k)]
     values = np.array([np.where(r.missing, np.nan, r.values) for r in rows])
     start, interval = rows[0].start, rows[0].interval_seconds
-    got = detect.mean_shift_block(values, first, np.array(baselines), 1.960,
+    got = detect.mean_shift_block(values, first, *band_stats(baselines), 1.960,
                                   window, "Surge", start, interval, sources)
     want = [a for r, src, base in zip(rows, sources, baselines)
             for a in ref_mean_shift_alerts(r, first, base, 1.960, window,

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,15 +35,15 @@ CONSTANT_CONFIGS = [
                          ids=[c.variant for c in CONSTANT_CONFIGS])
 def test_constant_series_is_a_fixed_point(config):
     model = fc.fit(config, make([7.0] * 20))
-    assert np.allclose(model.result.fitted, 7.0)
-    assert model.result.residual_std == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(model.fitted, 7.0)
+    assert model.residual_std == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(model.forecast(5), 7.0)
 
 
 def test_holt_winters_nails_exact_periodicity():
     series = sine(cycles=10, period=24)
     model = fc.fit(fc.ForecasterConfig(variant="holt_winters", hw_period=24), series)
-    post_warmup_mse = float(np.mean(np.array(model.result.residuals) ** 2))
+    post_warmup_mse = float(np.mean((series.values[model.warmup:] - model.fitted) ** 2))
     assert post_warmup_mse < 1e-6 * series.values.var()
 
 
@@ -111,6 +114,20 @@ def test_serialization_round_trip_is_bit_identical(config):
     assert loaded.to_json() == model.to_json()
 
 
+def test_model_json_does_not_grow_with_the_training_length():
+    # A fitted model is its parameters: 240 and 2,400 training points give
+    # the same keys and list lengths, and texts that differ only in the
+    # digits of their numbers.
+    texts = [fc.fit(fc.ForecasterConfig(variant="holt_winters", hw_period=24),
+                    sine(cycles=cycles, period=24, noise=0.1, seed=3)).to_json()
+             for cycles in (10, 100)]
+    number = r"-?\d+(\.\d+)?(e[-+]?\d+)?"
+    assert re.sub(number, "0", texts[0]) == re.sub(number, "0", texts[1])
+    params = json.loads(texts[1])["parameters"]
+    assert "train_values" not in params and params["n_train"] == 2400
+    assert all(len(texts[k]) < 2048 for k in (0, 1))
+
+
 def test_one_step_on_continues_the_recurrence():
     series = sine(cycles=10, period=24)
     train_vals = series.values[:192]
@@ -136,8 +153,8 @@ def test_one_step_on_is_the_fit_recurrence_continued(period, extra, k, seed,
                                  hw_alpha=alpha, hw_beta=beta, hw_gamma=gamma)
     n = len(y) - k
     scored = fc.fit(config, make(y[:n])).one_step_on(y[n:])
-    whole = fc.fit(config, make(y)).result.fitted
-    assert scored.tolist() == whole[-k:]
+    whole = fc.fit(config, make(y)).fitted
+    assert scored.tolist() == whole[-k:].tolist()
 
 
 def test_hw_grid_rows_equal_single_parameter_runs():
