@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from itertools import compress
 
@@ -109,29 +109,6 @@ class SymbolSchema:
     @property
     def total_bits(self) -> int:
         return sum(e.width for e in self.encoders)
-
-    def to_json_obj(self) -> dict:
-        out = []
-        for e in self.encoders:
-            if e.kind == "one_hot":
-                out.append({"name": e.name, "encoder": "one_hot",
-                            "vocabulary": list(e.vocabulary)})
-            else:
-                out.append({"name": e.name, "encoder": "thermometer",
-                            "bin_edges": list(e.bin_edges)})
-        return {"fields": out}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "SymbolSchema":
-        encoders = []
-        for f in obj["fields"]:
-            if f["encoder"] == "one_hot":
-                encoders.append(FieldEncoder(name=f["name"], kind="one_hot",
-                                             vocabulary=tuple(f["vocabulary"])))
-            else:
-                encoders.append(FieldEncoder(name=f["name"], kind="thermometer",
-                                             bin_edges=tuple(f["bin_edges"])))
-        return cls(encoders=tuple(encoders))
 
 
 def symbolize_block(records: list[EventLogRecord], schema: SymbolSchema,
@@ -324,13 +301,7 @@ class StreamCounts:
     dropped_late: int = 0
 
     def to_json_obj(self) -> dict:
-        return {
-            "records_in": self.records_in,
-            "emitted_classifications": self.emitted_classifications,
-            "dropped_malformed": self.dropped_malformed,
-            "dropped_duplicate": self.dropped_duplicate,
-            "dropped_late": self.dropped_late,
-        }
+        return asdict(self)
 
 
 def parse_event_obj(obj: dict) -> EventLogRecord:
@@ -382,8 +353,7 @@ def new_id_counts(records: list[EventLogRecord], start: datetime,
     slots = interval_index(earliest.values(), start, interval_seconds)
     counts = np.bincount(slots[(slots >= 0) & (slots < duration)],
                          minlength=duration).astype(float)
-    return TimeSeries(start=start, interval_seconds=interval_seconds,
-                      values=counts, missing=np.zeros(duration, dtype=bool))
+    return TimeSeries(start=start, interval_seconds=interval_seconds, values=counts)
 
 
 def _rate_alerts(records: list[EventLogRecord], config: StreamConfig,

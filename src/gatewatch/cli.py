@@ -23,6 +23,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_MODEL = 3
 
+# How `detect` buckets a flow CSV; it has no --aggregator flag.
+DETECT_AGGREGATOR = "mean"
+
 # Keys a --config file may carry; mirrors the flag set. Unknown keys reject.
 CONFIG_KEYS = {
     "value_col", "interval", "aggregator", "model", "period", "confidence",
@@ -65,13 +68,13 @@ def build_parser() -> _Parser:
     p.add_argument("--period", type=int, action="append", default=None,
                    help="candidate seasonal period (repeatable)")
 
-    p = sub.add_parser("forecast", help="fit one model, emit forecasts + band CSV")
+    p = sub.add_parser("forecast", help="series JSON -> forecasts + band CSV")
     common(p)
     _model_flags(p)
     p.add_argument("--horizon", type=int, default=24)
     p.add_argument("--confidence", type=float, default=0.95)
 
-    p = sub.add_parser("compare", help="model comparison report")
+    p = sub.add_parser("compare", help="series JSON -> model comparison report")
     common(p)
     p.add_argument("--models", default="moving_average,holt_winters",
                    help="comma-separated variants")
@@ -149,23 +152,21 @@ def _forecaster_config(args, variant: str) -> ForecasterConfig:
     )
 
 
-def _series_from_csv(args) -> tuple[ts.TimeSeries, ingest.IngestReport]:
-    records, report = ingest.parse_flow_csv(args.input, getattr(
-        args, "value_col", "Fwd Pkt Len Mean"))
-    if getattr(args, "source_ip", None):
+def _series_from_csv(args, aggregator: str) -> tuple[ts.TimeSeries, ingest.IngestReport]:
+    records, report = ingest.parse_flow_csv(args.input, args.value_col)
+    if args.source_ip:
         records = [r for r in records if r.source_ip == args.source_ip]
     records, report.rows_dropped_missing, report.rows_dropped_duplicate = \
         ingest.clean(records)
-    series = ingest.to_series(records, getattr(args, "interval", 3600.0),
-                              getattr(args, "aggregator", "mean"))
-    return series, report
+    return ingest.to_series(records, args.interval, aggregator), report
 
 
-def _load_series(args) -> ts.TimeSeries:
+def _series_from_json(args) -> ts.TimeSeries:
     path = Path(args.input)
-    if path.suffix == ".json":
-        return ts.TimeSeries.from_json(path.read_text(encoding="utf-8"))
-    return _series_from_csv(args)[0]
+    if path.suffix != ".json":
+        raise UsageError(f"{args.command} reads a series JSON, not {path.name!r}; "
+                         "`gatewatch ingest` turns a flow CSV into one")
+    return ts.TimeSeries.from_json(path.read_text(encoding="utf-8"))
 
 
 def _outdir(args) -> Path:
@@ -182,7 +183,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def cmd_ingest(args) -> int:
-    result, report = _series_from_csv(args)
+    result, report = _series_from_csv(args, args.aggregator)
     out = _outdir(args)
     _write_json(out / "series.json", result.to_json_obj())
     _write_json(out / "ingest_report.json", report.to_json_obj())
@@ -190,7 +191,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    data = _load_series(args)
+    data = _series_from_json(args)
     periods = args.period or [24]
     report = ts.diagnose(data, periods)
     _write_json(_outdir(args) / "diagnostics.json", report.to_json_obj())
@@ -198,7 +199,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    data = _load_series(args)
+    data = _series_from_json(args)
     model = fit(_forecaster_config(args, args.model), data)
     preds = model.forecast(args.horizon)
     z = detect.z_score(args.confidence)
@@ -226,7 +227,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    data = _load_series(args)
+    data = _series_from_json(args)
     configs = [_forecaster_config(args, name.strip())
                for name in args.models.split(",") if name.strip()]
     report = evaluate.compare_models(configs, data, args.train_frac)
@@ -240,7 +241,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    data = _load_series(args)
+    if Path(args.input).suffix == ".json":
+        data = _series_from_json(args)
+    else:
+        data = _series_from_csv(args, DETECT_AGGREGATOR)[0]
     train, test = ts.split(data, args.train_frac)
     train = ts.impute_short_gaps(train)
     source = args.source_ip or ""

@@ -165,8 +165,7 @@ def mean_shift_alerts(series: TimeSeries, first: int, baseline, z: float,
     should land. A window whose mean of observed points falls outside is
     flagged; a window with no observed point is skipped."""
     X, s = band_stats(baseline)
-    values = np.where(series.missing, np.nan, series.values)
-    return mean_shift_block(values[None], first, [X], [s], z, window, kind,
+    return mean_shift_block(series.values[None], first, [X], [s], z, window, kind,
                             series.start, series.interval_seconds, [source])
 
 
@@ -186,16 +185,15 @@ def detect_surges(series: TimeSeries, model: FittedForecaster, confidence: float
         raise ValueError(f"unknown mode {mode!r}")
     z = z_score(confidence)
     if mode == "mean_shift":
-        values = np.where(series.missing, np.nan, series.values)
-        return mean_shift_block(values[None], 0, [model.train_mean], [model.train_std],
-                                z, window, "Surge", series.start,
+        return mean_shift_block(series.values[None], 0, [model.train_mean],
+                                [model.train_std], z, window, "Surge", series.start,
                                 series.interval_seconds, [source])
 
     # residual mode
     alerts: list[AnomalyAlert] = []
     sigma = model.residual_std
     threshold = z * sigma
-    preds = model.one_step_on(np.where(series.missing, np.nan, series.values))
+    preds = model.one_step_on(series.values)
     for t in range(len(series)):
         if series.missing[t]:
             continue

@@ -45,6 +45,10 @@ class AllMissing(GatewatchError):
     pass
 
 
+class MalformedSeries(GatewatchError, ValueError):
+    """A series JSON text that does not hold a series."""
+
+
 # --- models ----------------------------------------------------------------
 
 class NonFiniteLoss(GatewatchError):
@@ -91,3 +95,7 @@ class InvalidScript(GatewatchError):
 
 class TimeBaseMismatch(GatewatchError):
     pass
+
+
+class MalformedLabels(GatewatchError):
+    """A labels.csv row that lacks a column or has a non-integer index."""

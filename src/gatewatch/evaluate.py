@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,16 +60,7 @@ class ModelRow:
     error: str | None = None
 
     def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "pattern_class": self.pattern_class,
-            "train_len": self.train_len,
-            "test_mse": self.test_mse,
-            "test_mape_pct": self.test_mape_pct,
-            "mape_skipped_zero_targets": self.mape_skipped_zero_targets,
-            "fit_seconds": self.fit_seconds,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass

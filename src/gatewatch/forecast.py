@@ -297,7 +297,7 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
         raise SeriesTooShort(f"length {n} <= num_timesteps {T}")
     scaler = fit_scaler(train)
     scaled = TimeSeries(start=train.start, interval_seconds=train.interval_seconds,
-                        values=scaler.apply(y), missing=train.missing)
+                        values=scaler.apply(y))
     X, targets = sliding_windows(scaled, T)
     params, _ = lstm.train_chunked(
         X, targets, config.lstm_units,

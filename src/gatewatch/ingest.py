@@ -24,18 +24,6 @@ from .series import TimeSeries, interval_index
 
 TIMESTAMP_FORMAT = "%d/%m/%Y %I:%M:%S %p"
 
-FLOW_COLUMNS = [
-    "Flow ID",
-    "Timestamp",
-    "Fwd Pkt Len Mean",
-    "Fwd Seg Size Avg",
-    "Init Fwd Win Byts",
-    "Init Bwd Win Byts",
-    "Fwd Seg Size Min",
-]
-
-WIN_BYTES_SENTINEL = -1  # "window size absent" marker used in flow logs
-
 
 def parse_timestamp(text: str) -> datetime:
     try:
@@ -48,34 +36,20 @@ def format_timestamp(dt: datetime) -> str:
     return dt.strftime(TIMESTAMP_FORMAT)
 
 
-def _coerce_float(text) -> float | None:
-    if text is None:
-        return None
+def _coerce_float(text: str) -> float | None:
     try:
         v = float(text)
-    except (TypeError, ValueError):
+    except ValueError:
         return None
     return v if math.isfinite(v) else None
 
 
-def _coerce_int(text, default: int) -> int:
-    try:
-        return int(float(text))
-    except (TypeError, ValueError):
-        return default
-
-
 @dataclass(frozen=True)
 class FlowRecord:
-    """One parsed flow-log row."""
+    """The columns of one flow-log row that the pipeline reads."""
 
     flow_id: str
     timestamp: datetime
-    fwd_pkt_len_mean: float | None
-    fwd_seg_size_avg: float | None
-    init_fwd_win_byts: int
-    init_bwd_win_byts: int
-    fwd_seg_size_min: int
     value: float | None  # the selected value column, None when missing
 
     @property
@@ -107,8 +81,9 @@ class IngestReport:
 
 
 def parse_flow_csv(path, value_column: str) -> tuple[list[FlowRecord], IngestReport]:
-    """Parse a flow CSV. Rows whose value column fails numeric coercion are
-    retained but marked missing; clean() drops them later."""
+    """Parse the Flow ID, Timestamp and value columns of a flow CSV; other
+    columns are not read. Rows whose value cell is absent or fails numeric
+    coercion are retained but marked missing; clean() drops them later."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -124,13 +99,8 @@ def parse_flow_csv(path, value_column: str) -> tuple[list[FlowRecord], IngestRep
             raise MalformedHeader(f"{path}: header lacks Flow ID/Timestamp columns")
         if value_column not in header:
             raise MissingColumn(f"{value_column!r} not in header")
-        col = {name: header.index(name) for name in header}
-
-        def cell(row, name, default=None):
-            i = col.get(name)
-            if i is None or i >= len(row):
-                return default
-            return row[i]
+        i_id, i_ts, i_value = (header.index(name)
+                               for name in ("Flow ID", "Timestamp", value_column))
 
         records: list[FlowRecord] = []
         report = IngestReport()
@@ -138,15 +108,11 @@ def parse_flow_csv(path, value_column: str) -> tuple[list[FlowRecord], IngestRep
             if not row or all(not c.strip() for c in row):
                 continue
             report.rows_read += 1
+            n = len(row)   # a short row lacks its trailing cells
             records.append(FlowRecord(
-                flow_id=cell(row, "Flow ID", "").strip(),
-                timestamp=parse_timestamp(cell(row, "Timestamp", "")),
-                fwd_pkt_len_mean=_coerce_float(cell(row, "Fwd Pkt Len Mean")),
-                fwd_seg_size_avg=_coerce_float(cell(row, "Fwd Seg Size Avg")),
-                init_fwd_win_byts=_coerce_int(cell(row, "Init Fwd Win Byts"), WIN_BYTES_SENTINEL),
-                init_bwd_win_byts=_coerce_int(cell(row, "Init Bwd Win Byts"), WIN_BYTES_SENTINEL),
-                fwd_seg_size_min=_coerce_int(cell(row, "Fwd Seg Size Min"), 0),
-                value=_coerce_float(cell(row, value_column)),
+                flow_id=row[i_id].strip() if i_id < n else "",
+                timestamp=parse_timestamp(row[i_ts] if i_ts < n else ""),
+                value=_coerce_float(row[i_value]) if i_value < n else None,
             ))
     if records:
         stamps = [r.timestamp for r in records]
@@ -202,24 +168,5 @@ def to_series(records: list[FlowRecord], interval_seconds: float,
         values = np.bincount(slots, weights=[r.value for r in usable])
         if aggregator == "mean":
             values /= np.maximum(counts, 1)
-    missing = counts == 0
-    values[missing] = np.nan
-    return TimeSeries(start=first, interval_seconds=interval_seconds,
-                      values=values, missing=missing)
-
-
-def write_flow_csv(records: list[FlowRecord], path) -> None:
-    """Write records back in the ingestion schema (round-trips with parse)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FLOW_COLUMNS)
-        for rec in records:
-            writer.writerow([
-                rec.flow_id,
-                format_timestamp(rec.timestamp),
-                "" if rec.fwd_pkt_len_mean is None else f"{rec.fwd_pkt_len_mean:.6f}",
-                "" if rec.fwd_seg_size_avg is None else f"{rec.fwd_seg_size_avg:.6f}",
-                rec.init_fwd_win_byts,
-                rec.init_bwd_win_byts,
-                rec.fwd_seg_size_min,
-            ])
+    values[counts == 0] = np.nan
+    return TimeSeries(start=first, interval_seconds=interval_seconds, values=values)

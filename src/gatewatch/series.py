@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     AllMissing,
     DegenerateSplit,
+    MalformedSeries,
     MissingValuesPresent,
     SeriesTooShort,
 )
@@ -62,35 +63,32 @@ def to_utc(dt: datetime) -> datetime:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly spaced numeric series with an explicit missing-value mask."""
+    """Uniformly spaced numeric series; a missing point is NaN."""
 
     start: datetime
     interval_seconds: float
     values: np.ndarray          # float array, NaN where missing
-    missing: np.ndarray         # bool array, same length
+    missing: np.ndarray = field(init=False)   # np.isnan(values)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        missing = np.asarray(self.missing, dtype=bool)
-        if len(values) != len(missing) or len(values) == 0:
-            raise ValueError("values and missing mask must be nonempty and equal length")
+        if len(values) == 0:
+            raise ValueError("values must be nonempty")
         if self.interval_seconds <= 0:
             raise ValueError("interval must be positive")
-        if not np.all(np.isfinite(values[~missing])):
-            raise ValueError("non-missing values must be finite")
+        if np.isinf(values).any():
+            raise ValueError("values must be finite or NaN")
         object.__setattr__(self, "start", to_utc(self.start))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "missing", missing)
+        object.__setattr__(self, "missing", np.isnan(values))
 
     @classmethod
     def from_values(cls, values, start: datetime | None = None,
                     interval_seconds: float = 1.0) -> "TimeSeries":
         """Build a series from a plain list; None/NaN entries become missing."""
         arr = np.array([math.nan if v is None else float(v) for v in values], dtype=float)
-        missing = np.isnan(arr)
         start = start or datetime(2000, 1, 1, tzinfo=timezone.utc)
-        return cls(start=start, interval_seconds=interval_seconds,
-                   values=arr, missing=missing)
+        return cls(start=start, interval_seconds=interval_seconds, values=arr)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -127,7 +125,11 @@ class TimeSeries:
 
     @classmethod
     def from_json(cls, text: str) -> "TimeSeries":
-        return cls.from_json_obj(json.loads(text))
+        """The series a `to_json` text holds; any other text raises MalformedSeries."""
+        try:
+            return cls.from_json_obj(json.loads(text))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedSeries(f"not a series JSON: {type(exc).__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -162,14 +164,7 @@ class DiagnosticsReport:
     segment_var_drift: float
 
     def to_json_obj(self) -> dict:
-        return {
-            "seasonal": self.seasonal,
-            "dominant_period": self.dominant_period,
-            "acf_at_period": self.acf_at_period,
-            "stationary": self.stationary,
-            "segment_mean_drift": self.segment_mean_drift,
-            "segment_var_drift": self.segment_var_drift,
-        }
+        return asdict(self)
 
 
 def split(series: TimeSeries, train_fraction: float) -> tuple[TimeSeries, TimeSeries]:
@@ -183,10 +178,10 @@ def split(series: TimeSeries, train_fraction: float) -> tuple[TimeSeries, TimeSe
     if n_train == 0 or n_train == n:
         raise DegenerateSplit(f"fraction {train_fraction} leaves one side empty for length {n}")
     train = TimeSeries(start=series.start, interval_seconds=series.interval_seconds,
-                       values=series.values[:n_train], missing=series.missing[:n_train])
+                       values=series.values[:n_train])
     test = TimeSeries(start=series.timestamp_at(n_train),
                       interval_seconds=series.interval_seconds,
-                      values=series.values[n_train:], missing=series.missing[n_train:])
+                      values=series.values[n_train:])
     return train, test
 
 
@@ -230,17 +225,15 @@ def impute_short_gaps(series: TimeSeries) -> TimeSeries:
     Leading/trailing runs are never imputed (no anchor on one side).
     """
     values = series.values.copy()
-    missing = series.missing.copy()
-    starts, ends = runs(missing)
+    starts, ends = runs(series.missing)
     for i, j in zip(starts.tolist(), ends.tolist()):
         run = j - i
         if run <= MAX_IMPUTED_RUN and i > 0 and j < len(values):
             left, right = values[i - 1], values[j]
             for k in range(run):
                 values[i + k] = left + (right - left) * (k + 1) / (run + 1)
-                missing[i + k] = False
     return TimeSeries(start=series.start, interval_seconds=series.interval_seconds,
-                      values=values, missing=missing)
+                      values=values)
 
 
 def _acf_at_lag(values: np.ndarray, missing: np.ndarray, lag: int) -> float:

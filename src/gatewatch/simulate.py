@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -18,8 +18,8 @@ import numpy as np
 
 from .cc4 import EventLogRecord, FieldEncoder, SymbolSchema
 from .detect import AnomalyAlert
-from .errors import InvalidScript, TimeBaseMismatch
-from .ingest import FLOW_COLUMNS, format_timestamp
+from .errors import InvalidScript, MalformedLabels, TimeBaseMismatch
+from .ingest import format_timestamp
 from .series import TimeSeries
 
 DEVICE_KINDS = ("streetlight", "camera", "water_sensor")
@@ -35,6 +35,10 @@ COMPATIBLE = {
 
 KIND_PROTO = {"streetlight": "zigbee", "camera": "wifi", "water_sensor": "lora"}
 GATEWAY_IP = "10.0.0.254"
+# Header of the flow.csv a trace is written as (CICFlowMeter column names).
+FLOW_COLUMNS = ["Flow ID", "Timestamp", "Fwd Pkt Len Mean", "Fwd Seg Size Avg",
+                "Init Fwd Win Byts", "Init Bwd Win Byts", "Fwd Seg Size Min"]
+LABEL_COLUMNS = ["interval_index", "device_id", "attack_kind"]
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,6 @@ def generate_trace(config: SimConfig) -> LabeledTrace:
                  + dev.diurnal_amplitude * np.sin(2 * np.pi * t / period)
                  + rng.normal(0.0, dev.noise_std, size=config.duration))
         rates = np.maximum(rates, 0.0)
-        missing = np.zeros(config.duration, dtype=bool)
         for script in floods.get(dev.id, []):
             rates[script.start:script.end] *= script.magnitude
             for i in range(script.start, script.end):
@@ -162,15 +165,13 @@ def generate_trace(config: SimConfig) -> LabeledTrace:
                 attacked[(i, dev.id)] = "UdpFlood"
         for script in silences.get(dev.id, []):
             rates[script.start:script.end] = np.nan
-            missing[script.start:script.end] = True
             for i in range(script.start, script.end):
                 labels.append((i, dev.id, "SilenceAfterOverflow"))
                 attacked[(i, dev.id)] = "SilenceAfterOverflow"
-        device_series[dev.id] = TimeSeries(
-            start=config.start, interval_seconds=config.interval_seconds,
-            values=rates, missing=missing)
+        series = device_series[dev.id] = TimeSeries(
+            start=config.start, interval_seconds=config.interval_seconds, values=rates)
         for i in range(config.duration):
-            if missing[i]:
+            if series.missing[i]:
                 continue
             stamp = config.start + timedelta(seconds=config.interval_seconds * i)
             flooded = attacked.get((i, dev.id)) == "UdpFlood"
@@ -245,7 +246,7 @@ def write_trace(trace: LabeledTrace, outdir) -> dict[str, Path]:
 
     with open(labels_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["interval_index", "device_id", "attack_kind"])
+        writer.writerow(LABEL_COLUMNS)
         for row in trace.labels:
             writer.writerow(row)
 
@@ -253,12 +254,21 @@ def write_trace(trace: LabeledTrace, outdir) -> dict[str, Path]:
 
 
 def read_labels_csv(path) -> list[tuple[int, str, str]]:
+    """The (interval_index, device_id, attack_kind) rows of a labels.csv; a row
+    that lacks one of them or has a non-integer index raises MalformedLabels."""
     labels = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            labels.append((int(row["interval_index"]), row["device_id"],
-                           row["attack_kind"]))
+            index, device_id, kind = (row.get(name) for name in LABEL_COLUMNS)
+            if None in (index, device_id, kind):
+                raise MalformedLabels(f"{path}: line {reader.line_num}: a label row "
+                                      f"needs {', '.join(LABEL_COLUMNS)}")
+            try:
+                labels.append((int(index), device_id, kind))
+            except ValueError:
+                raise MalformedLabels(f"{path}: line {reader.line_num}: interval_index "
+                                      f"{index!r} is not an integer") from None
     return labels
 
 
@@ -275,14 +285,7 @@ class DetectionScore:
     per_kind: dict[str, int]
 
     def to_json_obj(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "true_positives": self.true_positives,
-            "false_positives": self.false_positives,
-            "false_negatives": self.false_negatives,
-            "per_kind": self.per_kind,
-        }
+        return asdict(self)
 
 
 def score_detections(alerts: list[AnomalyAlert], trace: LabeledTrace,

@@ -80,11 +80,6 @@ class TestSchema:
         with pytest.raises(SchemaMismatch):
             cc4.symbolize(rec, schema())
 
-    def test_json_round_trip(self):
-        s = schema()
-        back = cc4.SymbolSchema.from_json_obj(s.to_json_obj())
-        assert back == s
-
 
 class TestNetwork:
     def test_weights_and_biases(self):

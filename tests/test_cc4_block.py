@@ -107,7 +107,7 @@ def ref_rate_alerts(per_source, config, start, duration):
             if 0 <= idx < duration:
                 counts[idx] += 1
         rates = TimeSeries(start=start, interval_seconds=config.interval_seconds,
-                           values=counts, missing=np.zeros(duration, dtype=bool))
+                           values=counts)
         alerts.extend(detect_dropout(rates, config.gap_threshold,
                                      zero_is_silence=True, source=source))
         if duration >= 4:

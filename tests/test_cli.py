@@ -109,6 +109,45 @@ class TestDataErrors:
                    str(tmp_path / "o"), "--model", "holt_winters") == 2
         assert "SeriesTooShort" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["inspect", "forecast", "compare"])
+    def test_series_commands_reject_a_flow_csv(self, trace_dir, tmp_path, capsys,
+                                               command):
+        assert run(command, "--input", str(trace_dir / "flow.csv"),
+                   "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "gatewatch ingest" in err
+
+    @pytest.mark.parametrize("command", ["inspect", "forecast", "compare", "detect"])
+    @pytest.mark.parametrize("text", [
+        '{"start": "2000-01-01T00:00:00+00:00", "interval_seconds": 3600.0, "val',
+        '{"interval_seconds": 3600.0, "values": [1.0, 2.0]}',
+    ], ids=["truncated", "no-start"])
+    def test_malformed_series_file(self, tmp_path, capsys, command, text):
+        path = tmp_path / "series.json"
+        path.write_text(text, encoding="utf-8")
+        assert run(command, "--input", str(path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: data: MalformedSeries: ")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[:3] + [["x3", *rows[3][1:]]] + rows[4:],
+         "line 4: interval_index 'x3' is not an integer"),
+        (lambda rows: [row[:2] for row in rows], "line 2: "),
+    ], ids=["non-integer-index", "missing-column"])
+    def test_stream_malformed_labels(self, trace_dir, tmp_path, capsys, edit,
+                                     message):
+        rows = [line.split(",") for line in
+                (trace_dir / "labels.csv").read_text(encoding="utf-8").splitlines()]
+        labels = tmp_path / "labels.csv"
+        labels.write_text("".join(",".join(row) + "\n" for row in edit(rows)),
+                          encoding="utf-8")
+        assert run("stream", "--input", str(trace_dir / "events.jsonl"),
+                   "--labels", str(labels), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: data: MalformedLabels: ") and message in err
+
     @pytest.mark.parametrize("line, message", [
         ('{"ts": "2021-01-01T00:00:00+00:00", "src": "a"', "line 3: not JSON"),
         ('{"src": "a", "proto": "udp"}', "line 3: event record requires nonempty ts"),

@@ -1,3 +1,4 @@
+import csv
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -31,10 +32,6 @@ def test_parse_known_row(tmp_path):
     rec = records[0]
     assert rec.flow_id == "172.31.69.28-18.216.200.189-80-52169-6"
     assert rec.timestamp == datetime(2018, 2, 22, 0, 27, 57, tzinfo=timezone.utc)
-    assert rec.fwd_pkt_len_mean == 233.75
-    assert rec.init_fwd_win_byts == -1
-    assert rec.init_bwd_win_byts == 32768
-    assert rec.fwd_seg_size_min == 0
     assert rec.value == 233.75
     assert rec.source_ip == "172.31.69.28"
 
@@ -87,12 +84,47 @@ def test_io_failure(tmp_path):
         ingest.parse_flow_csv(tmp_path / "nope.csv", "Fwd Pkt Len Mean")
 
 
+READ_COLUMNS = ("Flow ID", "Timestamp", "Fwd Pkt Len Mean")
+OTHER_COLUMNS = ("Fwd Seg Size Avg", "Init Fwd Win Byts", "Init Bwd Win Byts",
+                 "Fwd Seg Size Min", "Label")
+
+
+@given(rows=st.lists(st.tuples(
+           st.from_regex(r"[0-9a-f.-]{1,24}", fullmatch=True),
+           st.datetimes(datetime(2000, 1, 1), datetime(2030, 1, 1)),
+           st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))),
+       min_size=1, max_size=8),
+       others=st.lists(st.sampled_from(OTHER_COLUMNS), unique=True),
+       data=st.data())
+def test_parse_reads_only_id_timestamp_and_value(tmp_path_factory, rows, others, data):
+    # Whatever the other columns hold (junk, empty, or cut off the end of a
+    # short row) and in whatever order the columns come, a row parses to
+    # the same record; a row cut short before its value cell is missing.
+    header = data.draw(st.permutations(list(READ_COLUMNS) + others))
+    junk = st.text(alphabet='ab1.-e, "\n', max_size=6)
+    lines, want = [header], []
+    for flow_id, stamp, value in rows:
+        stamp = stamp.replace(microsecond=0, tzinfo=timezone.utc)
+        cells = {"Flow ID": flow_id, "Timestamp": ingest.format_timestamp(stamp),
+                 "Fwd Pkt Len Mean": "" if value is None else repr(value)}
+        row = [cells[name] if name in cells else data.draw(junk) for name in header]
+        cut = data.draw(st.integers(max(header.index("Flow ID"),
+                                        header.index("Timestamp")) + 1, len(header)))
+        lines.append(row[:cut])
+        if header.index("Fwd Pkt Len Mean") >= cut:
+            value = None
+        want.append(ingest.FlowRecord(flow_id=flow_id, timestamp=stamp, value=value))
+    path = tmp_path_factory.mktemp("flows") / "flow.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(lines)
+    records, report = ingest.parse_flow_csv(path, "Fwd Pkt Len Mean")
+    assert records == want
+    assert report.rows_read == len(rows)
+
+
 def _record(flow_id, ts_text, value):
     return ingest.FlowRecord(
-        flow_id=flow_id, timestamp=ingest.parse_timestamp(ts_text),
-        fwd_pkt_len_mean=value, fwd_seg_size_avg=value,
-        init_fwd_win_byts=-1, init_bwd_win_byts=100, fwd_seg_size_min=0,
-        value=value)
+        flow_id=flow_id, timestamp=ingest.parse_timestamp(ts_text), value=value)
 
 
 def test_clean_drops_missing_and_duplicates():
@@ -193,9 +225,7 @@ def test_to_series_matches_bucket_loop(rows, repeats, interval):
     # microsecond stamps up to ~83 minutes apart, some repeated exactly
     rows = rows + [rows[i] for i in repeats if i < len(rows)]
     records = [ingest.FlowRecord(
-        flow_id=f"f{k}", timestamp=T0 + timedelta(microseconds=us),
-        fwd_pkt_len_mean=v, fwd_seg_size_avg=v, init_fwd_win_byts=-1,
-        init_bwd_win_byts=100, fwd_seg_size_min=0, value=v)
+        flow_id=f"f{k}", timestamp=T0 + timedelta(microseconds=us), value=v)
         for k, (us, v) in enumerate(rows)]
     for aggregator in ("mean", "sum", "count"):
         if not any(r.is_clean for r in records):
@@ -213,11 +243,3 @@ def test_to_series_empty_input():
     with pytest.raises(EmptyInput):
         ingest.to_series([], 60.0)
 
-
-def test_csv_round_trip(tmp_path):
-    recs = [_record("a-b-1-2-6", "03/07/2017 05:25:58 PM", 12.5),
-            _record("c-d-3-4-17", "22/02/2018 12:35:54 AM", 0.25)]
-    out = tmp_path / "out.csv"
-    ingest.write_flow_csv(recs, out)
-    parsed, _ = ingest.parse_flow_csv(out, "Fwd Pkt Len Mean")
-    assert parsed == recs

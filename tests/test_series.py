@@ -217,3 +217,15 @@ def test_json_round_trip():
     assert back.missing.tolist() == [False, True, False]
     assert back.interval_seconds == 120.0
     assert back.start == series.start
+
+
+def test_a_missing_point_is_nan():
+    values = np.array([1.0, np.nan, 3.0, np.nan])
+    series = ts.TimeSeries(start=datetime(2020, 1, 1, tzinfo=timezone.utc),
+                           interval_seconds=60.0, values=values)
+    assert series.missing.tolist() == [False, True, False, True]
+    assert series.clean_values().tolist() == [1.0, 3.0]
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            ts.TimeSeries(start=series.start, interval_seconds=60.0,
+                          values=[1.0, bad, np.nan])
