@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import cc4, detect, evaluate, ingest, series as ts, simulate
 from .errors import EmptyTrainingSet, GatewatchError, NonFiniteLoss
 from .forecast import ForecasterConfig, fit
@@ -124,20 +122,33 @@ def _model_flags(p, with_variant: bool = True):
     p.add_argument("--lstm-num-chunks", type=int, default=1)
 
 
-def _apply_config_file(args) -> None:
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, "r", encoding="utf-8") as fh:
-        overrides = json.load(fh)
+def _config_argv(parser: _Parser, args) -> list[str]:
+    """The --config file as flags of args.command. Keys the command lacks are
+    skipped; a repeatable flag given on the command line drops the file's."""
+    try:
+        overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"--config: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise UsageError("--config must hold a JSON object")
     unknown = set(overrides) - CONFIG_KEYS
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    # File fills in only what the command line left at its default.
-    defaults = build_parser().parse_args([args.command, "--out", "_"])
-    for key, value in overrides.items():
-        attr = key
-        if hasattr(args, attr) and getattr(args, attr) == getattr(defaults, attr, None):
-            setattr(args, attr, value)
+    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    argv = []
+    for action in sub._actions:
+        value, flag = overrides.get(action.dest), action.option_strings[0]
+        if isinstance(action, argparse._AppendAction) and isinstance(value, list):
+            items = value if getattr(args, action.dest) is None else []
+        else:
+            items = [] if value is None else [value]
+        for item in items:
+            if action.nargs == 0 and isinstance(item, bool):  # a switch
+                argv += [flag] if item else []
+            else:  # a JSON string is a word only for a text flag: "24" is no int
+                text = action.type is None and isinstance(item, str)
+                argv += [flag, item if text else json.dumps(item)]
+    return argv
 
 
 def _forecaster_config(args, variant: str) -> ForecasterConfig:
@@ -329,9 +340,12 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args)
+        if args.config:  # the file's flags go first, so the command line's win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_argv(parser, args) + argv[at:])
         if getattr(args, "input", None) is None and args.command != "simulate":
             raise UsageError(f"{args.command} requires --input")
         for name in ("window", "gap_threshold"):

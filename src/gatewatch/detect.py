@@ -1,9 +1,10 @@
 """Confidence-interval machinery and the detectors built on it.
 
 The Z table is closed: seven tabulated confidence levels, no interpolation.
-Surge detection has two modes; mean_shift (the default) scores window means
-against the X +/- z*s/sqrt(n) band built from training-period point
-statistics, residual mode scores pointwise forecast errors against z * sigma_r.
+Surge detection has two modes, both run by the mean-shift core: mean_shift
+(the default) scores window means against the X +/- z*s/sqrt(n) band built
+from training-period point statistics, residual mode scores one-point windows
+against the band around each one-step forecast, with s = sigma_r.
 """
 from __future__ import annotations
 
@@ -124,18 +125,19 @@ def mean_shift_block(values: np.ndarray, first: int, X, s, z: float,
                      interval_seconds: float, sources) -> list[AnomalyAlert]:
     """mean_shift_alerts for every row of a (k, n) block at once. Row r of
     `values` (NaN where missing) is scored from column `first` on against the
-    band with centre X[r] and spread s[r] (`series.band_stats` of its
-    training points); its alerts are stamped on the grid at `start` and carry
-    sources[r]. Alerts come row by row, windows in order."""
+    band with spread s[r] (`series.band_stats` of its training points) and
+    centre X[r], or X[r, w] for window w when X is (k, windows); a NaN centre
+    flags nothing. Alerts are stamped on the grid at `start`, carry sources[r]
+    and come row by row, windows in order."""
     if window < 1:
         raise ValueError("window must be >= 1")
     k = len(values)
-    X = np.asarray(X, dtype=float)
     s = np.asarray(s, dtype=float)
     threshold = z * s / math.sqrt(window)
     count = (values.shape[1] - first) // window
     if count <= 0:
         return []
+    X = np.broadcast_to(np.asarray(X, dtype=float).reshape(k, -1), (k, count))
     windows = values[:, first:first + count * window].reshape(k, count, window)
     means = windows.mean(axis=2)
     # A window holding a missing point keeps the mean of its observed points,
@@ -145,10 +147,10 @@ def mean_shift_block(values: np.ndarray, first: int, X, s, z: float,
         chunk = windows[r, w][~np.isnan(windows[r, w])]
         if len(chunk):
             means[r, w] = chunk.mean()
-    excess = np.abs(means - X[:, None]) - threshold[:, None]
+    excess = np.abs(means - X) - threshold[:, None]
     alerts: list[AnomalyAlert] = []
     for r, w in np.argwhere(excess > 0).tolist():
-        band = ConfidenceBand(X=float(X[r]), s=float(s[r]), n=window, z=z)
+        band = ConfidenceBand(X=float(X[r, w]), s=float(s[r]), n=window, z=z)
         alerts.append(AnomalyAlert(
             timestamp=slot_time(start, interval_seconds, first + w * window),
             kind=kind, observed=float(means[r, w]), expected=band.X, band=band,
@@ -178,37 +180,21 @@ def detect_surges(series: TimeSeries, model: FittedForecaster, confidence: float
     mean_shift: windows of the whole series against the mean-shift band,
     with the X and s the model stored from its training points.
 
-    residual: point t is flagged when |observed - forecast| > z * sigma_r,
-    with teacher-forced one-step forecasts.
+    residual: one-point windows around the teacher-forced one-step forecasts:
+    point t is flagged when |observed - forecast| > z * sigma_r; a point with
+    no finite forecast is skipped, as a missing one is.
     """
     if mode not in ("mean_shift", "residual"):
         raise ValueError(f"unknown mode {mode!r}")
     z = z_score(confidence)
-    if mode == "mean_shift":
-        return mean_shift_block(series.values[None], 0, [model.train_mean],
-                                [model.train_std], z, window, "Surge", series.start,
-                                series.interval_seconds, [source])
-
-    # residual mode
-    alerts: list[AnomalyAlert] = []
-    sigma = model.residual_std
-    threshold = z * sigma
-    preds = model.one_step_on(series.values)
-    for t in range(len(series)):
-        if series.missing[t]:
-            continue
-        observed = float(series.values[t])
-        forecast = float(preds[t])
-        if not math.isfinite(forecast):
-            continue
-        excess = abs(observed - forecast) - threshold
-        if excess > 0:
-            band = ConfidenceBand(X=forecast, s=sigma, n=1, z=z)
-            alerts.append(AnomalyAlert(
-                timestamp=series.timestamp_at(t),
-                kind="Surge", observed=observed, expected=forecast, band=band,
-                severity=_severity(excess, threshold), source=source))
-    return alerts
+    if mode == "residual":
+        preds = model.one_step_on(series.values)
+        X = [np.where(np.isfinite(preds), preds, np.nan)]
+        s, window = [model.residual_std], 1
+    else:
+        X, s = [model.train_mean], [model.train_std]
+    return mean_shift_block(series.values[None], 0, X, s, z, window, "Surge",
+                            series.start, series.interval_seconds, [source])
 
 
 def dropout_block(silent: np.ndarray, gap_threshold: int, start: datetime,
@@ -238,14 +224,10 @@ def dropout_block(silent: np.ndarray, gap_threshold: int, start: datetime,
 
 
 def detect_dropout(series: TimeSeries, gap_threshold: int,
-                   zero_is_silence: bool = False,
                    source: str = "") -> list[AnomalyAlert]:
-    """One Dropout alert per maximal silent run of length >= gap_threshold,
-    timestamped at the run start. observed = run length."""
-    silent = series.missing.copy()
-    if zero_is_silence:
-        silent |= (~series.missing) & (series.values == 0)
-    return dropout_block(silent[None], gap_threshold, series.start,
+    """One Dropout alert per maximal run of missing points of length >=
+    gap_threshold, timestamped at the run start. observed = run length."""
+    return dropout_block(series.missing[None], gap_threshold, series.start,
                          series.interval_seconds, [source])
 
 

@@ -3,7 +3,8 @@ produce one-step and multi-horizon forecasts.
 
 Variants: moving average, additive Holt-Winters, linear trend (optional
 seasonal dummies), and the numpy LSTM. Fits are deterministic functions of
-(config, series, seed).
+(config, series, seed). Each variant has one one-step predictor; a fit's
+in-sample `fitted` and `one_step_on` are both that predictor.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import lstm
 from .errors import MissingValuesPresent, SeriesTooShort
-from .series import Scaler, TimeSeries, band_stats, fit_scaler, sliding_windows
+from .series import Scaler, TimeSeries, band_stats, fit_scaler, windows
 
 VARIANTS = ("moving_average", "holt_winters", "linear_trend", "lstm")
 
@@ -99,12 +100,24 @@ def _hw_select_constants(y: np.ndarray, m: int) -> tuple[float, float, float]:
     return combos[best]
 
 
+def _window_means(values: np.ndarray, w: int) -> np.ndarray:
+    return windows(values, w).mean(axis=1)
+
+
+def _lstm_one_step(params, scaler: Scaler, values: np.ndarray, T: int) -> np.ndarray:
+    return scaler.invert(lstm.predict(params, windows(scaler.apply(values), T)))
+
+
 def _lt_design(t: np.ndarray, m: int, dummies: bool) -> np.ndarray:
     cols = [np.ones_like(t, dtype=float), t.astype(float)]
     if dummies:
         for j in range(1, m):
             cols.append((t % m == j).astype(float))
     return np.stack(cols, axis=1)
+
+
+def _lt_line(config: ForecasterConfig, coefs: np.ndarray, t: np.ndarray):
+    return _lt_design(t, config.hw_period, config.lt_seasonal_dummies) @ coefs
 
 
 @dataclass
@@ -148,9 +161,7 @@ class FittedForecaster:
             return [float(level + h * trend + S[(n - 1 + h) % m])
                     for h in range(1, horizon + 1)]
         if v == "linear_trend":
-            t = np.arange(n, n + horizon)
-            X = _lt_design(t, self.config.hw_period, self.config.lt_seasonal_dummies)
-            return (X @ self.lt_coefs).tolist()
+            return _lt_line(self.config, self.lt_coefs, np.arange(n, n + horizon)).tolist()
         # lstm: roll forward recursively on its own predictions
         window = list(self.scaler.apply(self.history))
         out = []
@@ -166,25 +177,17 @@ class FittedForecaster:
         new_values = np.asarray(new_values, dtype=float)
         v = self.config.variant
         n = self.n_train
-        k = len(new_values)
+        hist = np.concatenate([self.history, new_values])
         if v == "moving_average":
-            w = self.config.ma_window
-            hist = np.concatenate([self.history, new_values])
-            return np.array([hist[i:i + w].mean() for i in range(k)])
+            return _window_means(hist, self.config.ma_window)
         if v == "holt_winters":
             level, trend, S = self.hw_state
-            preds, _, _ = _hw_run(new_values, *self.hw_constants,
-                                  self.config.hw_period, level, trend, S.copy(), n)
-            return preds
+            return _hw_run(new_values, *self.hw_constants, self.config.hw_period,
+                           level, trend, S.copy(), n)[0]
         if v == "linear_trend":
-            t = np.arange(n, n + k)
-            X = _lt_design(t, self.config.hw_period, self.config.lt_seasonal_dummies)
-            return X @ self.lt_coefs
-        T = self.config.lstm_num_timesteps
-        hist = self.scaler.apply(np.concatenate([self.history, new_values]))
-        idx = np.arange(T)[None, :] + np.arange(k)[:, None]
-        preds = lstm.predict(self.lstm_params, hist[idx])
-        return self.scaler.invert(preds)
+            return _lt_line(self.config, self.lt_coefs, np.arange(n, n + len(new_values)))
+        return _lstm_one_step(self.lstm_params, self.scaler, hist,
+                              self.config.lstm_num_timesteps)
 
     # -- serialization -------------------------------------------------------
 
@@ -240,14 +243,14 @@ def _model(config: ForecasterConfig, y: np.ndarray, fitted: np.ndarray,
            keep: int = 0, **state) -> FittedForecaster:
     """The model of a fit over training values y whose in-sample one-step fit
     covers y[len(y) - len(fitted):], keeping the last `keep` values."""
-    residuals = y[len(y) - len(fitted):] - fitted
-    std = float(np.sqrt(np.mean(residuals ** 2) - np.mean(residuals) ** 2)) \
-        if len(residuals) else 0.0
+    r = y[len(y) - len(fitted):] - fitted
+    # E[r^2] - E[r]^2 can round below 0, so it is clamped before the root
+    var = max(np.mean(r ** 2) - np.mean(r) ** 2, 0.0) if len(r) else 0.0
     X, s = band_stats(y)
     return FittedForecaster(config=config, n_train=len(y),
                             history=y[len(y) - keep:].copy(),
                             train_mean=float(X), train_std=float(s),
-                            residual_std=max(std, 0.0), fitted=fitted, **state)
+                            residual_std=float(np.sqrt(var)), fitted=fitted, **state)
 
 
 def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
@@ -264,8 +267,7 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
             raise ValueError("ma_window must be >= 1")
         if n < w + 1:
             raise SeriesTooShort(f"length {n} too short for window {w}")
-        csum = np.concatenate([[0.0], np.cumsum(y)])
-        return _model(config, y, (csum[w:n] - csum[:n - w]) / w, keep=w)
+        return _model(config, y, _window_means(y, w), keep=w)
 
     if v == "holt_winters":
         m = config.hw_period
@@ -289,20 +291,18 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
             raise SeriesTooShort("linear trend needs at least 2 points")
         X = _lt_design(np.arange(n), config.hw_period, config.lt_seasonal_dummies)
         coefs, *_ = np.linalg.lstsq(X, y, rcond=None)
-        return _model(config, y, X @ coefs, lt_coefs=coefs)
+        return _model(config, y, _lt_line(config, coefs, np.arange(n)), lt_coefs=coefs)
 
     # lstm
     T = config.lstm_num_timesteps
     if n <= T:
         raise SeriesTooShort(f"length {n} <= num_timesteps {T}")
     scaler = fit_scaler(train)
-    scaled = TimeSeries(start=train.start, interval_seconds=train.interval_seconds,
-                        values=scaler.apply(y))
-    X, targets = sliding_windows(scaled, T)
+    scaled = scaler.apply(y)
     params, _ = lstm.train_chunked(
-        X, targets, config.lstm_units,
+        windows(scaled, T), scaled[T:], config.lstm_units,
         num_chunks=config.lstm_num_chunks, batch_size=config.lstm_batch_size,
         epochs=config.lstm_epochs, learning_rate=config.lstm_learning_rate,
         dropout=config.lstm_dropout, seed=config.rng_seed)
-    return _model(config, y, scaler.invert(lstm.predict(params, X)), keep=T,
-                   lstm_params=params, scaler=scaler)
+    return _model(config, y, _lstm_one_step(params, scaler, y, T), keep=T,
+                  lstm_params=params, scaler=scaler)

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AllMissing,
@@ -194,10 +195,12 @@ def sliding_windows(series: TimeSeries, num_timesteps: int) -> tuple[np.ndarray,
         raise SeriesTooShort(f"series length {n} yields no targets for {num_timesteps} timesteps")
     if series.has_missing():
         raise MissingValuesPresent("impute or trim missing values before windowing")
-    v = series.values
-    count = n - num_timesteps
-    idx = np.arange(num_timesteps)[None, :] + np.arange(count)[:, None]
-    return v[idx], v[num_timesteps:]
+    return windows(series.values, num_timesteps), series.values[num_timesteps:]
+
+
+def windows(values: np.ndarray, w: int) -> np.ndarray:
+    """Read-only view of the w-point windows that a next value follows."""
+    return sliding_window_view(values, w)[:len(values) - w]
 
 
 def band_stats(points) -> tuple[np.ndarray, np.ndarray]:

@@ -108,8 +108,10 @@ def ref_rate_alerts(per_source, config, start, duration):
                 counts[idx] += 1
         rates = TimeSeries(start=start, interval_seconds=config.interval_seconds,
                            values=counts)
-        alerts.extend(detect_dropout(rates, config.gap_threshold,
-                                     zero_is_silence=True, source=source))
+        # an interval with no record is silent
+        silence = TimeSeries(start=start, interval_seconds=config.interval_seconds,
+                             values=np.where(counts == 0, np.nan, counts))
+        alerts.extend(detect_dropout(silence, config.gap_threshold, source=source))
         if duration >= 4:
             alerts.extend(mean_shift_alerts(rates, n_train, counts[:n_train], z,
                                             config.surge_window, "Surge", source))

@@ -84,6 +84,59 @@ class TestUsageErrors:
         assert err.startswith("error: usage:") and err.count("\n") == 1
 
 
+    # --config values go through argparse: each bad value is one usage line
+    @pytest.mark.parametrize("command, text", [
+        ("inspect", '{"period": '),                          # truncated file
+        ("ingest", '{"interval": "abc"}'),                   # not a number
+        ("detect", '{"window": "24"}'),                      # a string for an int
+        ("detect", '{"model": "bogus", "mode": "residual"}'),  # not a choice
+        ("detect", '[12]'),                                  # not an object
+    ], ids=["truncated", "interval_abc", "window_string", "bogus_model", "list"])
+    def test_bad_config_value_is_a_usage_error(self, trace_dir, tmp_path, capsys,
+                                               command, text):
+        config = tmp_path / "c.json"
+        config.write_text(text, encoding="utf-8")
+        inputs = {"ingest": trace_dir / "flow.csv",
+                  "inspect": series_file(tmp_path, seasonal_values(100)),
+                  "detect": series_file(tmp_path, seasonal_values(100))}
+        assert run(command, "--input", str(inputs[command]),
+                   "--out", str(tmp_path / "o"), "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and err.count("\n") == 1
+
+    def test_explicit_flag_at_its_default_beats_the_config(self, tmp_path):
+        path = series_file(tmp_path, seasonal_values())
+        config = tmp_path / "c.json"
+        config.write_text('{"window": 12}', encoding="utf-8")
+
+        def alerts(name, *extra):
+            out = tmp_path / name
+            assert run("detect", "--input", str(path), "--out", str(out),
+                       "--train-frac", "0.3", *extra) == 0
+            return (out / "alerts.jsonl").read_text(encoding="utf-8")
+
+        flagged = alerts("flag", "--window", "24", "--config", str(config))
+        assert flagged == alerts("w24", "--window", "24")
+        assert flagged != alerts("w12", "--window", "12")
+
+    def test_config_period_list(self, tmp_path):
+        # inspect's repeatable --period takes a list from the file, and a
+        # --period on the command line replaces that list
+        path = series_file(tmp_path, seasonal_values())
+        config = tmp_path / "c.json"
+        config.write_text('{"period": [12, 24]}', encoding="utf-8")
+
+        def diagnostics(name, *extra):
+            out = tmp_path / name
+            assert run("inspect", "--input", str(path), "--out", str(out), *extra) == 0
+            return (out / "diagnostics.json").read_text(encoding="utf-8")
+
+        assert diagnostics("cfg", "--config", str(config)) == \
+            diagnostics("flags", "--period", "12", "--period", "24")
+        assert diagnostics("both", "--config", str(config), "--period", "24") == \
+            diagnostics("one", "--period", "24")
+
+
 class TestDataErrors:
     def test_missing_input_file(self, tmp_path, capsys):
         assert run("inspect", "--input", str(tmp_path / "nope.json"),
@@ -305,6 +358,21 @@ class TestDetectAndStream:
         assert run("detect", "--input", str(path), "--out", str(tmp_path / "o"),
                    "--mode", "residual") == 2
         assert "MissingValuesPresent" in capsys.readouterr().err
+
+    def test_detect_residual_moving_average_flags_a_spike_on_a_ramp(self, tmp_path):
+        # The residuals of a moving average on a ramp are all but constant, so
+        # their variance can round below zero; sigma must come out 0, not NaN,
+        # or residual mode flags nothing at all.
+        values = 0.1 * 399 * np.arange(120) + 3.7
+        values[100] += 5000.0
+        path = series_file(tmp_path, values.tolist())
+        out = tmp_path / "o"
+        assert run("detect", "--input", str(path), "--out", str(out),
+                   "--mode", "residual", "--model", "moving_average") == 0
+        alerts = [json.loads(line) for line in
+                  (out / "alerts.jsonl").read_text(encoding="utf-8").splitlines()]
+        spike = TimeSeries.from_values(values, interval_seconds=3600.0).timestamp_at(100)
+        assert spike.isoformat() in {a["ts"] for a in alerts if a["kind"] == "Surge"}
 
     def test_detect_mean_shift_needs_an_observed_training_point(self, tmp_path,
                                                                 capsys):

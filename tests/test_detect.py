@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -127,12 +128,6 @@ class TestDropout:
         series = make([1, None, 2, None, None, 3])
         assert detect.detect_dropout(series, gap_threshold=3) == []
 
-    def test_zero_is_silence_flag(self):
-        series = make([5, 0, 0, 0, 5])
-        assert detect.detect_dropout(series, 3) == []
-        alerts = detect.detect_dropout(series, 3, zero_is_silence=True)
-        assert len(alerts) == 1 and alerts[0].observed == 3.0
-
     def test_trailing_run_counts(self):
         series = make([1, 2, None, None, None])
         alerts = detect.detect_dropout(series, gap_threshold=3)
@@ -238,10 +233,8 @@ def ref_mean_shift_alerts(series, first, baseline, z, window, kind, source=""):
     return alerts
 
 
-def ref_detect_dropout(series, gap_threshold, zero_is_silence=False, source=""):
-    silent = series.missing.copy()
-    if zero_is_silence:
-        silent |= (~series.missing) & (series.values == 0)
+def ref_detect_dropout(series, gap_threshold, source=""):
+    silent = series.missing
     alerts = []
     n = len(series)
     i = 0
@@ -265,8 +258,30 @@ def ref_detect_dropout(series, gap_threshold, zero_is_silence=False, source=""):
     return alerts
 
 
-# Non-integer points, exact zeros (silence when zero_is_silence) and missing
-# points, so windows are whole, partly missing or wholly missing.
+def ref_residual_surges(series, preds, sigma, z, source=""):
+    # The point-at-a-time residual loop that one-point windows of the
+    # mean-shift core replaced.
+    alerts = []
+    threshold = z * sigma
+    for t in range(len(series)):
+        if series.missing[t]:
+            continue
+        observed = float(series.values[t])
+        forecast = float(preds[t])
+        if not math.isfinite(forecast):
+            continue
+        excess = abs(observed - forecast) - threshold
+        if excess > 0:
+            band = detect.ConfidenceBand(X=forecast, s=sigma, n=1, z=z)
+            alerts.append(detect.AnomalyAlert(
+                timestamp=series.timestamp_at(t),
+                kind="Surge", observed=observed, expected=forecast, band=band,
+                severity=_ref_severity(excess, threshold), source=source))
+    return alerts
+
+
+# Non-integer points, exact zeros and missing points, so windows are whole,
+# partly missing or wholly missing.
 POINTS = st.one_of(st.none(), st.just(0.0),
                    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
                    st.sampled_from([0.1, 0.2, 0.3, 1 / 3]))
@@ -296,12 +311,35 @@ def test_one_row_cores_match_the_one_series_loops(data):
     first = data.draw(st.integers(min_value=0, max_value=n + 1))
     z = data.draw(st.sampled_from(sorted(detect.Z_TABLE.values())))
     gap_threshold = data.draw(st.integers(min_value=1, max_value=6))
-    zero_is_silence = data.draw(st.booleans())
     assert detect.mean_shift_alerts(series, first, baseline, z, window,
                                     "Surge", "s") == \
         ref_mean_shift_alerts(series, first, baseline, z, window, "Surge", "s")
-    assert detect.detect_dropout(series, gap_threshold, zero_is_silence, "s") == \
-        ref_detect_dropout(series, gap_threshold, zero_is_silence, "s")
+    assert detect.detect_dropout(series, gap_threshold, "s") == \
+        ref_detect_dropout(series, gap_threshold, "s")
+
+
+FORECASTS = st.one_of(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+                     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1 / 3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_residual_surges_match_the_point_loop(data):
+    # Residual mode is the mean-shift core on one-point windows, each centred
+    # on its forecast: alert for alert the loop it replaced, missing points,
+    # non-finite forecasts and a zero sigma included.
+    n = data.draw(st.integers(min_value=1, max_value=60))
+    series = make(data.draw(st.lists(POINTS, min_size=n, max_size=n)))
+    preds = np.array(data.draw(st.lists(FORECASTS, min_size=n, max_size=n)),
+                     dtype=float)
+    sigma = data.draw(st.one_of(st.just(0.0), st.floats(min_value=0, max_value=500)))
+    confidence = data.draw(st.sampled_from(sorted(detect.Z_TABLE)))
+    model = SimpleNamespace(one_step_on=lambda values: preds.copy(),
+                            residual_std=sigma)
+    got = detect.detect_surges(series, model, confidence, mode="residual",
+                               source="s")
+    assert got == ref_residual_surges(series, preds, sigma,
+                                      detect.z_score(confidence), "s")
 
 
 @settings(max_examples=200, deadline=None)

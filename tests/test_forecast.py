@@ -1,5 +1,7 @@
 import json
+import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,3 +171,53 @@ def test_hw_grid_rows_equal_single_parameter_runs():
     for row, constants in zip(grid, combos):
         single, _, _ = fc._hw_run(y[8:], *constants, 8, level, trend, S.copy(), 8)
         assert row.tolist() == single.tolist()
+
+
+REWIND_CONFIGS = CONSTANT_CONFIGS + [
+    fc.ForecasterConfig(variant="moving_average", ma_window=1),
+    fc.ForecasterConfig(variant="moving_average", ma_window=12),
+    fc.ForecasterConfig(variant="holt_winters", hw_period=8),
+    fc.ForecasterConfig(variant="linear_trend", lt_seasonal_dummies=True, hw_period=8),
+]
+
+
+@pytest.mark.parametrize("config", REWIND_CONFIGS, ids=[c.label() for c in REWIND_CONFIGS])
+def test_in_sample_fit_is_the_one_step_predictor(config):
+    # A model rewound to where its in-sample fit starts (the state and the
+    # history it had there) predicts, bit for bit, its own `fitted`.
+    y = sine(cycles=6, period=8, amp=40.0, noise=3.0, seed=4).values
+    model = fc.fit(config, make(y))
+    warm = model.warmup
+    state = {}
+    if model.hw_state is not None:
+        state["hw_state"] = fc._hw_initial_state(y, config.hw_period)
+    rewound = replace(model, n_train=warm,
+                      history=y[warm - len(model.history):warm], **state)
+    assert rewound.one_step_on(y[warm:]).tolist() == model.fitted.tolist()
+
+
+def test_persistence_fit_is_the_previous_value():
+    y = np.random.default_rng(8).normal(100.0, 30.0, 500)
+    model = fc.fit(fc.ForecasterConfig(variant="moving_average", ma_window=1), make(y))
+    assert model.fitted.tolist() == y[:-1].tolist()
+
+
+def test_window_means_match_the_per_window_loop():
+    values = np.random.default_rng(2).normal(0.0, 1e3, 600)
+    for w in range(1, 301):
+        assert fc._window_means(values, w).tolist() == \
+            [values[i:i + w].mean() for i in range(len(values) - w)], w
+
+
+@pytest.mark.parametrize("config", [
+    fc.ForecasterConfig(variant="moving_average", ma_window=1),
+    fc.ForecasterConfig(variant="moving_average", ma_window=3),
+    fc.ForecasterConfig(variant="linear_trend"),
+], ids=["ma1", "ma3", "linear_trend"])
+def test_residual_std_is_never_nan(config):
+    # On a ramp the residuals are (nearly) constant, so E[r^2] - E[r]^2 can
+    # round below zero; the std must then be 0, not NaN.
+    t = np.arange(60)
+    for k in range(1, 400):
+        sigma = fc.fit(config, make(0.1 * k * t + 3.7)).residual_std
+        assert math.isfinite(sigma) and sigma >= 0.0, k
