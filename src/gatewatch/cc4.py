@@ -47,6 +47,30 @@ class EventLogRecord:
         return (self.source_id, self.timestamp,
                 tuple(sorted(self.fields.items())))
 
+    def to_json_obj(self) -> dict:
+        """The record as one event line; parse_event_obj reads it back."""
+        return {"ts": self.timestamp.isoformat(), "src": self.source_id, **self.fields}
+
+
+def parse_event_obj(obj: dict) -> EventLogRecord:
+    """One event record; its stamp is taken to UTC, a naive stamp being UTC
+    already, so every record and alert of a stream runs on one clock."""
+    if not isinstance(obj, dict):
+        raise SchemaMismatch("event record must be a JSON object")
+    ts = obj.get("ts")
+    src = obj.get("src")
+    if not ts or not src:
+        raise SchemaMismatch("event record requires nonempty ts and src")
+    if not isinstance(ts, str):
+        raise SchemaMismatch(f"event ts must be a string, not {ts!r}")
+    try:
+        timestamp = datetime.fromisoformat(ts)
+    except ValueError:
+        raise SchemaMismatch(f"event ts {ts!r} is not an ISO 8601 stamp") from None
+    fields = {k: v for k, v in obj.items() if k not in ("ts", "src")}
+    return EventLogRecord(timestamp=to_utc(timestamp), source_id=str(src),
+                          fields=fields)
+
 
 @dataclass(frozen=True)
 class FieldEncoder:
@@ -302,26 +326,6 @@ class StreamCounts:
 
     def to_json_obj(self) -> dict:
         return asdict(self)
-
-
-def parse_event_obj(obj: dict) -> EventLogRecord:
-    """One event record; its stamp is taken to UTC, a naive stamp being UTC
-    already, so every record and alert of a stream runs on one clock."""
-    if not isinstance(obj, dict):
-        raise SchemaMismatch("event record must be a JSON object")
-    ts = obj.get("ts")
-    src = obj.get("src")
-    if not ts or not src:
-        raise SchemaMismatch("event record requires nonempty ts and src")
-    if not isinstance(ts, str):
-        raise SchemaMismatch(f"event ts must be a string, not {ts!r}")
-    try:
-        timestamp = datetime.fromisoformat(ts)
-    except ValueError:
-        raise SchemaMismatch(f"event ts {ts!r} is not an ISO 8601 stamp") from None
-    fields = {k: v for k, v in obj.items() if k not in ("ts", "src")}
-    return EventLogRecord(timestamp=to_utc(timestamp), source_id=str(src),
-                          fields=fields)
 
 
 def read_events_jsonl(path) -> list[EventLogRecord]:

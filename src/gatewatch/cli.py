@@ -24,15 +24,6 @@ EXIT_MODEL = 3
 # How `detect` buckets a flow CSV; it has no --aggregator flag.
 DETECT_AGGREGATOR = "mean"
 
-# Keys a --config file may carry; mirrors the flag set. Unknown keys reject.
-CONFIG_KEYS = {
-    "value_col", "interval", "aggregator", "model", "period", "confidence",
-    "mode", "train_frac", "seed", "horizon", "window", "gap_threshold",
-    "radius", "strict_unknown", "scenario", "magnitude", "source_ip",
-    "ma_window", "lstm_epochs", "lstm_num_timesteps", "lstm_num_chunks",
-}
-
-
 class UsageError(Exception):
     pass
 
@@ -123,18 +114,21 @@ def _model_flags(p, with_variant: bool = True):
 
 
 def _config_argv(parser: _Parser, args) -> list[str]:
-    """The --config file as flags of args.command. Keys the command lacks are
-    skipped; a repeatable flag given on the command line drops the file's."""
+    """The --config file as flags of args.command. Its keys are the long flag
+    names of any subcommand, `config` aside; keys the command lacks are
+    skipped, and a repeatable flag given on the command line drops the file's."""
     try:
         overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise UsageError(f"--config: {exc}") from None
     if not isinstance(overrides, dict):
         raise UsageError("--config must hold a JSON object")
-    unknown = set(overrides) - CONFIG_KEYS
+    subs = next(a for a in parser._actions if a.dest == "command").choices
+    keys = {a.dest for p in subs.values() for a in p._actions} - {"help", "config"}
+    unknown = set(overrides) - keys
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    sub = subs[args.command]
     argv = []
     for action in sub._actions:
         value, flag = overrides.get(action.dest), action.option_strings[0]

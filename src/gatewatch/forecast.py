@@ -133,7 +133,7 @@ class FittedForecaster:
     history: np.ndarray       # last ma_window / lstm_num_timesteps training values
     train_mean: float         # band X and s over the training points
     train_std: float
-    residual_std: float       # population std of the in-sample residuals
+    residual_std: float       # RMS of the in-sample residuals: their spread about 0
     # variant state
     hw_constants: tuple[float, float, float] | None = None
     hw_state: tuple[float, float, np.ndarray] | None = None  # level, trend, seasonals
@@ -244,13 +244,14 @@ def _model(config: ForecasterConfig, y: np.ndarray, fitted: np.ndarray,
     """The model of a fit over training values y whose in-sample one-step fit
     covers y[len(y) - len(fitted):], keeping the last `keep` values."""
     r = y[len(y) - len(fitted):] - fitted
-    # E[r^2] - E[r]^2 can round below 0, so it is clamped before the root
-    var = max(np.mean(r ** 2) - np.mean(r) ** 2, 0.0) if len(r) else 0.0
+    # Taken about 0: the residual band is centred on the forecast, so a
+    # forecaster's steady bias belongs in its sigma.
+    sigma = np.sqrt(np.mean(r ** 2)) if len(r) else 0.0
     X, s = band_stats(y)
     return FittedForecaster(config=config, n_train=len(y),
                             history=y[len(y) - keep:].copy(),
                             train_mean=float(X), train_std=float(s),
-                            residual_std=float(np.sqrt(var)), fitted=fitted, **state)
+                            residual_std=float(sigma), fitted=fitted, **state)
 
 
 def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:

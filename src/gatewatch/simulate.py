@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .cc4 import EventLogRecord, FieldEncoder, SymbolSchema
 from .detect import AnomalyAlert
 from .errors import InvalidScript, MalformedLabels, TimeBaseMismatch
 from .ingest import format_timestamp
-from .series import TimeSeries
+from .series import TimeSeries, slot_time, to_utc
 
 DEVICE_KINDS = ("streetlight", "camera", "water_sensor")
 ATTACK_KINDS = ("UdpFlood", "SilenceAfterOverflow", "Sybil")
@@ -84,6 +84,8 @@ class SimConfig:
         if self.duration < 1:
             raise ValueError("duration must be >= 1")
         ids = {d.id for d in self.fleet}
+        if len(ids) < len(self.fleet):
+            raise ValueError("device ids must be unique")
         per_target: dict[str, list[AttackScript]] = {}
         for script in self.attacks:
             if script.target_id not in ids:
@@ -124,74 +126,53 @@ class LabeledTrace:
         return {i for i, d, _ in self.labels if d == device_id}
 
 
-def _day_period(interval_seconds: float) -> float:
-    return 86400.0 / interval_seconds
-
-
 def generate_trace(config: SimConfig) -> LabeledTrace:
     """Deterministic: identical seed + config give byte-identical trace files."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    period = _day_period(config.interval_seconds)
+    period = 86400.0 / config.interval_seconds     # intervals per day
     t = np.arange(config.duration)
-
-    floods: dict[str, list[AttackScript]] = {}
-    silences: dict[str, list[AttackScript]] = {}
-    sybils: list[AttackScript] = []
-    for script in config.attacks:
-        if script.kind == "UdpFlood":
-            floods.setdefault(script.target_id, []).append(script)
-        elif script.kind == "SilenceAfterOverflow":
-            silences.setdefault(script.target_id, []).append(script)
-        else:
-            sybils.append(script)
-
+    stamps = [slot_time(config.start, config.interval_seconds, i)
+              for i in range(config.duration)]
+    labels = sorted((i, s.target_id, s.kind)
+                    for s in config.attacks for i in range(s.start, s.end))
     device_series: dict[str, TimeSeries] = {}
     device_ips: dict[str, str] = {}
-    labels: list[tuple[int, str, str]] = []
     events: list[EventLogRecord] = []
-    attacked: dict[tuple[int, str], str] = {}
 
     for index, dev in enumerate(config.fleet):
-        device_ips[dev.id] = f"10.0.0.{index + 1}"
+        subnet, host = divmod(index, 253)   # hosts .1 to .253; .254 is the gateway
+        device_ips[dev.id] = f"10.0.{subnet}.{host + 1}"
         rates = (dev.base_rate
                  + dev.diurnal_amplitude * np.sin(2 * np.pi * t / period)
                  + rng.normal(0.0, dev.noise_std, size=config.duration))
         rates = np.maximum(rates, 0.0)
-        for script in floods.get(dev.id, []):
-            rates[script.start:script.end] *= script.magnitude
-            for i in range(script.start, script.end):
-                labels.append((i, dev.id, "UdpFlood"))
-                attacked[(i, dev.id)] = "UdpFlood"
-        for script in silences.get(dev.id, []):
-            rates[script.start:script.end] = np.nan
-            for i in range(script.start, script.end):
-                labels.append((i, dev.id, "SilenceAfterOverflow"))
-                attacked[(i, dev.id)] = "SilenceAfterOverflow"
-        series = device_series[dev.id] = TimeSeries(
-            start=config.start, interval_seconds=config.interval_seconds, values=rates)
-        for i in range(config.duration):
-            if series.missing[i]:
+        udp = np.zeros(config.duration, dtype=bool)
+        for s in config.attacks:
+            if s.target_id != dev.id:
                 continue
-            stamp = config.start + timedelta(seconds=config.interval_seconds * i)
-            flooded = attacked.get((i, dev.id)) == "UdpFlood"
-            events.append(EventLogRecord(
-                timestamp=stamp, source_id=dev.id,
-                fields={"proto": "udp" if flooded else KIND_PROTO[dev.kind],
-                        "packets": round(float(rates[i]), 3),
-                        "status": "ok"}))
-
-    for script in sybils:
-        for i in range(script.start, script.end):
-            stamp = config.start + timedelta(seconds=config.interval_seconds * i)
-            labels.append((i, script.target_id, "Sybil"))
-            for j in range(script.fake_id_count):
+            if s.kind == "UdpFlood":
+                rates[s.start:s.end] *= s.magnitude
+                udp[s.start:s.end] = True
+            elif s.kind == "SilenceAfterOverflow":
+                rates[s.start:s.end] = np.nan
+        device_series[dev.id] = TimeSeries(
+            start=config.start, interval_seconds=config.interval_seconds, values=rates)
+        for stamp, rate, flooded in zip(stamps, rates.tolist(), udp.tolist()):
+            if rate == rate:    # NaN where silenced
                 events.append(EventLogRecord(
-                    timestamp=stamp, source_id=f"fake-{script.target_id}-{i}-{j}",
-                    fields={"proto": "wifi", "packets": 1.0, "status": "ok"}))
+                    timestamp=stamp, source_id=dev.id,
+                    fields={"proto": "udp" if flooded else KIND_PROTO[dev.kind],
+                            "packets": round(rate, 3), "status": "ok"}))
+
+    for s in config.attacks:
+        if s.kind == "Sybil":
+            events.extend(
+                EventLogRecord(timestamp=stamps[i], source_id=f"fake-{s.target_id}-{i}-{j}",
+                               fields={"proto": "wifi", "packets": 1.0, "status": "ok"})
+                for i in range(s.start, s.end) for j in range(s.fake_id_count))
 
     events.sort(key=lambda e: (e.timestamp, e.source_id))
-    labels.sort()
     return LabeledTrace(config=config, device_series=device_series,
                         events=events, labels=labels, device_ips=device_ips)
 
@@ -219,30 +200,25 @@ def write_trace(trace: LabeledTrace, outdir) -> dict[str, Path]:
     events_path = outdir / "events.jsonl"
     labels_path = outdir / "labels.csv"
 
-    rows = []
-    for dev in trace.config.fleet:
-        series = trace.device_series[dev.id]
-        ip = trace.device_ips[dev.id]
-        port = 1000 + list(trace.device_ips).index(dev.id)
-        for i in range(len(series)):
-            if series.missing[i]:
-                continue
-            rows.append((series.timestamp_at(i),
-                         f"{ip}-{GATEWAY_IP}-{port}-80-17",
-                         float(series.values[i])))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    config = trace.config
+    utc = to_utc(config.start)      # flow stamps run on the series' UTC grid
+    flows = sorted((f"{trace.device_ips[dev.id]}-{GATEWAY_IP}-{1000 + index}-80-17",
+                    trace.device_series[dev.id].values.tolist())
+                   for index, dev in enumerate(config.fleet))
     with open(flow_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FLOW_COLUMNS)
-        for stamp, flow_id, rate in rows:
-            writer.writerow([flow_id, format_timestamp(stamp),
-                             f"{rate:.6f}", f"{rate:.6f}", -1, 8192, 0])
+        for i in range(config.duration):
+            stamp = format_timestamp(slot_time(utc, config.interval_seconds, i))
+            for flow_id, rates in flows:
+                rate = rates[i]
+                if rate == rate:    # NaN where silenced
+                    writer.writerow([flow_id, stamp, f"{rate:.6f}", f"{rate:.6f}",
+                                     -1, 8192, 0])
 
     with open(events_path, "w", encoding="utf-8") as fh:
         for event in trace.events:
-            obj = {"ts": event.timestamp.isoformat(), "src": event.source_id}
-            obj.update(event.fields)
-            fh.write(json.dumps(obj) + "\n")
+            fh.write(json.dumps(event.to_json_obj()) + "\n")
 
     with open(labels_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

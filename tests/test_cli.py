@@ -54,12 +54,18 @@ class TestUsageErrors:
                    "--config", str(config)) == 1
         assert "warp_factor" in capsys.readouterr().err
 
-    def test_every_config_key_is_a_flag(self):
+    def test_every_config_key_is_a_flag(self, tmp_path):
+        # The keys are the long flag names of every subcommand; inspect skips
+        # those it lacks, and a null value supplies nothing.
         subparsers = next(a for a in cli.build_parser()._actions
                           if a.dest == "command")
         dests = {action.dest for sub in subparsers.choices.values()
-                 for action in sub._actions}
-        assert cli.CONFIG_KEYS <= dests, sorted(cli.CONFIG_KEYS - dests)
+                 for action in sub._actions} - {"help", "config"}
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(dict.fromkeys(dests)), encoding="utf-8")
+        path = series_file(tmp_path, seasonal_values())
+        assert run("inspect", "--input", str(path), "--out", str(tmp_path / "o"),
+                   "--config", str(config)) == 0
 
     @pytest.mark.parametrize("command", ["detect", "stream"])
     @pytest.mark.parametrize("name", ["window", "gap_threshold"])
@@ -135,6 +141,61 @@ class TestUsageErrors:
             diagnostics("flags", "--period", "12", "--period", "24")
         assert diagnostics("both", "--config", str(config), "--period", "24") == \
             diagnostics("one", "--period", "24")
+
+
+class TestConfigKeys:
+    """Each flag that once had no config key, given by --config instead."""
+
+    @staticmethod
+    def config(tmp_path, **keys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(keys), encoding="utf-8")
+        return str(path)
+
+    def test_models(self, tmp_path):
+        path = str(series_file(tmp_path, seasonal_values()))
+        assert run("compare", "--input", path, "--out", str(tmp_path / "cfg"),
+                   "--config", self.config(tmp_path, models="holt_winters")) == 0
+        assert run("compare", "--input", path, "--out", str(tmp_path / "flag"),
+                   "--models", "holt_winters") == 0
+        assert (tmp_path / "cfg" / "report.json").read_bytes() == \
+            (tmp_path / "flag" / "report.json").read_bytes()
+
+    def test_labels(self, trace_dir, tmp_path):
+        events = str(trace_dir / "events.jsonl")
+        labels = str(trace_dir / "labels.csv")
+        assert run("stream", "--input", events, "--out", str(tmp_path / "cfg"),
+                   "--config", self.config(tmp_path, labels=labels)) == 0
+        assert run("stream", "--input", events, "--out", str(tmp_path / "flag"),
+                   "--labels", labels) == 0
+        assert (tmp_path / "cfg" / "alerts.jsonl").read_bytes() == \
+            (tmp_path / "flag" / "alerts.jsonl").read_bytes()
+
+    def test_network(self, trace_dir, tmp_path):
+        events = str(trace_dir / "events.jsonl")
+        assert run("stream", "--input", events, "--out", str(tmp_path / "train"),
+                   "--labels", str(trace_dir / "labels.csv")) == 0
+        network = str(tmp_path / "train" / "network.json")
+        assert run("stream", "--input", events, "--out", str(tmp_path / "cfg"),
+                   "--config", self.config(tmp_path, network=network)) == 0
+        assert (tmp_path / "cfg" / "alerts.jsonl").read_bytes() == \
+            (tmp_path / "train" / "alerts.jsonl").read_bytes()
+
+    def test_input(self, tmp_path):
+        path = str(series_file(tmp_path, seasonal_values()))
+        assert run("inspect", "--out", str(tmp_path / "cfg"),
+                   "--config", self.config(tmp_path, input=path)) == 0
+        assert run("inspect", "--input", path, "--out", str(tmp_path / "flag")) == 0
+        assert (tmp_path / "cfg" / "diagnostics.json").read_bytes() == \
+            (tmp_path / "flag" / "diagnostics.json").read_bytes()
+
+    def test_out(self, tmp_path):
+        # --out is required on the command line, so it always wins
+        path = str(series_file(tmp_path, seasonal_values()))
+        assert run("inspect", "--input", path, "--out", str(tmp_path / "flag"),
+                   "--config", self.config(tmp_path, out=str(tmp_path / "cfg"))) == 0
+        assert (tmp_path / "flag" / "diagnostics.json").exists()
+        assert not (tmp_path / "cfg").exists()
 
 
 class TestDataErrors:
@@ -360,9 +421,9 @@ class TestDetectAndStream:
         assert "MissingValuesPresent" in capsys.readouterr().err
 
     def test_detect_residual_moving_average_flags_a_spike_on_a_ramp(self, tmp_path):
-        # The residuals of a moving average on a ramp are all but constant, so
-        # their variance can round below zero; sigma must come out 0, not NaN,
-        # or residual mode flags nothing at all.
+        # The residuals of a moving average on a ramp are all but constant; a
+        # NaN sigma would blind residual mode, and the bias in sigma must not
+        # hide the spike.
         values = 0.1 * 399 * np.arange(120) + 3.7
         values[100] += 5000.0
         path = series_file(tmp_path, values.tolist())

@@ -24,15 +24,15 @@ GOLDEN = {
     "det_csv/alerts.jsonl":
         "f4db7bd3e45369a61c8af1fa0ffb82499cbb8316c5320b43443b08fd6e01d28d",
     "det_residual/alerts.jsonl":
-        "19b7652e4f4943f7d069d95ae8e19ecbecdc2a000e41581301ed05e6eae26e03",
+        "5305656789e12bc4128ce5bebd2bf982f14c221dea2f53bbf323a1ea44303ff6",
     "diag/diagnostics.json":
         "b85a41e0672ba989e30ca478b353ae8de43a2bfbf45831e18672edab21302475",
     "fc_hw/forecast.csv":
-        "25ee33a9f8a6c719f9f19d8401a03449105a6a0e4964f6a7144d0361126c9481",
+        "85320d85cd1ba22f26cdfd103d636a2ca3a3b02d1d139795ad91a4efffdc0617",
     "fc_hw/forecast.json":
-        "c90106584303f1950e590cae01e5b6287e6763d074e797ef32d5eced645faf21",
+        "63db639024f228b7a4425e468e5e3bf4130d2843fe834d4a1a9823e23c2b34ed",
     "fc_hw/model.json":
-        "0b8f08855e021ea457c445c8d505a5691bf1a5215b5cd694623f2cce14b431ac",
+        "06426680ef48767535447d258255a88b362c833ff7655c3f2bc42a64867c8dc8",
     "ing/ingest_report.json":
         "78cd52c0ae45fbdeaba12be3235634c0592362f9110296253bda43fd01f8b94c",
     "ing/series.json":

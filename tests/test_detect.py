@@ -109,6 +109,18 @@ class TestSurges:
         alerts = detect.detect_surges(make(score), model, 0.999, mode="residual")
         assert any(a.timestamp == make(score).timestamp_at(100) for a in alerts)
 
+    @pytest.mark.parametrize("ma_window", [1, 3])
+    @pytest.mark.parametrize("k", [7, 100, 399])
+    def test_residual_mode_is_quiet_on_a_biased_forecast(self, ma_window, k):
+        # A moving average lags a ramp by a constant: its residuals are a
+        # steady bias with no spread about their mean. The band is centred on
+        # the forecast, so sigma must take the bias in, or every point flags.
+        values = 0.1 * k * np.arange(120) + 3.7
+        model = fit(ForecasterConfig(variant="moving_average", ma_window=ma_window),
+                    make(values[:60]))
+        assert detect.detect_surges(make(values[60:]), model, 0.95,
+                                    mode="residual") == []
+
     def test_unknown_mode_rejected(self):
         model, scored, window = _surge_setup()
         with pytest.raises(ValueError):

@@ -215,8 +215,8 @@ def test_window_means_match_the_per_window_loop():
     fc.ForecasterConfig(variant="linear_trend"),
 ], ids=["ma1", "ma3", "linear_trend"])
 def test_residual_std_is_never_nan(config):
-    # On a ramp the residuals are (nearly) constant, so E[r^2] - E[r]^2 can
-    # round below zero; the std must then be 0, not NaN.
+    # On a ramp the residuals are (nearly) constant; sigma, taken about 0, is
+    # their size, never NaN.
     t = np.arange(60)
     for k in range(1, 400):
         sigma = fc.fit(config, make(0.1 * k * t + 3.7)).residual_std

@@ -1,13 +1,22 @@
-from datetime import timedelta
+import csv
+import ipaddress
+import json
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatewatch import simulate as sim
-from gatewatch.cc4 import cc4_classify, cc4_train, training_samples
+from gatewatch.cc4 import (EventLogRecord, cc4_classify, cc4_train, parse_event_obj,
+                           training_samples)
 from gatewatch.detect import AnomalyAlert
 from gatewatch.errors import InvalidScript, TimeBaseMismatch
-from gatewatch.ingest import parse_flow_csv
+from gatewatch.ingest import format_timestamp, parse_flow_csv
+from gatewatch.series import TimeSeries
 
 
 def small_config(seed=1, attacks=()):
@@ -35,6 +44,14 @@ class TestValidation:
             sim.AttackScript(kind="SilenceAfterOverflow", target_id="camera-1",
                              start=20, end=40)])
         with pytest.raises(InvalidScript):
+            config.validate()
+
+    def test_duplicate_device_id(self):
+        # A repeated id would overwrite one device's series and address while
+        # both devices' events were still written.
+        fleet = sim.default_fleet()
+        config = sim.SimConfig(duration=96, fleet=fleet + [fleet[1]])
+        with pytest.raises(ValueError, match="unique"):
             config.validate()
 
     def test_overlap_on_distinct_targets_is_fine(self):
@@ -113,6 +130,28 @@ class TestGeneration:
         assert len(fakes) == 7 * 5
         real_ids = {d.id for d in trace.config.fleet}
         assert fakes.isdisjoint(real_ids)
+
+    def test_addresses_of_a_large_fleet(self):
+        fleet = [sim.DeviceSpec(id=f"d{i}", kind="camera", base_rate=5.0,
+                                diurnal_amplitude=1.0, noise_std=0.1)
+                 for i in range(300)]
+        ips = sim.generate_trace(sim.SimConfig(duration=2, fleet=fleet)).device_ips
+        assert [ips[f"d{i}"] for i in range(253)] == \
+            [f"10.0.0.{i + 1}" for i in range(253)]
+        addresses = [ipaddress.IPv4Address(ip) for ip in ips.values()]
+        assert len(set(addresses)) == 300
+        assert ipaddress.IPv4Address(sim.GATEWAY_IP) not in addresses
+        assert all(str(a) == ip for a, ip in zip(addresses, ips.values()))
+
+    def test_event_lines_read_back(self):
+        plus2 = timezone(timedelta(hours=2))
+        configs = [sim.default_flood_config(), sim.default_silence_config(),
+                   sim.default_sybil_config(),
+                   sim.SimConfig(duration=30, fleet=sim.default_fleet(),
+                                 start=datetime(2021, 6, 1, 3, tzinfo=plus2))]
+        for config in configs:
+            for event in sim.generate_trace(config).events:
+                assert parse_event_obj(event.to_json_obj()) == event
 
     def test_events_sorted(self):
         trace = sim.generate_trace(small_config())
@@ -218,3 +257,155 @@ class TestScoring:
         trace = sim.generate_trace(small_config())
         score = sim.score_detections([], trace)
         assert score.precision is None and score.recall == 1.0
+
+
+# --- the rewrite against the per-kind generator it replaced ------------------
+
+
+def ref_generate_trace(config):
+    # The generator before the one pass over the scripts: per-kind script
+    # dicts, an `attacked` dict choosing the proto, and a timedelta per event.
+    config.validate()
+    rng = np.random.default_rng(config.seed)
+    period = 86400.0 / config.interval_seconds
+    t = np.arange(config.duration)
+    floods, silences, sybils = {}, {}, []
+    for script in config.attacks:
+        if script.kind == "UdpFlood":
+            floods.setdefault(script.target_id, []).append(script)
+        elif script.kind == "SilenceAfterOverflow":
+            silences.setdefault(script.target_id, []).append(script)
+        else:
+            sybils.append(script)
+    device_series, device_ips, labels, events, attacked = {}, {}, [], [], {}
+    for index, dev in enumerate(config.fleet):
+        device_ips[dev.id] = f"10.0.0.{index + 1}"
+        rates = (dev.base_rate
+                 + dev.diurnal_amplitude * np.sin(2 * np.pi * t / period)
+                 + rng.normal(0.0, dev.noise_std, size=config.duration))
+        rates = np.maximum(rates, 0.0)
+        for script in floods.get(dev.id, []):
+            rates[script.start:script.end] *= script.magnitude
+            for i in range(script.start, script.end):
+                labels.append((i, dev.id, "UdpFlood"))
+                attacked[(i, dev.id)] = "UdpFlood"
+        for script in silences.get(dev.id, []):
+            rates[script.start:script.end] = np.nan
+            for i in range(script.start, script.end):
+                labels.append((i, dev.id, "SilenceAfterOverflow"))
+                attacked[(i, dev.id)] = "SilenceAfterOverflow"
+        series = device_series[dev.id] = TimeSeries(
+            start=config.start, interval_seconds=config.interval_seconds, values=rates)
+        for i in range(config.duration):
+            if series.missing[i]:
+                continue
+            stamp = config.start + timedelta(seconds=config.interval_seconds * i)
+            flooded = attacked.get((i, dev.id)) == "UdpFlood"
+            events.append(EventLogRecord(
+                timestamp=stamp, source_id=dev.id,
+                fields={"proto": "udp" if flooded else sim.KIND_PROTO[dev.kind],
+                        "packets": round(float(rates[i]), 3),
+                        "status": "ok"}))
+    for script in sybils:
+        for i in range(script.start, script.end):
+            stamp = config.start + timedelta(seconds=config.interval_seconds * i)
+            labels.append((i, script.target_id, "Sybil"))
+            for j in range(script.fake_id_count):
+                events.append(EventLogRecord(
+                    timestamp=stamp, source_id=f"fake-{script.target_id}-{i}-{j}",
+                    fields={"proto": "wifi", "packets": 1.0, "status": "ok"}))
+    events.sort(key=lambda e: (e.timestamp, e.source_id))
+    labels.sort()
+    return sim.LabeledTrace(config=config, device_series=device_series,
+                            events=events, labels=labels, device_ips=device_ips)
+
+
+def ref_write_trace(trace, outdir):
+    # The writer before one CSV stamp per interval: a port found by a linear
+    # search per row and the event line built here.
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = {"flow": outdir / "flow.csv", "events": outdir / "events.jsonl",
+             "labels": outdir / "labels.csv"}
+    rows = []
+    for dev in trace.config.fleet:
+        series = trace.device_series[dev.id]
+        ip = trace.device_ips[dev.id]
+        port = 1000 + list(trace.device_ips).index(dev.id)
+        for i in range(len(series)):
+            if series.missing[i]:
+                continue
+            rows.append((series.timestamp_at(i),
+                         f"{ip}-{sim.GATEWAY_IP}-{port}-80-17",
+                         float(series.values[i])))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    with open(paths["flow"], "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(sim.FLOW_COLUMNS)
+        for stamp, flow_id, rate in rows:
+            writer.writerow([flow_id, format_timestamp(stamp),
+                             f"{rate:.6f}", f"{rate:.6f}", -1, 8192, 0])
+    with open(paths["events"], "w", encoding="utf-8") as fh:
+        for event in trace.events:
+            obj = {"ts": event.timestamp.isoformat(), "src": event.source_id}
+            obj.update(event.fields)
+            fh.write(json.dumps(obj) + "\n")
+    with open(paths["labels"], "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(sim.LABEL_COLUMNS)
+        for row in trace.labels:
+            writer.writerow(row)
+    return paths
+
+
+STARTS = (datetime(2021, 1, 1, tzinfo=timezone.utc),
+          datetime(2021, 3, 28, 0, 30, tzinfo=timezone(timedelta(hours=2))),
+          datetime(2020, 2, 29, 23, 59, 59))
+
+
+@st.composite
+def sim_configs(draw):
+    names = draw(st.lists(st.text("abcz-019", min_size=1, max_size=5),
+                          min_size=1, max_size=12, unique=True))
+    fleet = [sim.DeviceSpec(
+        id=name, kind=draw(st.sampled_from(sim.DEVICE_KINDS)),
+        base_rate=draw(st.floats(0.5, 100.0)),
+        diurnal_amplitude=draw(st.floats(0.0, 50.0)),
+        noise_std=draw(st.floats(0.0, 20.0))) for name in names]
+    duration = draw(st.integers(1, 60))
+    attacks, busy = [], {}
+    for _ in range(draw(st.integers(0, 6))):
+        target = draw(st.sampled_from(names))
+        start = draw(st.integers(0, duration - 1))
+        end = draw(st.integers(start + 1, duration))
+        if any(a < end and start < b for a, b in busy.get(target, [])):
+            continue
+        busy.setdefault(target, []).append((start, end))
+        attacks.append(sim.AttackScript(
+            kind=draw(st.sampled_from(sim.ATTACK_KINDS)), target_id=target,
+            start=start, end=end, magnitude=draw(st.floats(0.0, 50.0)),
+            fake_id_count=draw(st.integers(0, 4))))
+    return sim.SimConfig(seed=draw(st.integers(0, 2 ** 32 - 1)), duration=duration,
+                         interval_seconds=draw(st.sampled_from([60.0, 900.0, 3600.0, 7.0])),
+                         start=draw(st.sampled_from(STARTS)), fleet=fleet,
+                         attacks=attacks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sim_configs())
+def test_trace_matches_the_per_kind_generator(config):
+    got, want = sim.generate_trace(config), ref_generate_trace(config)
+    assert got.events == want.events
+    assert got.labels == want.labels
+    assert got.device_ips == want.device_ips
+    assert list(got.device_series) == list(want.device_series)
+    for dev, series in want.device_series.items():
+        assert got.device_series[dev].start == series.start
+        assert np.array_equal(got.device_series[dev].values, series.values,
+                              equal_nan=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        got_paths = sim.write_trace(got, Path(tmp) / "got")
+        want_paths = ref_write_trace(want, Path(tmp) / "want")
+        assert got_paths.keys() == want_paths.keys()
+        for key, path in want_paths.items():
+            assert got_paths[key].read_bytes() == path.read_bytes(), key
