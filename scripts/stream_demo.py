@@ -7,8 +7,8 @@ the throughput counters plus the first few alerts.
 """
 import argparse
 
-from gatewatch import StreamConfig, cc4_train, stream_pipeline
-from gatewatch.cc4 import training_samples
+from gatewatch import StreamConfig, stream_pipeline
+from gatewatch.cc4 import train_from_labels
 from gatewatch.simulate import default_flood_config, event_schema, generate_trace
 
 
@@ -22,10 +22,8 @@ def main() -> None:
 
     trace = generate_trace(default_flood_config(seed=args.seed))
     schema = event_schema()
-    attack_cells = {(i, d) for i, d, _ in trace.labels}
-    samples = training_samples(trace.events, schema, attack_cells,
-                               trace.start, trace.interval_seconds)
-    network = cc4_train(samples, radius=args.radius)
+    network = train_from_labels(trace.events, trace.labels, schema,
+                                trace.interval_seconds, args.radius)
     config = StreamConfig(interval_seconds=trace.interval_seconds)
     alerts, counts = stream_pipeline(trace.events, schema, network, config)
 

@@ -28,8 +28,8 @@ from .series import TimeSeries, band_stats, interval_index, to_utc
 PACKET_CLASSES = ("Known", "Unknown", "Attack")
 UNKNOWN, ATTACK = PACKET_CLASSES.index("Unknown"), PACKET_CLASSES.index("Attack")
 
-# Records symbolized and classified per block: bounds the memory of the block
-# path whatever the number of records.
+# Records classified per block: bounds the (records x hidden neurons) firing
+# matrix whatever the number of records.
 BLOCK_SIZE = 4096
 # Cells of the (sources x intervals) rate-count block scored at once: bounds
 # the memory of rate scoring whatever the number of sources. A group holds at
@@ -282,25 +282,32 @@ def training_samples(events: list[EventLogRecord], schema: SymbolSchema,
     event is Attack when its (interval index, source id) cell is in
     `attack_cells`, else Known. Duplicate vectors keep their first label. A
     record whose field set does not match the schema raises SchemaMismatch."""
-    samples: list[tuple[np.ndarray, str]] = []
-    seen: set[bytes] = set()
-    for lo in range(0, len(events), BLOCK_SIZE):
-        block = events[lo:lo + BLOCK_SIZE]
-        vectors, _, matched = symbolize_block(block, schema)
-        if not matched.all():
-            raise _mismatch(block[int(np.argmin(matched))], schema)
-        _, first = np.unique(vectors, axis=0, return_index=True)
-        first = np.sort(first).tolist()
-        slots = interval_index([block[i].timestamp for i in first], start,
-                               interval_seconds)
-        for i, idx in zip(first, slots.tolist()):
-            key = vectors[i].tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            cls = "Attack" if (idx, block[i].source_id) in attack_cells else "Known"
-            samples.append((vectors[i].copy(), cls))
-    return samples
+    vectors, _, matched = symbolize_block(events, schema)
+    if not matched.all():
+        raise _mismatch(events[int(np.argmin(matched))], schema)
+    _, first = np.unique(vectors, axis=0, return_index=True)
+    first = np.sort(first).tolist()
+    slots = interval_index([events[i].timestamp for i in first], start,
+                           interval_seconds)
+    return [(vectors[i].copy(),
+             "Attack" if (idx, events[i].source_id) in attack_cells else "Known")
+            for i, idx in zip(first, slots.tolist())]
+
+
+def train_from_labels(events: list[EventLogRecord], labels: list[tuple[int, str, str]],
+                      schema: SymbolSchema, interval_seconds: float,
+                      radius: int) -> CC4Network:
+    """One-shot CC4 network from a labelled event log: an event is Attack
+    when a label row names its (interval index, source id) cell. The events
+    are taken in (timestamp, source id) order, so the interval grid starts at
+    the earliest event whatever the order of the log."""
+    if not events:
+        raise EmptyTrainingSet("no event in the input to train on")
+    attack_cells = {(i, d) for i, d, _ in labels}
+    ordered = sorted(events, key=lambda e: (e.timestamp, e.source_id))
+    return cc4_train(training_samples(ordered, schema, attack_cells,
+                                      ordered[0].timestamp, interval_seconds),
+                     radius)
 
 
 # --- streaming pipeline -----------------------------------------------------

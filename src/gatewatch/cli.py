@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import cc4, detect, evaluate, ingest, series as ts, simulate
-from .errors import EmptyTrainingSet, GatewatchError, NonFiniteLoss
+from .errors import GatewatchError, NonFiniteLoss
 from .forecast import ForecasterConfig, fit
 
 EXIT_OK = 0
@@ -33,6 +34,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _between(kind, low, high=math.inf):
+    """An argparse type: a `kind` strictly between low and high, NaN refused.
+    It keeps kind's name, so argparse still says "invalid int value: 'x'"."""
+    def parse(text):
+        value = kind(text)
+        if not low < value < high:
+            bound = f">= {low + 1}" if kind is int else f"> {low} and < {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, not {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="gatewatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -46,7 +60,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ingest", help="flow CSV -> series JSON + ingest report")
     common(p)
     p.add_argument("--value-col", default="Fwd Pkt Len Mean")
-    p.add_argument("--interval", type=float, default=3600.0,
+    p.add_argument("--interval", type=_between(float, 0), default=3600.0,
                    help="bucket width in seconds")
     p.add_argument("--aggregator", choices=["mean", "sum", "count"], default="mean")
     p.add_argument("--source-ip", default=None,
@@ -54,49 +68,49 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("inspect", help="series JSON -> diagnostics JSON")
     common(p)
-    p.add_argument("--period", type=int, action="append", default=None,
+    p.add_argument("--period", type=_between(int, 1), action="append", default=None,
                    help="candidate seasonal period (repeatable)")
 
     p = sub.add_parser("forecast", help="series JSON -> forecasts + band CSV")
     common(p)
     _model_flags(p)
-    p.add_argument("--horizon", type=int, default=24)
+    p.add_argument("--horizon", type=_between(int, 0), default=24)
     p.add_argument("--confidence", type=float, default=0.95)
 
     p = sub.add_parser("compare", help="series JSON -> model comparison report")
     common(p)
     p.add_argument("--models", default="moving_average,holt_winters",
                    help="comma-separated variants")
-    p.add_argument("--train-frac", type=float, default=0.8)
+    p.add_argument("--train-frac", type=_between(float, 0, 1), default=0.8)
     _model_flags(p, with_variant=False)
 
     p = sub.add_parser("detect", help="surge/dropout detection -> alert JSONL")
     common(p)
     _model_flags(p)
     p.add_argument("--value-col", default="Fwd Pkt Len Mean")
-    p.add_argument("--interval", type=float, default=3600.0)
+    p.add_argument("--interval", type=_between(float, 0), default=3600.0)
     p.add_argument("--source-ip", default=None)
     p.add_argument("--confidence", type=float, default=0.95)
     p.add_argument("--mode", choices=["mean_shift", "residual"], default="mean_shift")
-    p.add_argument("--train-frac", type=float, default=0.5)
-    p.add_argument("--window", type=int, default=24)
-    p.add_argument("--gap-threshold", type=int, default=3)
+    p.add_argument("--train-frac", type=_between(float, 0, 1), default=0.5)
+    p.add_argument("--window", type=_between(int, 0), default=24)
+    p.add_argument("--gap-threshold", type=_between(int, 0), default=3)
 
     p = sub.add_parser("simulate", help="generate a labeled attack trace")
     common(p)
     p.add_argument("--scenario", choices=["flood", "silence", "sybil", "clean"],
                    default="flood")
-    p.add_argument("--magnitude", type=float, default=10.0)
+    p.add_argument("--magnitude", type=_between(float, 0), default=10.0)
 
     p = sub.add_parser("stream", help="event-log pipeline -> alert JSONL")
     common(p)
     p.add_argument("--labels", help="labels.csv used to train the classifier")
     p.add_argument("--network", help="pre-trained network JSON")
-    p.add_argument("--interval", type=float, default=3600.0)
-    p.add_argument("--radius", type=int, default=1)
+    p.add_argument("--interval", type=_between(float, 0), default=3600.0)
+    p.add_argument("--radius", type=_between(int, -1), default=1)
     p.add_argument("--confidence", type=float, default=0.95)
-    p.add_argument("--window", type=int, default=24)
-    p.add_argument("--gap-threshold", type=int, default=3)
+    p.add_argument("--window", type=_between(int, 0), default=24)
+    p.add_argument("--gap-threshold", type=_between(int, 0), default=3)
     p.add_argument("--strict-unknown", action="store_true")
     return parser
 
@@ -106,11 +120,11 @@ def _model_flags(p, with_variant: bool = True):
         p.add_argument("--model", default="holt_winters",
                        choices=["moving_average", "holt_winters",
                                 "linear_trend", "lstm"])
-    p.add_argument("--period", type=int, default=24)
-    p.add_argument("--ma-window", type=int, default=3)
-    p.add_argument("--lstm-num-timesteps", type=int, default=1008)
+    p.add_argument("--period", type=_between(int, 1), default=24)
+    p.add_argument("--ma-window", type=_between(int, 0), default=3)
+    p.add_argument("--lstm-num-timesteps", type=_between(int, 0), default=1008)
     p.add_argument("--lstm-epochs", type=int, default=1)
-    p.add_argument("--lstm-num-chunks", type=int, default=1)
+    p.add_argument("--lstm-num-chunks", type=_between(int, 0), default=1)
 
 
 def _config_argv(parser: _Parser, args) -> list[str]:
@@ -293,8 +307,8 @@ def cmd_stream(args) -> int:
     else:
         if not args.labels:
             raise UsageError("stream requires --network or --labels")
-        network = _train_from_labels(events, args.labels, schema,
-                                     args.interval, args.radius)
+        network = cc4.train_from_labels(events, simulate.read_labels_csv(args.labels),
+                                        schema, args.interval, args.radius)
     config = cc4.StreamConfig(interval_seconds=args.interval,
                               strict_unknown=args.strict_unknown,
                               confidence=args.confidence,
@@ -306,19 +320,6 @@ def cmd_stream(args) -> int:
     _write_json(out / "stream_counts.json", stats.to_json_obj())
     _write_json(out / "network.json", network.to_json_obj())
     return EXIT_OK
-
-
-def _train_from_labels(events, labels_path, schema, interval_seconds,
-                       radius) -> cc4.CC4Network:
-    if not events:
-        raise EmptyTrainingSet("no event in the input to train on")
-    labels = simulate.read_labels_csv(labels_path)
-    attack_cells = {(i, d) for i, d, _ in labels}
-    start = min(e.timestamp for e in events)
-    ordered = sorted(events, key=lambda e: (e.timestamp, e.source_id))
-    samples = cc4.training_samples(ordered, schema, attack_cells, start,
-                                   interval_seconds)
-    return cc4.cc4_train(samples, radius)
 
 
 COMMANDS = {
@@ -342,9 +343,6 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:at] + _config_argv(parser, args) + argv[at:])
         if getattr(args, "input", None) is None and args.command != "simulate":
             raise UsageError(f"{args.command} requires --input")
-        for name in ("window", "gap_threshold"):
-            if getattr(args, name, 1) < 1:
-                raise UsageError(f"--{name.replace('_', '-')} must be >= 1")
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)

@@ -59,10 +59,6 @@ class ConfidenceBand:
     def upper(self) -> float:
         return self.X + self.z * self.s / math.sqrt(self.n)
 
-    @property
-    def half_width(self) -> float:
-        return self.z * self.s / math.sqrt(self.n)
-
 
 def confidence_interval(window, confidence: float) -> ConfidenceBand:
     """Band for the window mean; s is the sample std (n=1 gives s=0)."""

@@ -7,10 +7,6 @@ class GatewatchError(Exception):
 
 # --- ingestion -------------------------------------------------------------
 
-class IoFailure(GatewatchError):
-    pass
-
-
 class MissingColumn(GatewatchError):
     pass
 

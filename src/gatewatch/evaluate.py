@@ -1,7 +1,6 @@
 """Loss metrics, the persistence baseline, and the model-comparison report."""
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -76,9 +75,6 @@ class ModelReport:
 
     def to_json_obj(self) -> dict:
         return {"rows": [r.to_json_obj() for r in self.rows], "ranking": self.ranking}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
     def to_text_table(self) -> str:
         headers = ["model", "pattern", "train_len", "test_mse", "test_mape_%",

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     EmptyInput,
-    IoFailure,
     MalformedHeader,
     MissingColumn,
     TimestampParseError,
@@ -84,11 +83,7 @@ def parse_flow_csv(path, value_column: str) -> tuple[list[FlowRecord], IngestRep
     """Parse the Flow ID, Timestamp and value columns of a flow CSV; other
     columns are not read. Rows whose value cell is absent or fails numeric
     coercion are retained but marked missing; clean() drops them later."""
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    with fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -15,7 +15,7 @@ so `model.json`, keep the GATES order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,15 +65,8 @@ class LstmParams:
         return cls(units=units, input_dim=input_dim, W=W, U=U, b=b,
                    dense_w=dense_w, dense_b=0.0)
 
-    def flat_arrays(self) -> dict[str, np.ndarray]:
-        return {"W": self.W, "U": self.U, "b": self.b, "dense_w": self.dense_w}
-
     def count(self) -> int:
         return self.W.size + self.U.size + self.b.size + self.dense_w.size + 1
-
-    def copy(self) -> "LstmParams":
-        return LstmParams(self.units, self.input_dim, self.W.copy(), self.U.copy(),
-                          self.b.copy(), self.dense_w.copy(), self.dense_b)
 
     def to_json_obj(self) -> dict:
         return {
@@ -258,19 +251,12 @@ def backward(params: LstmParams, cache: dict, pred: np.ndarray,
                       dense_b=dense_b)
 
 
-@dataclass
-class TrainTrace:
-    """Per-chunk final losses, in the order chunks were visited."""
-
-    chunk_losses: list[float] = field(default_factory=list)
-
-
 def train_chunked(X: np.ndarray, y: np.ndarray, units: int, *,
                   num_chunks: int = 1, batch_size: int = 128, epochs: int = 1,
                   learning_rate: float = 0.01, dropout: float = 0.2,
-                  seed: int = 0,
-                  params: LstmParams | None = None) -> tuple[LstmParams, TrainTrace]:
-    """Minibatch SGD over contiguous chunks of the window set.
+                  seed: int = 0) -> tuple[LstmParams, list[float]]:
+    """Minibatch SGD over contiguous chunks of the window set from a seeded
+    init; returns the parameters and each visited chunk's final loss, in order.
 
     Each epoch walks the chunks in their current order; chunk order is
     reshuffled (seeded) between epochs. Dropout applies to the final hidden
@@ -279,13 +265,10 @@ def train_chunked(X: np.ndarray, y: np.ndarray, units: int, *,
     if len(X) == 0:
         raise ValueError("no training windows")
     rng = np.random.default_rng(seed)
-    if params is None:
-        params = LstmParams.init(units, 1, rng)
-    else:
-        params = params.copy()
+    params = LstmParams.init(units, 1, rng)
     chunk_ids = list(range(num_chunks))
     chunks = np.array_split(np.arange(len(X)), num_chunks)
-    trace = TrainTrace()
+    chunk_losses = []
     keep = 1.0 - dropout
     full_cache = None  # the first full batch's cache, refilled by every later one
     for _epoch in range(epochs):
@@ -314,9 +297,9 @@ def train_chunked(X: np.ndarray, y: np.ndarray, units: int, *,
                 params.dense_w -= learning_rate * grads.dense_w
                 params.dense_b -= learning_rate * grads.dense_b
             if loss is not None:
-                trace.chunk_losses.append(loss)
+                chunk_losses.append(loss)
         rng.shuffle(chunk_ids)
-    return params, trace
+    return params, chunk_losses
 
 
 def predict(params: LstmParams, X: np.ndarray) -> np.ndarray:

@@ -68,6 +68,8 @@ class AttackScript:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
+        if not self.magnitude > 0:
+            raise ValueError("magnitude must be > 0")
 
 
 @dataclass
@@ -83,6 +85,10 @@ class SimConfig:
     def validate(self) -> None:
         if self.duration < 1:
             raise ValueError("duration must be >= 1")
+        if not self.interval_seconds > 0:
+            raise ValueError("interval_seconds must be > 0")
+        if len(self.fleet) > 64536:  # flow ports 1000 + index stay <= 65535
+            raise ValueError(f"a fleet holds at most 64536 devices, not {len(self.fleet)}")
         ids = {d.id for d in self.fleet}
         if len(ids) < len(self.fleet):
             raise ValueError("device ids must be unique")
@@ -121,9 +127,6 @@ class LabeledTrace:
     @property
     def duration(self) -> int:
         return self.config.duration
-
-    def labels_for(self, device_id: str) -> set[int]:
-        return {i for i, d, _ in self.labels if d == device_id}
 
 
 def generate_trace(config: SimConfig) -> LabeledTrace:

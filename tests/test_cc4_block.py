@@ -304,9 +304,9 @@ def test_block_path_matches_per_record_reference(data):
     start = min((rec.timestamp for rec in records), default=T0)
     cells = {(k, src) for k in range(0, 31, 3) for src in ("a", "c")}
     with mock.patch.object(cc4, "BLOCK_SIZE", block_size):
-        samples = cc4.training_samples(well_formed, schema, cells, start, 60.0)
         assert (cc4.stream_pipeline(records, schema, network, config)
                 == ref_stream_pipeline(records, schema, network, config))
+    samples = cc4.training_samples(well_formed, schema, cells, start, 60.0)
     want_samples = ref_training_samples(well_formed, schema, cells, start, 60.0)
     assert [(v.tolist(), c) for v, c in samples] == \
         [(v.tolist(), c) for v, c in want_samples]
@@ -315,6 +315,38 @@ def test_block_path_matches_per_record_reference(data):
     new_ids = cc4.new_id_counts(records, window_start, 90.0, 12)
     assert new_ids.values.tobytes() == \
         ref_new_id_counts(records, window_start, 90.0, 12).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_training_from_labels_ignores_log_order_and_repeats(data):
+    # a gateway log: at most one record per (stamp, source), any order, some
+    # records repeated
+    schema = data.draw(schemas())
+    names = {e.name for e in schema.encoders}
+    log = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, 30), st.sampled_from(["a", "b", "c"])),
+        field_values(schema).filter(lambda fields: fields.keys() == names),
+        min_size=1, max_size=30))
+    ordered = [cc4.EventLogRecord(timestamp=T0 + timedelta(minutes=minute),
+                                  source_id=src, fields=fields)
+               for (minute, src), fields in sorted(log.items())]
+    repeats = data.draw(st.lists(st.sampled_from(ordered), max_size=5))
+    shuffled = data.draw(st.permutations(ordered + repeats))
+    labels = data.draw(st.lists(st.tuples(st.integers(0, 20), st.sampled_from("abc"),
+                                          st.sampled_from(["UdpFlood", "Sybil"]))))
+    interval = data.draw(st.sampled_from([60.0, 90.0, 45.5]))
+    radius = data.draw(st.integers(0, 2))
+
+    def network(events):
+        return cc4.train_from_labels(events, labels, schema, interval,
+                                     radius).to_json_obj()
+
+    assert network(shuffled) == network(ordered)
+    # the grid starts at the earliest event, wherever the log puts it
+    cells = {(i, d) for i, d, _ in labels}
+    want = ref_training_samples(ordered, schema, cells, ordered[0].timestamp, interval)
+    assert network(shuffled) == cc4.cc4_train(want, radius).to_json_obj()
 
 
 @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])

@@ -67,28 +67,56 @@ class TestUsageErrors:
         assert run("inspect", "--input", str(path), "--out", str(tmp_path / "o"),
                    "--config", str(config)) == 0
 
-    @pytest.mark.parametrize("command", ["detect", "stream"])
-    @pytest.mark.parametrize("name", ["window", "gap_threshold"])
+    # Each flag's type refuses a value out of its range, from the command line
+    # and from --config alike, before the run starts.
+    @pytest.mark.parametrize("name, command, value, extra", [
+        pytest.param(name, command, 0, [], id=f"{name}-{command}")
+        for command in ("detect", "stream") for name in ("window", "gap_threshold")
+    ] + [
+        pytest.param(name, command, value, extra, id=f"{name}-{command}-{value}")
+        for name, command, value, extra in [
+            ("horizon", "forecast", 0, []),
+            ("period", "forecast", 1, []),
+            ("period", "detect", 1, ["--mode", "residual"]),
+            ("period", "inspect", 1, []),
+            ("ma_window", "forecast", 0, ["--model", "moving_average"]),
+            ("train_frac", "compare", 1.5, []),
+            ("train_frac", "compare", 0, []),
+            ("train_frac", "detect", 1.5, []),
+            ("lstm_num_chunks", "forecast", 0, ["--model", "lstm"]),
+            ("lstm_num_timesteps", "forecast", 0, ["--model", "lstm"]),
+            ("interval", "ingest", 0, []),
+            ("interval", "ingest", -5, []),
+            ("interval", "detect", 0, []),
+            ("interval", "detect", -5, []),
+            ("interval", "stream", 0, []),
+            ("radius", "stream", -1, []),
+            ("magnitude", "simulate", -3, []),
+        ]])
     @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_window_and_gap_threshold_below_one(self, trace_dir, tmp_path,
-                                                capsys, command, name, via):
-        if command == "detect":
-            argv = ["detect", "--input", str(trace_dir / "flow.csv"),
-                    "--source-ip", "10.0.0.2"]
-        else:
-            argv = ["stream", "--input", str(trace_dir / "events.jsonl"),
-                    "--labels", str(trace_dir / "labels.csv")]
-        argv += ["--out", str(tmp_path / "o")]
+    def test_window_and_gap_threshold_below_one(self, trace_dir, tmp_path, capsys,
+                                                name, command, value, extra, via):
+        flow = ["--input", str(trace_dir / "flow.csv")]
+        inputs = {
+            "ingest": flow,
+            "detect": flow + ["--source-ip", "10.0.0.2"],
+            "stream": ["--input", str(trace_dir / "events.jsonl"),
+                       "--labels", str(trace_dir / "labels.csv")],
+            "simulate": [],
+        }
+        series = ["--input", str(series_file(tmp_path, seasonal_values(100)))]
+        argv = [command, *inputs.get(command, series), *extra,
+                "--out", str(tmp_path / "o")]
         if via == "flag":
-            argv += ["--" + name.replace("_", "-"), "0"]
+            argv += ["--" + name.replace("_", "-"), str(value)]
         else:
             config = tmp_path / "c.json"
-            config.write_text(json.dumps({name: 0}), encoding="utf-8")
+            config.write_text(json.dumps({name: value}), encoding="utf-8")
             argv += ["--config", str(config)]
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and err.count("\n") == 1
-
+        assert not (tmp_path / "o").exists()
 
     # --config values go through argparse: each bad value is one usage line
     @pytest.mark.parametrize("command, text", [
@@ -200,9 +228,17 @@ class TestConfigKeys:
 
 class TestDataErrors:
     def test_missing_input_file(self, tmp_path, capsys):
-        assert run("inspect", "--input", str(tmp_path / "nope.json"),
-                   "--out", str(tmp_path / "o")) == 2
-        assert capsys.readouterr().err.startswith("error: data:")
+        # a series JSON, a flow CSV and an events log: one line, one format
+        for command, name, extra in [
+                ("inspect", "nope.json", []),
+                ("ingest", "nope.csv", []),
+                ("detect", "nope.csv", []),
+                ("stream", "nope.jsonl", ["--labels", str(tmp_path / "labels.csv")])]:
+            path = tmp_path / name
+            assert run(command, "--input", str(path), *extra,
+                       "--out", str(tmp_path / "o")) == 2, command
+            assert capsys.readouterr().err == \
+                f"error: data: IoFailure: [Errno 2] No such file or directory: '{path}'\n"
 
     def test_untabulated_confidence(self, tmp_path, capsys):
         path = series_file(tmp_path, seasonal_values(200))

@@ -58,7 +58,9 @@ class TestConfidenceInterval:
     def test_band_contains_mean_and_width_scales(self, values, confidence):
         band = detect.confidence_interval(values, confidence)
         assert band.lower <= band.X <= band.upper
-        assert band.half_width >= 0.0
+        # symmetric about the window mean
+        assert np.isclose(band.X - band.lower, band.upper - band.X,
+                          rtol=1e-9, atol=1e-9 * (1.0 + abs(band.X)))
 
 
 def _surge_setup(spike_windows=(3,), magnitude=50.0, window=6, n_train=96,
@@ -227,7 +229,7 @@ def ref_mean_shift_alerts(series, first, baseline, z, window, kind, source=""):
     baseline = np.asarray(baseline, dtype=float)
     s = float(baseline.std(ddof=1)) if len(baseline) > 1 else 0.0
     band = detect.ConfidenceBand(X=float(baseline.mean()), s=s, n=window, z=z)
-    threshold = band.half_width
+    threshold = z * s / math.sqrt(window)
     scored = np.where(series.missing, np.nan, series.values)[first:]
     alerts = []
     for w in range(len(scored) // window):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gatewatch import ingest
 from gatewatch.errors import (
     EmptyInput,
-    IoFailure,
     MalformedHeader,
     MissingColumn,
     TimestampParseError,
@@ -80,7 +79,7 @@ def test_malformed_header(tmp_path):
 
 
 def test_io_failure(tmp_path):
-    with pytest.raises(IoFailure):
+    with pytest.raises(FileNotFoundError):
         ingest.parse_flow_csv(tmp_path / "nope.csv", "Fwd Pkt Len Mean")
 
 

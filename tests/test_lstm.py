@@ -7,6 +7,9 @@ from gatewatch import lstm
 from gatewatch.errors import NonFiniteLoss
 
 
+ARRAYS = ("W", "U", "b", "dense_w")
+
+
 def toy_data(n=40, t=6, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.normal(0, 1, (n, t))
@@ -37,12 +40,12 @@ def test_init_matches_count():
 
 def test_zero_learning_rate_leaves_params_unchanged():
     X, y = toy_data()
-    rng = np.random.default_rng(3)
-    init = lstm.LstmParams.init(4, 1, rng)
+    # train_chunked draws its init first from the generator `seed` makes
+    init = lstm.LstmParams.init(4, 1, np.random.default_rng(3))
     trained, _ = lstm.train_chunked(X, y, 4, learning_rate=0.0, dropout=0.0,
-                                    seed=3, params=init)
-    for name, arr in trained.flat_arrays().items():
-        assert np.array_equal(arr, init.flat_arrays()[name]), name
+                                    seed=3)
+    for name in ARRAYS:
+        assert np.array_equal(getattr(trained, name), getattr(init, name)), name
     assert trained.dense_b == init.dense_b
 
 
@@ -72,25 +75,24 @@ def test_backward_matches_finite_differences():
 
 def test_training_reduces_loss():
     X, y = toy_data(n=200, t=5, seed=2)
-    init_rng = np.random.default_rng(7)
-    params0 = lstm.LstmParams.init(6, 1, init_rng)
+    params0 = lstm.LstmParams.init(6, 1, np.random.default_rng(7))
     before = lstm.mse_loss(lstm.predict(params0, X), y)
-    trained, trace = lstm.train_chunked(X, y, 6, epochs=20, learning_rate=0.05,
-                                        dropout=0.0, seed=7, params=params0)
+    trained, chunk_losses = lstm.train_chunked(X, y, 6, epochs=20, learning_rate=0.05,
+                                               dropout=0.0, seed=7)
     after = lstm.mse_loss(lstm.predict(trained, X), y)
     assert after < before
-    assert len(trace.chunk_losses) == 20
+    assert len(chunk_losses) == 20
 
 
 def test_training_is_bit_deterministic():
     X, y = toy_data(n=100, t=5, seed=4)
-    a, trace_a = lstm.train_chunked(X, y, 5, num_chunks=4, epochs=3,
-                                    dropout=0.2, seed=11)
-    b, trace_b = lstm.train_chunked(X, y, 5, num_chunks=4, epochs=3,
-                                    dropout=0.2, seed=11)
-    for name, arr in a.flat_arrays().items():
-        assert np.array_equal(arr, b.flat_arrays()[name]), name
-    assert trace_a.chunk_losses == trace_b.chunk_losses
+    a, losses_a = lstm.train_chunked(X, y, 5, num_chunks=4, epochs=3,
+                                     dropout=0.2, seed=11)
+    b, losses_b = lstm.train_chunked(X, y, 5, num_chunks=4, epochs=3,
+                                     dropout=0.2, seed=11)
+    for name in ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert losses_a == losses_b
 
 
 def test_different_seeds_differ():
@@ -109,16 +111,16 @@ def test_divergence_raises_non_finite_loss():
 
 def test_chunk_trace_length():
     X, y = toy_data(n=90, t=4, seed=6)
-    _, trace = lstm.train_chunked(X, y, 4, num_chunks=6, epochs=3, seed=6)
-    assert len(trace.chunk_losses) == 18
+    _, chunk_losses = lstm.train_chunked(X, y, 4, num_chunks=6, epochs=3, seed=6)
+    assert len(chunk_losses) == 18
 
 
 def test_params_json_round_trip():
     rng = np.random.default_rng(9)
     params = lstm.LstmParams.init(4, 1, rng)
     back = lstm.LstmParams.from_json_obj(params.to_json_obj())
-    for name, arr in params.flat_arrays().items():
-        assert np.array_equal(arr, back.flat_arrays()[name]), name
+    for name in ARRAYS:
+        assert np.array_equal(getattr(params, name), getattr(back, name)), name
     assert back.dense_b == params.dense_b
 
 

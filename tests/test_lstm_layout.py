@@ -106,9 +106,9 @@ def ref_train(X, y, units, *, num_chunks, batch_size, epochs, learning_rate,
 
 
 def assert_params_close(got, want):
-    for name, arr in want.flat_arrays().items():
-        np.testing.assert_allclose(got.flat_arrays()[name], arr, rtol=RTOL, atol=ATOL,
-                                   err_msg=name)
+    for name in ("W", "U", "b", "dense_w"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=RTOL,
+                                   atol=ATOL, err_msg=name)
     assert got.dense_b == pytest.approx(want.dense_b, rel=RTOL, abs=ATOL)
 
 
@@ -148,10 +148,10 @@ def test_train_chunked_matches_reference_training(n, batch_size, num_chunks, uni
     y = 0.5 * X[:, -1] + rng.normal(0, 0.1, n)
     kwargs = dict(num_chunks=num_chunks, batch_size=batch_size, epochs=2,
                   learning_rate=0.05, dropout=dropout, seed=seed)
-    params, trace = lstm.train_chunked(X, y, units, **kwargs)
+    params, chunk_losses = lstm.train_chunked(X, y, units, **kwargs)
     want, losses = ref_train(X, y, units, **kwargs)
     assert_params_close(params, want)
-    np.testing.assert_allclose(trace.chunk_losses, losses, rtol=RTOL, atol=ATOL)
+    np.testing.assert_allclose(chunk_losses, losses, rtol=RTOL, atol=ATOL)
 
 
 def test_short_last_batch_and_several_chunks_match_reference():
@@ -162,10 +162,10 @@ def test_short_last_batch_and_several_chunks_match_reference():
     y = X[:, -1] * 0.3
     kwargs = dict(num_chunks=3, batch_size=3, epochs=3, learning_rate=0.05,
                   dropout=0.2, seed=8)
-    params, trace = lstm.train_chunked(X, y, 4, **kwargs)
+    params, chunk_losses = lstm.train_chunked(X, y, 4, **kwargs)
     want, losses = ref_train(X, y, 4, **kwargs)
     assert_params_close(params, want)
-    np.testing.assert_allclose(trace.chunk_losses, losses, rtol=RTOL, atol=ATOL)
+    np.testing.assert_allclose(chunk_losses, losses, rtol=RTOL, atol=ATOL)
 
 
 def test_reused_cache_carries_no_state_between_batches():
@@ -184,8 +184,8 @@ def test_reused_cache_carries_no_state_between_batches():
     assert np.array_equal(pred, fresh_pred)
     got = lstm.backward(params, cache, pred, y_c)
     want = lstm.backward(params, fresh, fresh_pred, y_c)
-    for name, arr in want.flat_arrays().items():
-        assert np.array_equal(got.flat_arrays()[name], arr), name
+    for name in ("W", "U", "b", "dense_w"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.dense_b == want.dense_b
 
 
