@@ -22,14 +22,20 @@ from .detect import (
     merge_alerts,
     z_score,
 )
-from .errors import EmptyTrainingSet, NonNumericValue, SchemaMismatch, WidthMismatch
+from .errors import (
+    EmptyTrainingSet,
+    MalformedNetwork,
+    NonNumericValue,
+    SchemaMismatch,
+    WidthMismatch,
+)
 from .series import TimeSeries, band_stats, interval_index, to_utc
 
 PACKET_CLASSES = ("Known", "Unknown", "Attack")
 UNKNOWN, ATTACK = PACKET_CLASSES.index("Unknown"), PACKET_CLASSES.index("Attack")
 
-# Records classified per block: bounds the (records x hidden neurons) firing
-# matrix whatever the number of records.
+# Probes classified per block: bounds the (probes x hidden neurons) firing
+# matrix whatever the number of probes.
 BLOCK_SIZE = 4096
 # Cells of the (sources x intervals) rate-count block scored at once: bounds
 # the memory of rate scoring whatever the number of sources. A group holds at
@@ -96,34 +102,25 @@ class FieldEncoder:
         raises NonNumericValue."""
         n = len(values)
         if self.kind == "one_hot":
-            index = np.array([self._first_match(v) for v in values], dtype=np.int64)
+            index = np.array([self.vocabulary.index(v) if v in self.vocabulary else -1
+                              for v in values], dtype=np.int64)
             known = index >= 0
             bits = np.zeros((n, self.width), dtype=np.int8)
             bits[np.flatnonzero(known), index[known]] = 1
             return bits, ~known
         # thermometer: the bin is the count of edges at or below the value
         # (edges in any order, NaN never counted); set it and every lower bin
-        try:
-            v = np.array([float(x) for x in values], dtype=np.float64)
-        except (TypeError, ValueError):
-            for x in values:
-                try:
-                    float(x)
-                except (TypeError, ValueError):
-                    raise NonNumericValue(
-                        f"field {self.name!r} holds {x!r}, not a number") from None
-            raise
+        v = np.empty(n, dtype=np.float64)
+        for k, x in enumerate(values):
+            try:
+                v[k] = float(x)
+            except (TypeError, ValueError):
+                raise NonNumericValue(
+                    f"field {self.name!r} holds {x!r}, not a number") from None
         edges = np.array(self.bin_edges, dtype=np.float64)
         bin_index = (v[:, None] >= edges).sum(axis=1)
         bits = (np.arange(self.width) <= bin_index[:, None]).astype(np.int8)
         return bits, np.zeros(n, dtype=bool)
-
-    def _first_match(self, value) -> int:
-        """Index of the value's first vocabulary match; -1 when there is none."""
-        try:
-            return self.vocabulary.index(value)
-        except ValueError:
-            return -1
 
 
 @dataclass(frozen=True)
@@ -224,22 +221,23 @@ class CC4Network:
         return json.dumps(self.to_json_obj())
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "CC4Network":
-        vectors = np.array([[int(ch) for ch in row] for row in obj["vectors"]],
-                           dtype=np.int8)
-        return cls(radius=obj["radius"], vectors=vectors, classes=list(obj["classes"]))
-
-    @classmethod
     def from_json(cls, text: str) -> "CC4Network":
-        return cls.from_json_obj(json.loads(text))
+        """The network a `to_json` text holds, passed through the checks of
+        cc4_train; any other text raises MalformedNetwork."""
+        try:
+            obj = json.loads(text)
+            rows = [[int(ch) for ch in row] for row in obj["vectors"]]
+            return cc4_train(list(zip(rows, obj["classes"], strict=True)), obj["radius"])
+        except (EmptyTrainingSet, KeyError, TypeError, ValueError, WidthMismatch) as exc:
+            raise MalformedNetwork(f"not a CC4 network: {type(exc).__name__}: {exc}") from exc
 
 
 def cc4_train(samples: list[tuple[np.ndarray, str]], radius: int) -> CC4Network:
     """One-shot construction; no iterative optimization."""
     if not samples:
         raise EmptyTrainingSet("no training samples")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if isinstance(radius, bool) or not isinstance(radius, int) or radius < 0:
+        raise ValueError(f"radius must be an int >= 0, not {radius!r}")
     width = len(samples[0][0])
     for vec, cls in samples:
         if len(vec) != width:
@@ -247,25 +245,32 @@ def cc4_train(samples: list[tuple[np.ndarray, str]], radius: int) -> CC4Network:
         if cls not in PACKET_CLASSES:
             raise ValueError(f"unknown class {cls!r}")
     vectors = np.array([np.asarray(v, dtype=np.int8) for v, _ in samples])
+    if not np.isin(vectors, (0, 1)).all():
+        raise ValueError("vector bits must be 0 or 1")
     return CC4Network(radius=radius, vectors=vectors,
                       classes=[cls for _, cls in samples])
 
 
 def classify_block(network: CC4Network, vectors: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Classify an (n, width) block of probes: (n,) indices into
-    PACKET_CLASSES and (n,) ambiguity flags. The class is the first maximum of
-    the class scores in PACKET_CLASSES order, flagged when several classes tie
-    for it; a probe on which no neuron fires is Unknown and flagged."""
-    firing = network.fires_block(vectors)
+    """Classify an (n, width) block of probes, BLOCK_SIZE probes at a time:
+    (n,) indices into PACKET_CLASSES and (n,) ambiguity flags. The class is
+    the first maximum of the class scores in PACKET_CLASSES order, flagged
+    when several classes tie for it; a probe on which no neuron fires is
+    Unknown and flagged."""
     # output weights: +1 from each neuron to its own class, -1 to the rest
     own_class = np.array(network.classes)[:, None] == np.array(PACKET_CLASSES)
-    scores = firing.astype(np.int32) @ np.where(own_class, 1, -1).astype(np.int32)
-    winners = scores == scores.max(axis=1, keepdims=True)
-    classes = winners.argmax(axis=1)
-    ambiguous = winners.sum(axis=1) > 1
-    # with no neuron firing every score is 0, a tie that is already flagged
-    classes[~firing.any(axis=1)] = UNKNOWN
+    weights = np.where(own_class, 1, -1).astype(np.int32)
+    classes = np.empty(len(vectors), dtype=np.intp)
+    ambiguous = np.empty(len(vectors), dtype=bool)
+    for lo in range(0, len(vectors), BLOCK_SIZE):
+        firing = network.fires_block(vectors[lo:lo + BLOCK_SIZE])
+        scores = firing.astype(np.int32) @ weights
+        winners = scores == scores.max(axis=1, keepdims=True)
+        # with no neuron firing every score is 0, a tie that is already flagged
+        classes[lo:lo + BLOCK_SIZE] = np.where(firing.any(axis=1),
+                                               winners.argmax(axis=1), UNKNOWN)
+        ambiguous[lo:lo + BLOCK_SIZE] = winners.sum(axis=1) > 1
     return classes, ambiguous
 
 
@@ -367,21 +372,18 @@ def new_id_counts(records: list[EventLogRecord], start: datetime,
     return TimeSeries(start=start, interval_seconds=interval_seconds, values=counts)
 
 
-def _rate_alerts(records: list[EventLogRecord], config: StreamConfig,
+def _rate_alerts(ids: list[str], slots: np.ndarray, config: StreamConfig,
                  start: datetime, duration: int) -> list[AnomalyAlert]:
     """Dropout and surge alerts on each source's record count per interval,
-    scored a group of sources at a time, groups in sorted source order.
-    Every record lies in [start, start + duration intervals)."""
+    from each record's source id and slot in [0, duration), scored a group of
+    sources at a time, groups in sorted source order."""
     z = z_score(config.confidence)
-    start = to_utc(start)
     # Surge scoring takes the first half of the run as each source's baseline
     # and scores the rest; runs shorter than four intervals get none.
     n_train = math.ceil(0.5 * duration)
-    ids = [r.source_id for r in records]
     sources = sorted(set(ids))
     row_of = {source: k for k, source in enumerate(sources)}
     rows = np.fromiter((row_of[source] for source in ids), dtype=np.int64, count=len(ids))
-    slots = interval_index([r.timestamp for r in records], start, config.interval_seconds)
     # Cells of the (sources x duration) count matrix, sorted so that each
     # group of sources is one slice. The whole matrix is never built:
     # thousands of one-shot Sybil sources would make it far larger than the
@@ -416,22 +418,19 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
     stamp, or with a field that holds a JSON list or object, is counted in
     `dropped_malformed` and excluded before it can move the skew window.
     """
-    counts = StreamCounts()
+    counts = StreamCounts(records_in=len(records))
     skew = timedelta(seconds=config.skew_intervals * config.interval_seconds)
     max_ts: datetime | None = None
     seen: set[tuple] = set()
     accepted: list[EventLogRecord] = []
 
     for rec in records:
-        counts.records_in += 1
         if not rec.source_id or rec.timestamp is None:
-            counts.dropped_malformed += 1
             continue
         key = rec.dedupe_key()
         try:
             duplicate = key in seen
         except TypeError:  # unhashable: a field holds a JSON list or object
-            counts.dropped_malformed += 1
             continue
         if max_ts is not None and rec.timestamp < max_ts - skew:
             counts.dropped_late += 1
@@ -440,41 +439,33 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
             max_ts = rec.timestamp
         if duplicate:
             counts.dropped_duplicate += 1
-            counts.dropped_malformed += 1
             continue
         seen.add(key)
         accepted.append(rec)
 
     accepted.sort(key=lambda r: (r.timestamp, r.source_id))
-    intrusion_alerts: list[AnomalyAlert] = []
-    emitted: list[EventLogRecord] = []
-    for lo in range(0, len(accepted), BLOCK_SIZE):
-        block = accepted[lo:lo + BLOCK_SIZE]
-        vectors, unknown_value, matched = symbolize_block(block, schema)
-        counts.dropped_malformed += len(block) - int(matched.sum())
-        block = list(compress(block, matched))
-        if not block:
-            continue
-        classes, ambiguous = classify_block(network, vectors[matched])
-        ambiguous |= unknown_value[matched]
-        counts.emitted_classifications += len(block)
-        emitted.extend(block)
-        flag = classes == ATTACK
-        if config.strict_unknown:
-            flag |= classes == UNKNOWN
-        for i in np.flatnonzero(flag).tolist():
-            rec = block[i]
-            intrusion_alerts.append(AnomalyAlert(
-                timestamp=rec.timestamp, kind="Intrusion",
-                observed=1.0, expected=0.0, band=None,
-                severity="Critical" if classes[i] == ATTACK else "Warning",
-                source=rec.source_id, packet_class=PACKET_CLASSES[classes[i]],
-                ambiguous=bool(ambiguous[i])))
+    vectors, unknown_value, matched = symbolize_block(accepted, schema)
+    emitted = list(compress(accepted, matched))
+    classes, ambiguous = classify_block(network, vectors[matched])
+    ambiguous |= unknown_value[matched]
+    flag = classes == ATTACK
+    if config.strict_unknown:
+        flag |= classes == UNKNOWN
+    intrusion_alerts = [AnomalyAlert(
+        timestamp=emitted[i].timestamp, kind="Intrusion",
+        observed=1.0, expected=0.0, band=None,
+        severity="Critical" if classes[i] == ATTACK else "Warning",
+        source=emitted[i].source_id, packet_class=PACKET_CLASSES[classes[i]],
+        ambiguous=bool(ambiguous[i])) for i in np.flatnonzero(flag).tolist()]
 
     rate_alerts: list[AnomalyAlert] = []
     if accepted:
         start = accepted[0].timestamp
-        last = interval_index([accepted[-1].timestamp], start, config.interval_seconds)
-        rate_alerts = _rate_alerts(emitted, config, start, int(last[0]) + 1)
+        slots = interval_index([r.timestamp for r in accepted], start,
+                               config.interval_seconds)
+        rate_alerts = _rate_alerts([r.source_id for r in emitted], slots[matched],
+                                   config, start, int(slots[-1]) + 1)
 
+    counts.emitted_classifications = len(emitted)
+    counts.dropped_malformed = counts.records_in - len(emitted) - counts.dropped_late
     return merge_alerts(intrusion_alerts, rate_alerts), counts

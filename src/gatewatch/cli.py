@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import cc4, detect, evaluate, ingest, series as ts, simulate
 from .errors import GatewatchError, NonFiniteLoss
-from .forecast import ForecasterConfig, fit
+from .forecast import VARIANTS, ForecasterConfig, fit
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,7 +55,7 @@ def build_parser() -> _Parser:
         p.add_argument("--input", help="input file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file; flags win on conflict")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_between(int, -1), default=None)
 
     p = sub.add_parser("ingest", help="flow CSV -> series JSON + ingest report")
     common(p)
@@ -117,9 +117,7 @@ def build_parser() -> _Parser:
 
 def _model_flags(p, with_variant: bool = True):
     if with_variant:
-        p.add_argument("--model", default="holt_winters",
-                       choices=["moving_average", "holt_winters",
-                                "linear_trend", "lstm"])
+        p.add_argument("--model", default="holt_winters", choices=VARIANTS)
     p.add_argument("--period", type=_between(int, 1), default=24)
     p.add_argument("--ma-window", type=_between(int, 0), default=3)
     p.add_argument("--lstm-num-timesteps", type=_between(int, 0), default=1008)
@@ -246,9 +244,12 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    names = [name.strip() for name in args.models.split(",") if name.strip()]
+    unknown = [name for name in names if name not in VARIANTS]
+    if unknown:
+        raise UsageError(f"unknown --models {unknown}; choose from {list(VARIANTS)}")
     data = _series_from_json(args)
-    configs = [_forecaster_config(args, name.strip())
-               for name in args.models.split(",") if name.strip()]
+    configs = [_forecaster_config(args, name) for name in names]
     report = evaluate.compare_models(configs, data, args.train_frac)
     # Persisted reports must be byte-reproducible; wall-clock timing is not.
     for row in report.rows:

@@ -83,6 +83,10 @@ class WidthMismatch(GatewatchError):
     pass
 
 
+class MalformedNetwork(GatewatchError, ValueError):
+    """A network JSON text that does not hold a CC4 network."""
+
+
 # --- simulation ------------------------------------------------------------
 
 class InvalidScript(GatewatchError):

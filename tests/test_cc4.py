@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from itertools import product
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatewatch import cc4
+from gatewatch import cc4, simulate
 from gatewatch.errors import EmptyTrainingSet, SchemaMismatch, WidthMismatch
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
@@ -238,6 +239,30 @@ class TestStreamPipeline:
         obj = json.loads(alerts[0].to_json())
         assert obj["class"] == "Attack"
         assert obj["ambiguous"] is False
+
+    def test_naive_stamps_stream_on_their_own_clock(self):
+        # A trace without offsets streams to the UTC trace's alerts and
+        # counts, each alert on the records' own (naive) clock. One device
+        # also goes quiet, so rate alerts are stamped too.
+        quiet = simulate.default_silence_config().attacks
+
+        def stream(start):
+            config = simulate.default_flood_config(seed=1)
+            config = replace(config, start=start, attacks=config.attacks + quiet)
+            trace = simulate.generate_trace(config)
+            network = cc4.train_from_labels(trace.events, trace.labels,
+                                            simulate.event_schema(),
+                                            config.interval_seconds, 0)
+            return cc4.stream_pipeline(
+                trace.events, simulate.event_schema(), network,
+                cc4.StreamConfig(interval_seconds=config.interval_seconds))
+
+        aware, aware_counts = stream(T0)
+        naive, naive_counts = stream(T0.replace(tzinfo=None))
+        assert {a.kind for a in aware} == {"Intrusion", "Dropout"}
+        assert naive_counts == aware_counts
+        assert naive == [replace(a, timestamp=a.timestamp.replace(tzinfo=None))
+                         for a in aware]
 
 
 def test_event_jsonl_round_trip(tmp_path):

@@ -92,6 +92,9 @@ class TestUsageErrors:
             ("interval", "stream", 0, []),
             ("radius", "stream", -1, []),
             ("magnitude", "simulate", -3, []),
+            ("seed", "simulate", -1, []),
+            ("seed", "forecast", -1, ["--model", "lstm"]),
+            ("models", "compare", "bogus", []),
         ]])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_window_and_gap_threshold_below_one(self, trace_dir, tmp_path, capsys,
@@ -324,6 +327,36 @@ class TestDataErrors:
                    "--labels", str(trace_dir / "labels.csv"),
                    "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err.startswith("error: data: EmptyTrainingSet")
+
+    # a network for the simulator's 12-bit event schema, then one flaw each
+    NETWORK = {"radius": 0, "vectors": ["000110000100"], "classes": ["Known"]}
+
+    @pytest.mark.parametrize("text", [
+        json.dumps(NETWORK)[:-10],
+        json.dumps([NETWORK]),
+        json.dumps({"radius": 0, "classes": ["Known"]}),
+        json.dumps({**NETWORK, "vectors": [], "classes": []}),
+        json.dumps({**NETWORK, "vectors": ["000110000100", "00011000010"],
+                    "classes": ["Known", "Known"]}),
+        json.dumps({**NETWORK, "vectors": ["000110000100", "000111000100"]}),
+        json.dumps({**NETWORK, "vectors": ["000120000100"]}),
+        json.dumps({**NETWORK, "classes": ["Benign"]}),
+        json.dumps({**NETWORK, "radius": -1}),
+        json.dumps({**NETWORK, "radius": True}),
+    ], ids=["truncated", "list", "no-vectors", "no-rows", "ragged", "fewer-classes",
+            "bit-2", "unknown-class", "negative-radius", "bool-radius"])
+    def test_stream_malformed_network(self, tmp_path, capsys, text):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"ts": "2021-01-01T00:00:00+00:00", "src": "a", '
+                          '"proto": "udp", "packets": 3.0, "status": "ok"}\n',
+                          encoding="utf-8")
+        network = tmp_path / "network.json"
+        network.write_text(text, encoding="utf-8")
+        assert run("stream", "--input", str(events), "--network", str(network),
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: data: MalformedNetwork: ")
 
 
 class TestSimulateAndIngest:
