@@ -58,6 +58,20 @@ class EventLogRecord:
         return {"ts": self.timestamp.isoformat(), "src": self.source_id, **self.fields}
 
 
+def intake_key(record: EventLogRecord) -> tuple | None:
+    """The record's dedupe key, or None when the record is malformed: it has
+    no source or no stamp, or a field holds a JSON list or object, which
+    leaves the key unhashable. The stream and CC4 training both skip it."""
+    if not record.source_id or record.timestamp is None:
+        return None
+    key = record.dedupe_key()
+    try:
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
 def parse_event_obj(obj: dict) -> EventLogRecord:
     """One event record; its stamp is taken to UTC, a naive stamp being UTC
     already, so every record and alert of a stream runs on one clock."""
@@ -303,13 +317,15 @@ def train_from_labels(events: list[EventLogRecord], labels: list[tuple[int, str,
                       schema: SymbolSchema, interval_seconds: float,
                       radius: int) -> CC4Network:
     """One-shot CC4 network from a labelled event log: an event is Attack
-    when a label row names its (interval index, source id) cell. The events
-    are taken in (timestamp, source id) order, so the interval grid starts at
-    the earliest event whatever the order of the log."""
-    if not events:
-        raise EmptyTrainingSet("no event in the input to train on")
+    when a label row names its (interval index, source id) cell. Events the
+    stream counts malformed (see intake_key) are skipped; the rest are taken
+    in (timestamp, source id) order, so the interval grid starts at the
+    earliest of them whatever the order of the log."""
+    ordered = sorted((e for e in events if intake_key(e) is not None),
+                     key=lambda e: (e.timestamp, e.source_id))
+    if not ordered:
+        raise EmptyTrainingSet("no well-formed event in the input to train on")
     attack_cells = {(i, d) for i, d, _ in labels}
-    ordered = sorted(events, key=lambda e: (e.timestamp, e.source_id))
     return cc4_train(training_samples(ordered, schema, attack_cells,
                                       ordered[0].timestamp, interval_seconds),
                      radius)
@@ -416,8 +432,11 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
     bounded skew window is counted late and excluded, never silently
     reordered. End of input flushes everything. A record without a source or
     stamp, or with a field that holds a JSON list or object, is counted in
-    `dropped_malformed` and excluded before it can move the skew window.
+    `dropped_malformed` and excluded before it can move the skew window. A
+    network whose width is not the schema's raises WidthMismatch.
     """
+    if network.width != schema.total_bits:
+        raise WidthMismatch(f"network width {network.width} vs schema {schema.total_bits}")
     counts = StreamCounts(records_in=len(records))
     skew = timedelta(seconds=config.skew_intervals * config.interval_seconds)
     max_ts: datetime | None = None
@@ -425,19 +444,15 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
     accepted: list[EventLogRecord] = []
 
     for rec in records:
-        if not rec.source_id or rec.timestamp is None:
-            continue
-        key = rec.dedupe_key()
-        try:
-            duplicate = key in seen
-        except TypeError:  # unhashable: a field holds a JSON list or object
+        key = intake_key(rec)
+        if key is None:
             continue
         if max_ts is not None and rec.timestamp < max_ts - skew:
             counts.dropped_late += 1
             continue
         if max_ts is None or rec.timestamp > max_ts:
             max_ts = rec.timestamp
-        if duplicate:
+        if key in seen:
             counts.dropped_duplicate += 1
             continue
         seen.add(key)

@@ -121,7 +121,7 @@ def _model_flags(p, with_variant: bool = True):
     p.add_argument("--period", type=_between(int, 1), default=24)
     p.add_argument("--ma-window", type=_between(int, 0), default=3)
     p.add_argument("--lstm-num-timesteps", type=_between(int, 0), default=1008)
-    p.add_argument("--lstm-epochs", type=int, default=1)
+    p.add_argument("--lstm-epochs", type=_between(int, 0), default=1)
     p.add_argument("--lstm-num-chunks", type=_between(int, 0), default=1)
 
 
@@ -186,51 +186,40 @@ def _series_from_json(args) -> ts.TimeSeries:
     return ts.TimeSeries.from_json(path.read_text(encoding="utf-8"))
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+def _write(path: Path, content) -> None:
+    """One artifact, in the format its file name says: alerts, JSON or text."""
+    if path.suffix == ".jsonl":
+        detect.write_alerts_jsonl(content, path)
+    elif path.suffix == ".json":
+        path.write_text(json.dumps(content, indent=2) + "\n", encoding="utf-8")
+    else:
+        path.write_text(content, encoding="utf-8")
 
 
 # --- subcommand bodies ------------------------------------------------------
+# Each returns its artifacts, {file name: content}, for main to write under
+# --out; only simulate writes files itself, its trace.
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> dict:
     result, report = _series_from_csv(args, args.aggregator)
-    out = _outdir(args)
-    _write_json(out / "series.json", result.to_json_obj())
-    _write_json(out / "ingest_report.json", report.to_json_obj())
-    return EXIT_OK
+    return {"series.json": result.to_json_obj(),
+            "ingest_report.json": report.to_json_obj()}
 
 
-def cmd_inspect(args) -> int:
+def cmd_inspect(args) -> dict:
     data = _series_from_json(args)
     periods = args.period or [24]
-    report = ts.diagnose(data, periods)
-    _write_json(_outdir(args) / "diagnostics.json", report.to_json_obj())
-    return EXIT_OK
+    return {"diagnostics.json": ts.diagnose(data, periods).to_json_obj()}
 
 
-def cmd_forecast(args) -> int:
+def cmd_forecast(args) -> dict:
     data = _series_from_json(args)
     model = fit(_forecaster_config(args, args.model), data)
     preds = model.forecast(args.horizon)
     z = detect.z_score(args.confidence)
     sigma = model.residual_std
     warm = model.warmup
-    out = _outdir(args)
-    _write_json(out / "forecast.json", {
-        "fitted": model.fitted.tolist(),
-        "warmup": warm,
-        "forecasts": preds,
-        "residuals": (data.values[warm:] - model.fitted).tolist(),
-        "residual_std": sigma,
-    })
-    _write_json(out / "model.json", model.to_json_obj())
     lines = ["t,actual,predicted,lower,upper"]
     for i, fitted in enumerate(model.fitted.tolist()):
         t = warm + i
@@ -239,11 +228,15 @@ def cmd_forecast(args) -> int:
     for h, pred in enumerate(preds, start=1):
         t = len(data) + h - 1
         lines.append(f"{t},,{pred!r},{pred - z * sigma!r},{pred + z * sigma!r}")
-    (out / "forecast.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return EXIT_OK
+    return {"forecast.json": {"fitted": model.fitted.tolist(), "warmup": warm,
+                              "forecasts": preds,
+                              "residuals": (data.values[warm:] - model.fitted).tolist(),
+                              "residual_std": sigma},
+            "model.json": model.to_json_obj(),
+            "forecast.csv": "\n".join(lines) + "\n"}
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> dict:
     names = [name.strip() for name in args.models.split(",") if name.strip()]
     unknown = [name for name in names if name not in VARIANTS]
     if unknown:
@@ -254,13 +247,11 @@ def cmd_compare(args) -> int:
     # Persisted reports must be byte-reproducible; wall-clock timing is not.
     for row in report.rows:
         row.fit_seconds = 0.0
-    out = _outdir(args)
-    _write_json(out / "report.json", report.to_json_obj())
-    (out / "report.txt").write_text(report.to_text_table() + "\n", encoding="utf-8")
-    return EXIT_OK
+    return {"report.json": report.to_json_obj(),
+            "report.txt": report.to_text_table() + "\n"}
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args) -> dict:
     if Path(args.input).suffix == ".json":
         data = _series_from_json(args)
     else:
@@ -278,13 +269,10 @@ def cmd_detect(args) -> int:
             test, 0, train.clean_values(), detect.z_score(args.confidence),
             args.window, "Surge", source)
     alerts.extend(detect.detect_dropout(data, args.gap_threshold, source=source))
-    merged = detect.merge_alerts(alerts)
-    out = _outdir(args)
-    detect.write_alerts_jsonl(merged, out / "alerts.jsonl")
-    return EXIT_OK
+    return {"alerts.jsonl": detect.merge_alerts(alerts)}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     seed = args.seed if args.seed is not None else 42
     if args.scenario == "flood":
         config = simulate.default_flood_config(seed=seed, magnitude=args.magnitude)
@@ -294,12 +282,11 @@ def cmd_simulate(args) -> int:
         config = simulate.default_sybil_config(seed=seed)
     else:
         config = simulate.SimConfig(seed=seed, fleet=simulate.default_fleet())
-    trace = simulate.generate_trace(config)
-    simulate.write_trace(trace, _outdir(args))
-    return EXIT_OK
+    simulate.write_trace(simulate.generate_trace(config), args.out)
+    return {}
 
 
-def cmd_stream(args) -> int:
+def cmd_stream(args) -> dict:
     events = cc4.read_events_jsonl(args.input)
     schema = simulate.event_schema()
     if args.network:
@@ -316,11 +303,9 @@ def cmd_stream(args) -> int:
                               surge_window=args.window,
                               gap_threshold=args.gap_threshold)
     alerts, stats = cc4.stream_pipeline(events, schema, network, config)
-    out = _outdir(args)
-    detect.write_alerts_jsonl(alerts, out / "alerts.jsonl")
-    _write_json(out / "stream_counts.json", stats.to_json_obj())
-    _write_json(out / "network.json", network.to_json_obj())
-    return EXIT_OK
+    return {"alerts.jsonl": alerts,
+            "stream_counts.json": stats.to_json_obj(),
+            "network.json": network.to_json_obj()}
 
 
 COMMANDS = {
@@ -344,7 +329,17 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:at] + _config_argv(parser, args) + argv[at:])
         if getattr(args, "input", None) is None and args.command != "simulate":
             raise UsageError(f"{args.command} requires --input")
-        return COMMANDS[args.command](args)
+        artifacts = COMMANDS[args.command](args)
+        out = Path(args.out)
+        given = [vars(args).get(key) for key in ("input", "labels", "network", "config")]
+        inputs = {Path(path).resolve() for path in given if path}
+        clash = [out / name for name in artifacts if (out / name).resolve() in inputs]
+        if clash:
+            raise UsageError(f"{clash[0]} is an input; choose another --out")
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in artifacts.items():
+            _write(out / name, content)
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -232,6 +232,12 @@ class TestStreamPipeline:
         a2, c2 = cc4.stream_pipeline(events, schema(), _network(), config)
         assert a1 == a2 and c1 == c2
 
+    def test_network_width_is_checked_on_entry(self):
+        # with no record to classify the width is still the schema's
+        narrow = cc4.cc4_train([([0, 1, 0], "Known")], radius=0)
+        with pytest.raises(WidthMismatch):
+            cc4.stream_pipeline([], schema(), narrow, cc4.StreamConfig())
+
     def test_alert_json_includes_class_fields(self):
         events = [_event(0, "dev-2", proto="udp", packets=500.0)]
         config = cc4.StreamConfig()
@@ -263,6 +269,25 @@ class TestStreamPipeline:
         assert naive_counts == aware_counts
         assert naive == [replace(a, timestamp=a.timestamp.replace(tzinfo=None))
                          for a in aware]
+
+
+def test_training_skips_records_the_stream_counts_malformed():
+    # A record with a list field, stamped two intervals before the log, is
+    # neither a hidden neuron nor the origin of the training grid.
+    config = simulate.default_flood_config(seed=1)
+    trace = simulate.generate_trace(config)
+    first = trace.events[0]
+    early = replace(first, fields={**first.fields, "status": ["ok"]},
+                    timestamp=first.timestamp - timedelta(
+                        seconds=2 * config.interval_seconds))
+
+    def train(events):
+        return cc4.train_from_labels(events, trace.labels, simulate.event_schema(),
+                                     config.interval_seconds, 0).to_json_obj()
+
+    assert train([early] + trace.events) == train(trace.events)
+    with pytest.raises(EmptyTrainingSet):
+        train([early])
 
 
 def test_event_jsonl_round_trip(tmp_path):

@@ -85,6 +85,8 @@ class TestUsageErrors:
             ("train_frac", "detect", 1.5, []),
             ("lstm_num_chunks", "forecast", 0, ["--model", "lstm"]),
             ("lstm_num_timesteps", "forecast", 0, ["--model", "lstm"]),
+            ("lstm_epochs", "forecast", 0, ["--model", "lstm"]),
+            ("lstm_epochs", "forecast", -1, ["--model", "lstm"]),
             ("interval", "ingest", 0, []),
             ("interval", "ingest", -5, []),
             ("interval", "detect", 0, []),
@@ -328,6 +330,18 @@ class TestDataErrors:
                    "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err.startswith("error: data: EmptyTrainingSet")
 
+    def test_stream_labels_on_only_malformed_records(self, trace_dir, tmp_path, capsys):
+        # training skips what the stream counts malformed, leaving nothing
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"ts": "2021-01-01T00:00:00+00:00", "src": "a", "proto": "udp", '
+                          '"packets": 3.0, "status": ["ok"]}\n', encoding="utf-8")
+        assert run("stream", "--input", str(events),
+                   "--labels", str(trace_dir / "labels.csv"),
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: EmptyTrainingSet") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     # a network for the simulator's 12-bit event schema, then one flaw each
     NETWORK = {"radius": 0, "vectors": ["000110000100"], "classes": ["Known"]}
 
@@ -357,6 +371,61 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: data: MalformedNetwork: ")
+
+
+class TestArtifacts:
+    """Commands return their artifacts; main alone writes them under --out."""
+
+    ARTIFACTS = {
+        "ingest": {"series.json", "ingest_report.json"},
+        "inspect": {"diagnostics.json"},
+        "forecast": {"forecast.json", "model.json", "forecast.csv"},
+        "compare": {"report.json", "report.txt"},
+        "detect": {"alerts.jsonl"},
+        "stream": {"alerts.jsonl", "stream_counts.json", "network.json"},
+    }
+
+    @pytest.mark.parametrize("command", ARTIFACTS)
+    def test_commands_return_artifacts_and_write_nothing(self, trace_dir, tmp_path,
+                                                         command):
+        inputs = {"ingest": ["--input", str(trace_dir / "flow.csv")],
+                  "stream": ["--input", str(trace_dir / "events.jsonl"),
+                             "--labels", str(trace_dir / "labels.csv")]}
+        series = ["--input", str(series_file(tmp_path, seasonal_values()))]
+        out = tmp_path / "o"
+        args = cli.build_parser().parse_args(
+            [command, *inputs.get(command, series), "--out", str(out)])
+        assert set(cli.COMMANDS[command](args)) == self.ARTIFACTS[command]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--network", "--input"])
+    def test_an_artifact_that_is_an_input_refuses_the_run(self, trace_dir, tmp_path,
+                                                          capsys, flag):
+        # The run stops before anything is written: the input keeps its
+        # bytes (a compact network file is not rewritten indented) and no
+        # other artifact appears beside it.
+        d = tmp_path / "d"
+        d.mkdir()
+        events = str(trace_dir / "events.jsonl")
+        if flag == "--network":
+            assert run("stream", "--input", events, "--labels",
+                       str(trace_dir / "labels.csv"), "--out", str(tmp_path / "t")) == 0
+            target = d / "network.json"
+            target.write_text(json.dumps(json.loads(
+                (tmp_path / "t" / "network.json").read_text(encoding="utf-8"))),
+                encoding="utf-8")
+            argv = ["--input", events, "--network", str(target)]
+        else:
+            target = d / "alerts.jsonl"
+            target.write_bytes((trace_dir / "events.jsonl").read_bytes())
+            argv = ["--input", str(target), "--labels", str(trace_dir / "labels.csv")]
+        before = target.read_bytes()
+        assert run("stream", *argv, "--out", str(d)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: ") and err.count("\n") == 1
+        assert str(target) in err
+        assert target.read_bytes() == before
+        assert [path.name for path in d.iterdir()] == [target.name]
 
 
 class TestSimulateAndIngest:
@@ -594,8 +663,26 @@ class TestDetectAndStream:
         assert odd["dropped_malformed"] == clean["dropped_malformed"] + 2
         for name in ("emitted_classifications", "dropped_duplicate", "dropped_late"):
             assert odd[name] == clean[name], name
-        assert ((outs["odd"] / "alerts.jsonl").read_bytes()
-                == (outs["clean"] / "alerts.jsonl").read_bytes())
+        for name in ("alerts.jsonl", "network.json"):
+            assert (outs["odd"] / name).read_bytes() == (outs["clean"] / name).read_bytes()
+
+    @pytest.mark.parametrize("fields", [{"proto": "udp"},
+                                        {"proto": "udp", "packets": 3.0, "status": "ok"}],
+                             ids=["malformed", "matching"])
+    def test_stream_network_of_the_wrong_width(self, tmp_path, capsys, fields):
+        # a valid 3-bit network against the 12-bit event schema, whether or
+        # not a record reaches the classifier
+        events = tmp_path / "events.jsonl"
+        events.write_text(json.dumps({"ts": "2021-01-01T00:00:00+00:00", "src": "a",
+                                      **fields}) + "\n", encoding="utf-8")
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps({"radius": 0, "vectors": ["010"],
+                                       "classes": ["Known"]}), encoding="utf-8")
+        assert run("stream", "--input", str(events), "--network", str(network),
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: WidthMismatch: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["many", None])
     @pytest.mark.parametrize("path", ["labels", "network"])
