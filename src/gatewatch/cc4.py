@@ -360,7 +360,7 @@ def read_events_jsonl(path) -> list[EventLogRecord]:
     """Every event of a JSON-lines log; blank lines are skipped. A line that is
     not an event record raises SchemaMismatch naming its line number."""
     events = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

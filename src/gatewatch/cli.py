@@ -329,6 +329,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:at] + _config_argv(parser, args) + argv[at:])
         if getattr(args, "input", None) is None and args.command != "simulate":
             raise UsageError(f"{args.command} requires --input")
+        if "confidence" in args:  # refused before any input is read
+            detect.z_score(args.confidence)
         artifacts = COMMANDS[args.command](args)
         out = Path(args.out)
         given = [vars(args).get(key) for key in ("input", "labels", "network", "config")]

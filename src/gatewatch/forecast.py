@@ -72,32 +72,21 @@ def _hw_run(y: np.ndarray, alpha, beta, gamma, m: int, level, trend,
     updated in place. A NaN observation carries into the state.
 
     Returns (one-step preds of shape S.shape[1:] + (len(y),), final level,
-    final trend).
+    final trend). The preds are a transposed view of a time-major array, one
+    contiguous row per step.
     """
-    preds = np.empty(S.shape[1:] + (len(y),))
+    preds = np.empty((len(y),) + S.shape[1:])
+    keep_alpha, keep_beta, keep_gamma = 1.0 - alpha, 1.0 - beta, 1.0 - gamma
     for i, obs in enumerate(y.tolist()):
         phase = (t0 + i) % m
         seasonal = S[phase]
-        preds[..., i] = level + trend + seasonal
+        smoothed = level + trend
+        preds[i] = smoothed + seasonal
         prev_level = level
-        level = alpha * (obs - seasonal) + (1.0 - alpha) * (level + trend)
-        trend = beta * (level - prev_level) + (1.0 - beta) * trend
-        S[phase] = gamma * (obs - level) + (1.0 - gamma) * seasonal
-    return preds, level, trend
-
-
-def _hw_select_constants(y: np.ndarray, m: int) -> tuple[float, float, float]:
-    """Grid search over {0.1..0.9}^3 minimizing one-step training MSE."""
-    combos = list(product(HW_GRID, HW_GRID, HW_GRID))
-    a = np.array([c[0] for c in combos])
-    b = np.array([c[1] for c in combos])
-    g = np.array([c[2] for c in combos])
-    level, trend, seasonals = _hw_initial_state(y, m)
-    S = np.tile(seasonals[:, None], (1, len(combos)))
-    preds, _, _ = _hw_run(y[m:], a, b, g, m, level, trend, S, m)
-    mses = np.mean((preds - y[m:]) ** 2, axis=1)
-    best = int(np.argmin(mses))  # argmin is first-hit, so ties are stable
-    return combos[best]
+        level = alpha * (obs - seasonal) + keep_alpha * smoothed
+        trend = beta * (level - prev_level) + keep_beta * trend
+        S[phase] = gamma * (obs - level) + keep_gamma * seasonal
+    return preds.T, level, trend
 
 
 def _window_means(values: np.ndarray, w: int) -> np.ndarray:
@@ -276,16 +265,28 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
             raise ValueError("hw_period must be >= 2")
         if n < 2 * m:
             raise SeriesTooShort(f"length {n} < 2 x period {m}")
+        # Given constants are a one-member grid; otherwise search {0.1..0.9}^3
+        # for the least one-step training MSE, in one pass over the grid.
         given = (config.hw_alpha, config.hw_beta, config.hw_gamma)
         if all(c is not None for c in given):
-            alpha, beta, gamma = given
+            grid = [given]
         else:
-            alpha, beta, gamma = _hw_select_constants(y, m)
-        level, trend, S = _hw_initial_state(y, m)
+            grid = list(product(HW_GRID, HW_GRID, HW_GRID))
+        alpha, beta, gamma = (np.array(c, dtype=float) for c in zip(*grid))
+        level, trend, seasonals = _hw_initial_state(y, m)
+        S = np.tile(seasonals[:, None], (1, len(grid)))
         preds, level, trend = _hw_run(y[m:], alpha, beta, gamma, m, level, trend,
                                       S, m)
-        return _model(config, y, preds, hw_constants=(alpha, beta, gamma),
-                       hw_state=(float(level), float(trend), S))
+        # np.mean sums a contiguous row pairwise; over the transposed view it
+        # would add in another order, and the last bits decide near-ties.
+        # The copy is always made, so squaring in place leaves preds intact.
+        errors = np.array(preds, order="C")
+        errors -= y[m:]
+        mses = np.mean(np.square(errors, out=errors), axis=1)
+        best = int(np.argmin(mses))  # argmin is first-hit, so ties are stable
+        return _model(config, y, preds[best].copy(), hw_constants=grid[best],
+                      hw_state=(float(level[best]), float(trend[best]),
+                                S[:, best].copy()))
 
     if v == "linear_trend":
         if n < 2:

@@ -83,7 +83,7 @@ def parse_flow_csv(path, value_column: str) -> tuple[list[FlowRecord], IngestRep
     """Parse the Flow ID, Timestamp and value columns of a flow CSV; other
     columns are not read. Rows whose value cell is absent or fails numeric
     coercion are retained but marked missing; clean() drops them later."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -99,20 +99,30 @@ def parse_flow_csv(path, value_column: str) -> tuple[list[FlowRecord], IngestRep
 
         records: list[FlowRecord] = []
         report = IngestReport()
+        # A flow log repeats each interval's stamp once per flow, so each
+        # distinct stamp text is parsed once; only parsed stamps are kept.
+        stamps: dict[str, datetime] = {}
         for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
             report.rows_read += 1
             n = len(row)   # a short row lacks its trailing cells
+            text = row[i_ts] if i_ts < n else ""
+            stamp = stamps.get(text)
+            if stamp is None:
+                try:
+                    stamp = stamps[text] = parse_timestamp(text)
+                except TimestampParseError as exc:
+                    raise TimestampParseError(
+                        f"{path}: line {reader.line_num}: {exc}") from None
             records.append(FlowRecord(
                 flow_id=row[i_id].strip() if i_id < n else "",
-                timestamp=parse_timestamp(row[i_ts] if i_ts < n else ""),
+                timestamp=stamp,
                 value=_coerce_float(row[i_value]) if i_value < n else None,
             ))
-    if records:
-        stamps = [r.timestamp for r in records]
-        report.series_start = min(stamps)
-        report.series_end = max(stamps)
+    if stamps:
+        report.series_start = min(stamps.values())
+        report.series_end = max(stamps.values())
     return records, report
 
 

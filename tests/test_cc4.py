@@ -300,6 +300,14 @@ def test_event_jsonl_round_trip(tmp_path):
                                          fields={"proto": "udp", "packets": 12.0})]
 
 
+def test_event_jsonl_with_a_byte_order_mark(tmp_path):
+    line = '{"ts": "2021-01-01T00:00:00+00:00", "src": "cam-1", "proto": "udp"}\n'
+    plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+    plain.write_text(line * 2, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + (line * 2).encode("utf-8"))
+    assert cc4.read_events_jsonl(marked) == cc4.read_events_jsonl(plain)
+
+
 def test_parse_event_requires_ts_and_src():
     with pytest.raises(SchemaMismatch):
         cc4.parse_event_obj({"src": "x"})

@@ -258,6 +258,33 @@ class TestDataErrors:
                    "--out", str(tmp_path / "o"), "--confidence", "0.97") == 2
         assert "UnsupportedConfidence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("forecast", ["--model", "lstm"]),
+        ("detect", []),
+        ("stream", ["--labels", "labels.csv"]),
+    ])
+    def test_untabulated_confidence_before_any_input_is_read(self, tmp_path, capsys,
+                                                             command, extra):
+        # The input does not exist: the confidence is refused first.
+        assert run(command, "--input", str(tmp_path / "nope"), *extra,
+                   "--out", str(tmp_path / "o"), "--confidence", "0.97") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: UnsupportedConfidence: ")
+        assert err.count("\n") == 1
+
+    def test_untabulated_confidence_on_a_stream_that_emits_nothing(self, tmp_path,
+                                                                   capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"ts": "2021-01-01T00:00:00+00:00", "src": "a", '
+                          '"proto": "udp", "packets": 3.0, "status": ["ok"]}\n',
+                          encoding="utf-8")
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(self.NETWORK), encoding="utf-8")
+        assert run("stream", "--input", str(events), "--network", str(network),
+                   "--out", str(tmp_path / "o"), "--confidence", "7") == 2
+        assert capsys.readouterr().err.startswith("error: data: UnsupportedConfidence")
+        assert not (tmp_path / "o").exists()
+
     def test_series_too_short(self, tmp_path, capsys):
         path = series_file(tmp_path, [1.0, 2.0, 3.0])
         assert run("forecast", "--input", str(path), "--out",

@@ -2,6 +2,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -221,3 +222,66 @@ def test_residual_std_is_never_nan(config):
     for k in range(1, 400):
         sigma = fc.fit(config, make(0.1 * k * t + 3.7)).residual_std
         assert math.isfinite(sigma) and sigma >= 0.0, k
+
+
+def ref_hw_run(y, alpha, beta, gamma, m, level, trend, S, t0):
+    """The recurrence before it wrote time-major rows: one column per step."""
+    preds = np.empty(S.shape[1:] + (len(y),))
+    for i, obs in enumerate(y.tolist()):
+        phase = (t0 + i) % m
+        seasonal = S[phase]
+        preds[..., i] = level + trend + seasonal
+        prev_level = level
+        level = alpha * (obs - seasonal) + (1.0 - alpha) * (level + trend)
+        trend = beta * (level - prev_level) + (1.0 - beta) * trend
+        S[phase] = gamma * (obs - level) + (1.0 - gamma) * seasonal
+    return preds, level, trend
+
+
+def ref_hw_fit(config, y):
+    """Select the constants on the grid, then rerun the chosen ones on floats:
+    the Holt-Winters fit before the grid run kept its best column."""
+    m = config.hw_period
+    given = (config.hw_alpha, config.hw_beta, config.hw_gamma)
+    if all(c is not None for c in given):
+        alpha, beta, gamma = given
+    else:
+        combos = list(product(fc.HW_GRID, fc.HW_GRID, fc.HW_GRID))
+        a, b, g = (np.array(c) for c in zip(*combos))
+        level, trend, seasonals = fc._hw_initial_state(y, m)
+        S = np.tile(seasonals[:, None], (1, len(combos)))
+        preds, _, _ = ref_hw_run(y[m:], a, b, g, m, level, trend, S, m)
+        mses = np.mean((preds - y[m:]) ** 2, axis=1)
+        alpha, beta, gamma = combos[int(np.argmin(mses))]
+    level, trend, S = fc._hw_initial_state(y, m)
+    preds, level, trend = ref_hw_run(y[m:], alpha, beta, gamma, m, level, trend, S, m)
+    return fc._model(config, y, preds, hw_constants=(alpha, beta, gamma),
+                     hw_state=(float(level), float(trend), S))
+
+
+@pytest.mark.parametrize("period", [2, 4, 12, 24])
+@pytest.mark.parametrize("constants", [None, (0.3, 0.1, 0.7), (0.15, 0.05, 0.9)])
+@pytest.mark.parametrize("seed", range(4))
+def test_hw_fit_equals_select_then_rerun(period, constants, seed):
+    # The one grid run gives, bit for bit, what choosing the constants and
+    # fitting them again gave: constants, fit, state, model.json and scoring.
+    # Seed 0 is a flat series, on which all 729 grid members tie at MSE 0.
+    rng = np.random.default_rng(seed)
+    n = 2 * period + int(rng.integers(0, 6 * period))
+    t = np.arange(n)
+    y = (rng.uniform(10, 100) + rng.uniform(1, 20) * np.sin(2 * np.pi * t / period)
+         + rng.uniform(-0.2, 0.2) * t + rng.normal(0, rng.uniform(0.1, 5), n))
+    if seed == 0:
+        y = np.zeros(n)
+    alpha, beta, gamma = constants or (None, None, None)
+    config = fc.ForecasterConfig(variant="holt_winters", hw_period=period,
+                                 hw_alpha=alpha, hw_beta=beta, hw_gamma=gamma)
+    model, want = fc.fit(config, make(y)), ref_hw_fit(config, y)
+    assert model.hw_constants == want.hw_constants
+    assert model.fitted.tolist() == want.fitted.tolist()
+    level, trend, S = model.hw_state
+    assert (level, trend, S.tolist()) == (want.hw_state[0], want.hw_state[1],
+                                          want.hw_state[2].tolist())
+    assert model.to_json() == want.to_json()
+    new = np.r_[rng.normal(y.mean(), y.std(), 5), np.nan, rng.normal(y.mean(), 1, 3)]
+    assert model.one_step_on(new).tobytes() == want.one_step_on(new).tobytes()

@@ -3,7 +3,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatewatch import ingest
@@ -242,3 +242,102 @@ def test_to_series_empty_input():
     with pytest.raises(EmptyInput):
         ingest.to_series([], 60.0)
 
+
+
+def test_bom_prefixed_csv_parses(tmp_path):
+    # Spreadsheet exports often start with a UTF-8 byte-order mark.
+    path = tmp_path / "flow.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (HEADER + ROW0).encode("utf-8"))
+    records, report = ingest.parse_flow_csv(path, "Fwd Pkt Len Mean")
+    assert records == ingest.parse_flow_csv(write(tmp_path, ROW0, "plain.csv"),
+                                            "Fwd Pkt Len Mean")[0]
+    assert report.rows_read == 1
+
+
+def test_bad_timestamp_names_the_file_and_line(tmp_path):
+    # The header is line 1 and a blank line still counts.
+    body = ROW0 + "\n" + ROW0 + "f1,22/02/2018 13:27:57 PM,1.0,1.0,-1,1,0\n"
+    path = write(tmp_path, body)
+    with pytest.raises(TimestampParseError) as info:
+        ingest.parse_flow_csv(path, "Fwd Pkt Len Mean")
+    assert str(info.value) == f"{path}: line 5: bad timestamp '22/02/2018 13:27:57 PM'"
+
+
+def ref_parse_flow_csv(path, value_column):
+    """The per-row strptime loop that the stamp memo replaced. Returns
+    (records, report, None), or (None, None, (stamp text, line)) for the
+    first row whose stamp does not parse."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        i_id, i_ts, i_value = (header.index(name)
+                               for name in ("Flow ID", "Timestamp", value_column))
+        records = []
+        report = ingest.IngestReport()
+        for row in reader:
+            if not row or all(not c.strip() for c in row):
+                continue
+            report.rows_read += 1
+            n = len(row)
+            text = row[i_ts] if i_ts < n else ""
+            try:
+                stamp = datetime.strptime(text.strip(), "%d/%m/%Y %I:%M:%S %p")
+            except ValueError:
+                return None, None, (text, reader.line_num)
+            value = None
+            if i_value < n:
+                try:
+                    value = float(row[i_value])
+                except ValueError:
+                    pass
+                if value is not None and not np.isfinite(value):
+                    value = None
+            records.append(ingest.FlowRecord(
+                flow_id=row[i_id].strip() if i_id < n else "",
+                timestamp=stamp.replace(tzinfo=timezone.utc), value=value))
+    if records:
+        report.series_start = min(r.timestamp for r in records)
+        report.series_end = max(r.timestamp for r in records)
+    return records, report, None
+
+
+def _stamp_texts(stamp):
+    """Spellings of one instant that parse, padded or in lower case."""
+    text = ingest.format_timestamp(stamp)
+    return [text, f"  {text} ", text.lower(), text.replace(" ", "  ", 1)]
+
+
+BAD_STAMPS = ["", "2018-02-22 00:27:57", "31/02/2018 01:00:00 AM",
+              "22/02/2018 13:00:00 PM", "22/02/2018 01:00:00", "x"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(instants=st.lists(st.datetimes(datetime(2000, 1, 1), datetime(2030, 1, 1)),
+                         min_size=1, max_size=4),
+       rows=st.lists(st.tuples(st.integers(0, 15), st.sampled_from(
+           ["full", "full", "full", "no-value", "blank", "commas", "bad"]),
+           st.sampled_from(["1.5", "", "nan", "abc", "-3"])), max_size=30))
+def test_memoized_parse_matches_per_row_strptime(tmp_path_factory, instants, rows):
+    # Repeated, padded and lower-case stamps, bad ones, and short and blank
+    # rows: the same records and report, or the same error on the same line.
+    good = [t for i in instants for t in _stamp_texts(i.replace(microsecond=0))]
+    lines = [["Flow ID", "Timestamp", "Fwd Pkt Len Mean"]]
+    for k, (pick, shape, value) in enumerate(rows):
+        pool = BAD_STAMPS if shape == "bad" else good
+        row = [f"10.0.0.{k % 3}-x", pool[pick % len(pool)], value]
+        lines.append({"no-value": row[:2], "blank": [],
+                      "commas": ["", " ", ""]}.get(shape, row))
+    path = tmp_path_factory.mktemp("flows") / "flow.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(lines)
+    want_records, want_report, failure = ref_parse_flow_csv(path, "Fwd Pkt Len Mean")
+    if failure is not None:
+        text, line = failure
+        with pytest.raises(TimestampParseError) as info:
+            ingest.parse_flow_csv(path, "Fwd Pkt Len Mean")
+        assert str(info.value) == f"{path}: line {line}: bad timestamp {text!r}"
+        return
+    records, report = ingest.parse_flow_csv(path, "Fwd Pkt Len Mean")
+    assert records == want_records
+    assert report == want_report
+    assert report.to_json_obj() == want_report.to_json_obj()
