@@ -8,7 +8,6 @@ the throughput counters plus the first few alerts.
 import argparse
 
 from gatewatch import StreamConfig, stream_pipeline
-from gatewatch.cc4 import train_from_labels
 from gatewatch.simulate import default_flood_config, event_schema, generate_trace
 
 
@@ -21,11 +20,9 @@ def main() -> None:
     args = parser.parse_args()
 
     trace = generate_trace(default_flood_config(seed=args.seed))
-    schema = event_schema()
-    network = train_from_labels(trace.events, trace.labels, schema,
-                                trace.interval_seconds, args.radius)
     config = StreamConfig(interval_seconds=trace.interval_seconds)
-    alerts, counts = stream_pipeline(trace.events, schema, network, config)
+    alerts, counts, _ = stream_pipeline(trace.events, event_schema(), None, config,
+                                        trace.labels, args.radius)
 
     for key, value in counts.to_json_obj().items():
         print(f"{key}: {value}")

@@ -313,24 +313,6 @@ def training_samples(events: list[EventLogRecord], schema: SymbolSchema,
             for i, idx in zip(first, slots.tolist())]
 
 
-def train_from_labels(events: list[EventLogRecord], labels: list[tuple[int, str, str]],
-                      schema: SymbolSchema, interval_seconds: float,
-                      radius: int) -> CC4Network:
-    """One-shot CC4 network from a labelled event log: an event is Attack
-    when a label row names its (interval index, source id) cell. Events the
-    stream counts malformed (see intake_key) are skipped; the rest are taken
-    in (timestamp, source id) order, so the interval grid starts at the
-    earliest of them whatever the order of the log."""
-    ordered = sorted((e for e in events if intake_key(e) is not None),
-                     key=lambda e: (e.timestamp, e.source_id))
-    if not ordered:
-        raise EmptyTrainingSet("no well-formed event in the input to train on")
-    attack_cells = {(i, d) for i, d, _ in labels}
-    return cc4_train(training_samples(ordered, schema, attack_cells,
-                                      ordered[0].timestamp, interval_seconds),
-                     radius)
-
-
 # --- streaming pipeline -----------------------------------------------------
 
 
@@ -424,31 +406,40 @@ def _rate_alerts(ids: list[str], slots: np.ndarray, config: StreamConfig,
 
 
 def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
-                    network: CC4Network, config: StreamConfig,
-                    ) -> tuple[list[AnomalyAlert], StreamCounts]:
-    """collect -> cleanse -> symbolize -> classify -> emit.
+                    network: CC4Network | None, config: StreamConfig,
+                    labels: list[tuple[int, str, str]] | None = None, radius: int = 1,
+                    ) -> tuple[list[AnomalyAlert], StreamCounts, CC4Network]:
+    """collect -> cleanse -> [train ->] symbolize -> classify -> emit.
 
     Records are accepted in roughly increasing time; anything older than the
     bounded skew window is counted late and excluded, never silently
     reordered. End of input flushes everything. A record without a source or
     stamp, or with a field that holds a JSON list or object, is counted in
     `dropped_malformed` and excluded before it can move the skew window. A
-    network whose width is not the schema's raises WidthMismatch.
+    given network whose width is not the schema's raises WidthMismatch.
+
+    Give a network or label rows, not both. Label rows train a network of
+    `radius` on the records the intake accepts or finds late, duplicates
+    aside, in (timestamp, source id) order, so the interval grid starts at the
+    earliest of them. Returns the alerts, the counts and the network used.
     """
-    if network.width != schema.total_bits:
+    if (network is None) == (labels is None):
+        raise ValueError("stream_pipeline takes a network or label rows, not both or neither")
+    if network is not None and network.width != schema.total_bits:
         raise WidthMismatch(f"network width {network.width} vs schema {schema.total_bits}")
     counts = StreamCounts(records_in=len(records))
     skew = timedelta(seconds=config.skew_intervals * config.interval_seconds)
     max_ts: datetime | None = None
     seen: set[tuple] = set()
     accepted: list[EventLogRecord] = []
+    late: list[EventLogRecord] = []
 
     for rec in records:
         key = intake_key(rec)
         if key is None:
             continue
         if max_ts is not None and rec.timestamp < max_ts - skew:
-            counts.dropped_late += 1
+            late.append(rec)
             continue
         if max_ts is None or rec.timestamp > max_ts:
             max_ts = rec.timestamp
@@ -459,6 +450,13 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
         accepted.append(rec)
 
     accepted.sort(key=lambda r: (r.timestamp, r.source_id))
+    if labels is not None:
+        log = sorted(accepted + late, key=lambda r: (r.timestamp, r.source_id))
+        if not log:
+            raise EmptyTrainingSet("no well-formed event in the input to train on")
+        network = cc4_train(training_samples(log, schema, {(i, d) for i, d, _ in labels},
+                                             log[0].timestamp, config.interval_seconds),
+                            radius)
     vectors, unknown_value, matched = symbolize_block(accepted, schema)
     emitted = list(compress(accepted, matched))
     classes, ambiguous = classify_block(network, vectors[matched])
@@ -481,6 +479,7 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
         rate_alerts = _rate_alerts([r.source_id for r in emitted], slots[matched],
                                    config, start, int(slots[-1]) + 1)
 
+    counts.dropped_late = len(late)
     counts.emitted_classifications = len(emitted)
     counts.dropped_malformed = counts.records_in - len(emitted) - counts.dropped_late
-    return merge_alerts(intrusion_alerts, rate_alerts), counts
+    return merge_alerts(intrusion_alerts, rate_alerts), counts, network

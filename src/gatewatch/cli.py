@@ -130,7 +130,7 @@ def _config_argv(parser: _Parser, args) -> list[str]:
     names of any subcommand, `config` aside; keys the command lacks are
     skipped, and a repeatable flag given on the command line drops the file's."""
     try:
-        overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        overrides = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise UsageError(f"--config: {exc}") from None
     if not isinstance(overrides, dict):
@@ -183,7 +183,7 @@ def _series_from_json(args) -> ts.TimeSeries:
     if path.suffix != ".json":
         raise UsageError(f"{args.command} reads a series JSON, not {path.name!r}; "
                          "`gatewatch ingest` turns a flow CSV into one")
-    return ts.TimeSeries.from_json(path.read_text(encoding="utf-8"))
+    return ts.TimeSeries.from_json(path.read_text(encoding="utf-8-sig"))
 
 
 def _write(path: Path, content) -> None:
@@ -288,21 +288,21 @@ def cmd_simulate(args) -> dict:
 
 def cmd_stream(args) -> dict:
     events = cc4.read_events_jsonl(args.input)
-    schema = simulate.event_schema()
+    network = labels = None
     if args.network:
         network = cc4.CC4Network.from_json(
-            Path(args.network).read_text(encoding="utf-8"))
+            Path(args.network).read_text(encoding="utf-8-sig"))
+    elif args.labels:
+        labels = simulate.read_labels_csv(args.labels)
     else:
-        if not args.labels:
-            raise UsageError("stream requires --network or --labels")
-        network = cc4.train_from_labels(events, simulate.read_labels_csv(args.labels),
-                                        schema, args.interval, args.radius)
+        raise UsageError("stream requires --network or --labels")
     config = cc4.StreamConfig(interval_seconds=args.interval,
                               strict_unknown=args.strict_unknown,
                               confidence=args.confidence,
                               surge_window=args.window,
                               gap_threshold=args.gap_threshold)
-    alerts, stats = cc4.stream_pipeline(events, schema, network, config)
+    alerts, stats, network = cc4.stream_pipeline(events, simulate.event_schema(), network,
+                                                 config, labels, args.radius)
     return {"alerts.jsonl": alerts,
             "stream_counts.json": stats.to_json_obj(),
             "network.json": network.to_json_obj()}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -236,7 +237,7 @@ def read_labels_csv(path) -> list[tuple[int, str, str]]:
     """The (interval_index, device_id, attack_kind) rows of a labels.csv; a row
     that lacks one of them or has a non-integer index raises MalformedLabels."""
     labels = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             index, device_id, kind = (row.get(name) for name in LABEL_COLUMNS)
@@ -278,6 +279,10 @@ def score_detections(alerts: list[AnomalyAlert], trace: LabeledTrace,
     """
     span = trace.interval_seconds * trace.duration
     label_set = set(trace.labels)
+    by_interval: dict[int, list[tuple[int, str, str]]] = {}
+    for label in label_set:
+        by_interval.setdefault(label[0], []).append(label)
+    intervals = sorted(by_interval)
     covered: set[tuple[int, str, str]] = set()
     tp = fp = 0
     per_kind: dict[str, int] = {}
@@ -288,9 +293,11 @@ def score_detections(alerts: list[AnomalyAlert], trace: LabeledTrace,
                 f"alert at {alert.timestamp.isoformat()} is off the trace grid")
         start_idx = int(offset // trace.interval_seconds)
         compatible = COMPATIBLE.get(alert.kind, set())
+        first = bisect_left(intervals, start_idx)
+        last = bisect_left(intervals, start_idx + coverage)
         hits = [
-            (i, d, k) for (i, d, k) in label_set
-            if start_idx <= i < start_idx + coverage and k in compatible
+            (i, d, k) for slot in intervals[first:last] for (i, d, k) in by_interval[slot]
+            if k in compatible
             and (not alert.source or d == alert.source
                  or k == "Sybil")  # flood of fake ids has no single source
         ]

@@ -194,7 +194,7 @@ class TestStreamPipeline:
         events.append(events[8])                       # duplicate inside skew
         events.append(_event(9, "dev-1"))              # duplicate of minute 9
         config = cc4.StreamConfig()
-        alerts, counts = cc4.stream_pipeline(events, schema(), _network(), config)
+        alerts, counts, _ = cc4.stream_pipeline(events, schema(), _network(), config)
         assert counts.records_in == 13
         assert counts.dropped_duplicate == 2
         assert counts.records_in == (counts.emitted_classifications
@@ -209,7 +209,7 @@ class TestStreamPipeline:
     def test_late_records_dropped_not_reordered(self):
         config = cc4.StreamConfig(interval_seconds=60.0, skew_intervals=5)
         events = [_event(0, "a"), _event(20, "a"), _event(1, "a")]
-        _, counts = cc4.stream_pipeline(events, schema(), _network(), config)
+        _, counts, _ = cc4.stream_pipeline(events, schema(), _network(), config)
         assert counts.dropped_late == 1
         assert counts.emitted_classifications == 2
 
@@ -217,8 +217,8 @@ class TestStreamPipeline:
         odd = [_event(0, "a", proto="wifi", packets=50.0)]
         lax = cc4.StreamConfig(strict_unknown=False)
         strict = cc4.StreamConfig(strict_unknown=True)
-        quiet, _ = cc4.stream_pipeline(odd, schema(), _network(), lax)
-        loud, _ = cc4.stream_pipeline(odd, schema(), _network(), strict)
+        quiet, _, _ = cc4.stream_pipeline(odd, schema(), _network(), lax)
+        loud, _, _ = cc4.stream_pipeline(odd, schema(), _network(), strict)
         assert quiet == []
         assert len(loud) == 1 and loud[0].packet_class == "Unknown"
         assert loud[0].severity == "Warning"
@@ -228,8 +228,8 @@ class TestStreamPipeline:
                          proto="udp" if i % 7 == 0 else "zigbee",
                          packets=float(3 + i)) for i in range(60)]
         config = cc4.StreamConfig()
-        a1, c1 = cc4.stream_pipeline(events, schema(), _network(), config)
-        a2, c2 = cc4.stream_pipeline(events, schema(), _network(), config)
+        a1, c1, _ = cc4.stream_pipeline(events, schema(), _network(), config)
+        a2, c2, _ = cc4.stream_pipeline(events, schema(), _network(), config)
         assert a1 == a2 and c1 == c2
 
     def test_network_width_is_checked_on_entry(self):
@@ -238,10 +238,17 @@ class TestStreamPipeline:
         with pytest.raises(WidthMismatch):
             cc4.stream_pipeline([], schema(), narrow, cc4.StreamConfig())
 
+    def test_takes_a_network_or_labels_not_both_or_neither(self):
+        events = [_event(0, "a")]
+        for network, labels in ((_network(), []), (None, None)):
+            with pytest.raises(ValueError, match="not both or neither"):
+                cc4.stream_pipeline(events, schema(), network, cc4.StreamConfig(),
+                                    labels)
+
     def test_alert_json_includes_class_fields(self):
         events = [_event(0, "dev-2", proto="udp", packets=500.0)]
         config = cc4.StreamConfig()
-        alerts, _ = cc4.stream_pipeline(events, schema(), _network(), config)
+        alerts, _, _ = cc4.stream_pipeline(events, schema(), _network(), config)
         obj = json.loads(alerts[0].to_json())
         assert obj["class"] == "Attack"
         assert obj["ambiguous"] is False
@@ -256,12 +263,10 @@ class TestStreamPipeline:
             config = simulate.default_flood_config(seed=1)
             config = replace(config, start=start, attacks=config.attacks + quiet)
             trace = simulate.generate_trace(config)
-            network = cc4.train_from_labels(trace.events, trace.labels,
-                                            simulate.event_schema(),
-                                            config.interval_seconds, 0)
             return cc4.stream_pipeline(
-                trace.events, simulate.event_schema(), network,
-                cc4.StreamConfig(interval_seconds=config.interval_seconds))
+                trace.events, simulate.event_schema(), None,
+                cc4.StreamConfig(interval_seconds=config.interval_seconds),
+                trace.labels, 0)[:2]
 
         aware, aware_counts = stream(T0)
         naive, naive_counts = stream(T0.replace(tzinfo=None))
@@ -282,12 +287,41 @@ def test_training_skips_records_the_stream_counts_malformed():
                         seconds=2 * config.interval_seconds))
 
     def train(events):
-        return cc4.train_from_labels(events, trace.labels, simulate.event_schema(),
-                                     config.interval_seconds, 0).to_json_obj()
+        return cc4.stream_pipeline(
+            events, simulate.event_schema(), None,
+            cc4.StreamConfig(interval_seconds=config.interval_seconds),
+            trace.labels, 0)[2].to_json_obj()
 
     assert train([early] + trace.events) == train(trace.events)
     with pytest.raises(EmptyTrainingSet):
         train([early])
+
+
+def test_records_without_source_or_stamp_never_reach_training():
+    # Either record, had it been trained on, would be a hidden neuron of its
+    # own (a status no other record has); the sourceless one, two intervals
+    # before the log, would also move the training grid's origin.
+    config = simulate.default_flood_config(seed=1)
+    trace = simulate.generate_trace(config)
+    first = trace.events[0]
+    odd = [replace(first, source_id="", fields={**first.fields, "status": "retry"},
+                   timestamp=first.timestamp - timedelta(
+                       seconds=2 * config.interval_seconds)),
+           replace(first, timestamp=None, fields={**first.fields, "status": "overflow"})]
+
+    def stream(events):
+        alerts, counts, network = cc4.stream_pipeline(
+            events, simulate.event_schema(), None,
+            cc4.StreamConfig(interval_seconds=config.interval_seconds), trace.labels, 0)
+        return alerts, counts, network.to_json_obj()
+
+    alerts, counts, network = stream(trace.events)
+    odd_alerts, odd_counts, odd_network = stream(odd + trace.events)
+    assert odd_counts.records_in == counts.records_in + 2
+    assert odd_counts.dropped_malformed == counts.dropped_malformed + 2
+    assert (odd_alerts, odd_network) == (alerts, network)
+    with pytest.raises(EmptyTrainingSet):
+        stream(odd)
 
 
 def test_event_jsonl_round_trip(tmp_path):

@@ -10,6 +10,7 @@ malformed, the rule that replaced the duplicate filter's TypeError on it, and
 reference training skips such a record.
 """
 import math
+import re
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -95,6 +96,19 @@ def ref_training_samples(events, schema, attack_cells, start, interval_seconds):
         cls = "Attack" if (idx, event.source_id) in attack_cells else "Known"
         samples.append((vector, cls))
     return samples
+
+
+def ref_train_from_labels(events, labels, schema, interval_seconds, radius):
+    # The separate training intake that stream_pipeline's labelled path
+    # replaced: its own malformed filter and (timestamp, source id) sort.
+    ordered = sorted((e for e in events if cc4.intake_key(e) is not None),
+                     key=lambda e: (e.timestamp, e.source_id))
+    if not ordered:
+        raise EmptyTrainingSet("no well-formed event in the input to train on")
+    attack_cells = {(i, d) for i, d, _ in labels}
+    return cc4.cc4_train(cc4.training_samples(ordered, schema, attack_cells,
+                                              ordered[0].timestamp, interval_seconds),
+                         radius)
 
 
 def ref_rate_alerts(per_source, config, start, duration):
@@ -305,7 +319,7 @@ def test_block_path_matches_per_record_reference(data):
     start = min((rec.timestamp for rec in records), default=T0)
     cells = {(k, src) for k in range(0, 31, 3) for src in ("a", "c")}
     with mock.patch.object(cc4, "BLOCK_SIZE", block_size):
-        assert (cc4.stream_pipeline(records, schema, network, config)
+        assert (cc4.stream_pipeline(records, schema, network, config)[:2]
                 == ref_stream_pipeline(records, schema, network, config))
     samples = cc4.training_samples(well_formed, schema, cells, start, 60.0)
     want_samples = ref_training_samples(well_formed, schema, cells, start, 60.0)
@@ -340,8 +354,9 @@ def test_training_from_labels_ignores_log_order_and_repeats(data):
     radius = data.draw(st.integers(0, 2))
 
     def network(events):
-        return cc4.train_from_labels(events, labels, schema, interval,
-                                     radius).to_json_obj()
+        return cc4.stream_pipeline(events, schema, None,
+                                   cc4.StreamConfig(interval_seconds=interval),
+                                   labels, radius)[2].to_json_obj()
 
     well_formed = [rec for rec in ordered
                    if not any(isinstance(v, (list, dict)) for v in rec.fields.values())]
@@ -355,6 +370,61 @@ def test_training_from_labels_ignores_log_order_and_repeats(data):
     want = ref_training_samples(well_formed, schema, cells, well_formed[0].timestamp,
                                 interval)
     assert network(shuffled) == cc4.cc4_train(want, radius).to_json_obj()
+
+
+@st.composite
+def labelled_logs(draw, schema):
+    """A gateway log in any order: repeats, records late for a small skew
+    window, records the intake counts malformed (a list-valued field, no
+    source, no stamp) and, now and then, one whose field set is not the
+    schema's."""
+    names = {e.name for e in schema.encoders}
+    first = schema.encoders[0].name
+
+    def record(minute, src, fields, flaw):
+        stamp = T0 + timedelta(minutes=minute)
+        if flaw == "list":
+            fields = {**fields, first: ["ok"]}
+        return cc4.EventLogRecord(timestamp=None if flaw == "no-stamp" else stamp,
+                                  source_id="" if flaw == "no-source" else src,
+                                  fields=fields)
+
+    records = draw(st.lists(st.builds(
+        record, st.integers(0, 30), st.sampled_from(["a", "b", "c"]),
+        field_values(schema).filter(lambda fields: fields.keys() == names),
+        st.sampled_from(["none"] * 6 + ["list", "no-source", "no-stamp"])),
+        max_size=30))
+    if draw(st.integers(0, 9)) == 0:
+        records.append(cc4.EventLogRecord(timestamp=T0, source_id="a", fields={}))
+    repeats = draw(st.lists(st.sampled_from(records), max_size=5)) if records else []
+    return draw(st.permutations(records + repeats))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_labelled_stream_trains_as_the_separate_training_intake(data):
+    # Training on the stream's own intake (accepted and late records,
+    # duplicates left out) gives the network the separate intake gave, and
+    # the stream then runs as it does with that network passed in.
+    schema = data.draw(schemas())
+    records = data.draw(labelled_logs(schema))
+    labels = data.draw(st.lists(st.tuples(st.integers(0, 40), st.sampled_from("abc"),
+                                          st.sampled_from(["UdpFlood", "Sybil"]))))
+    config = cc4.StreamConfig(interval_seconds=data.draw(st.sampled_from([60.0, 90.0, 45.5])),
+                              skew_intervals=data.draw(st.integers(0, 3)),
+                              strict_unknown=data.draw(st.booleans()))
+    radius = data.draw(st.integers(0, 2))
+    try:
+        want = ref_train_from_labels(records, labels, schema, config.interval_seconds,
+                                     radius)
+    except (EmptyTrainingSet, SchemaMismatch) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            cc4.stream_pipeline(records, schema, None, config, labels, radius)
+        return
+    alerts, counts, network = cc4.stream_pipeline(records, schema, None, config,
+                                                  labels, radius)
+    assert network.to_json_obj() == want.to_json_obj()
+    assert (alerts, counts) == cc4.stream_pipeline(records, schema, want, config)[:2]
 
 
 @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
@@ -382,7 +452,7 @@ def test_stream_across_the_block_boundary(n):
     config = cc4.StreamConfig(interval_seconds=60.0, strict_unknown=True)
     got, want = block_and_reference(records, schema, network)
     assert got == want
-    assert cc4.stream_pipeline(records, schema, network, config) == \
+    assert cc4.stream_pipeline(records, schema, network, config)[:2] == \
         ref_stream_pipeline(records, schema, network, config)
 
 
@@ -415,7 +485,7 @@ def test_rate_scoring_in_groups_matches_the_per_source_reference(data):
     group = data.draw(st.sampled_from([1, 2, 3, None]))
     cells = cc4.RATE_BLOCK_CELLS if group is None else group * duration
     with mock.patch.object(cc4, "RATE_BLOCK_CELLS", cells):
-        got = cc4.stream_pipeline(records, RATE_SCHEMA, RATE_NETWORK, config)
+        got = cc4.stream_pipeline(records, RATE_SCHEMA, RATE_NETWORK, config)[:2]
     assert got == ref_stream_pipeline(records, RATE_SCHEMA, RATE_NETWORK, config)
 
 

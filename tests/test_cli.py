@@ -1,10 +1,12 @@
 import json
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from gatewatch import cli
+from gatewatch import cc4, cli, lstm
+from gatewatch.errors import NonFiniteLoss
 from gatewatch.series import TimeSeries
 
 
@@ -25,6 +27,12 @@ def series_file(tmp_path, values, name="series.json"):
     path.write_text(TimeSeries.from_values(
         values, interval_seconds=3600.0).to_json(), encoding="utf-8")
     return path
+
+
+def with_bom(source, target):
+    """A copy of `source` that starts with a UTF-8 byte-order mark."""
+    target.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    return target
 
 
 def seasonal_values(n=480, seed=0):
@@ -214,6 +222,29 @@ class TestConfigKeys:
         assert (tmp_path / "cfg" / "alerts.jsonl").read_bytes() == \
             (tmp_path / "train" / "alerts.jsonl").read_bytes()
 
+    def test_strict_unknown(self, trace_dir, tmp_path):
+        # a record far from every training vector classifies Unknown, which
+        # only --strict-unknown, from the flag or the file, reports
+        assert run("stream", "--input", str(trace_dir / "events.jsonl"),
+                   "--labels", str(trace_dir / "labels.csv"),
+                   "--out", str(tmp_path / "train")) == 0
+        lines = (trace_dir / "events.jsonl").read_text(encoding="utf-8").splitlines()
+        odd = {**json.loads(lines[-1]), "proto": "bluetooth", "status": "retry"}
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines + [json.dumps(odd)]) + "\n", encoding="utf-8")
+
+        def alerts(name, *extra):
+            out = tmp_path / name
+            assert run("stream", "--input", str(events), "--out", str(out),
+                       "--network", str(tmp_path / "train" / "network.json"),
+                       *extra) == 0
+            return (out / "alerts.jsonl").read_text(encoding="utf-8")
+
+        configured = alerts("cfg", "--config", self.config(tmp_path, strict_unknown=True))
+        assert configured == alerts("flag", "--strict-unknown")
+        assert configured != alerts("lax")
+        assert '"class": "Unknown"' in configured
+
     def test_input(self, tmp_path):
         path = str(series_file(tmp_path, seasonal_values()))
         assert run("inspect", "--out", str(tmp_path / "cfg"),
@@ -400,6 +431,50 @@ class TestDataErrors:
         assert err.startswith("error: data: MalformedNetwork: ")
 
 
+class TestByteOrderMark:
+    """An input that starts with a UTF-8 byte-order mark reads as one without."""
+
+    def test_labels(self, trace_dir, tmp_path):
+        marked = with_bom(trace_dir / "labels.csv", tmp_path / "labels.csv")
+        for name, labels in (("plain", trace_dir / "labels.csv"), ("marked", marked)):
+            assert run("stream", "--input", str(trace_dir / "events.jsonl"),
+                       "--labels", str(labels), "--out", str(tmp_path / name)) == 0
+        for name in ("alerts.jsonl", "stream_counts.json", "network.json"):
+            assert (tmp_path / "marked" / name).read_bytes() == \
+                (tmp_path / "plain" / name).read_bytes()
+
+    def test_series(self, tmp_path):
+        plain = series_file(tmp_path, seasonal_values())
+        marked = with_bom(plain, tmp_path / "marked.json")
+        for name, path in (("plain", plain), ("marked", marked)):
+            assert run("inspect", "--input", str(path),
+                       "--out", str(tmp_path / f"{name}-out")) == 0
+        assert (tmp_path / "marked-out" / "diagnostics.json").read_bytes() == \
+            (tmp_path / "plain-out" / "diagnostics.json").read_bytes()
+
+    def test_network(self, trace_dir, tmp_path):
+        events = str(trace_dir / "events.jsonl")
+        assert run("stream", "--input", events, "--labels", str(trace_dir / "labels.csv"),
+                   "--out", str(tmp_path / "train")) == 0
+        marked = with_bom(tmp_path / "train" / "network.json", tmp_path / "network.json")
+        assert run("stream", "--input", events, "--network", str(marked),
+                   "--out", str(tmp_path / "marked")) == 0
+        for name in ("alerts.jsonl", "network.json"):
+            assert (tmp_path / "marked" / name).read_bytes() == \
+                (tmp_path / "train" / name).read_bytes()
+
+    def test_config(self, tmp_path):
+        path = str(series_file(tmp_path, seasonal_values()))
+        config = tmp_path / "c.json"
+        config.write_bytes(b"\xef\xbb\xbf" + b'{"period": [12]}')
+        assert run("inspect", "--input", path, "--out", str(tmp_path / "cfg"),
+                   "--config", str(config)) == 0
+        assert run("inspect", "--input", path, "--out", str(tmp_path / "flag"),
+                   "--period", "12") == 0
+        assert (tmp_path / "cfg" / "diagnostics.json").read_bytes() == \
+            (tmp_path / "flag" / "diagnostics.json").read_bytes()
+
+
 class TestArtifacts:
     """Commands return their artifacts; main alone writes them under --out."""
 
@@ -524,6 +599,19 @@ class TestInspectForecastCompare:
         for fname in ("forecast.json", "model.json", "forecast.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    def test_forecast_non_finite_loss_is_a_model_error(self, tmp_path, capsys,
+                                                        monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NonFiniteLoss("loss diverged to nan")
+
+        monkeypatch.setattr(lstm, "train_chunked", diverge)
+        path = series_file(tmp_path, seasonal_values(100))
+        assert run("forecast", "--input", str(path), "--out", str(tmp_path / "o"),
+                   "--model", "lstm", "--lstm-num-timesteps", "24") == 3
+        assert capsys.readouterr().err == \
+            "error: model: NonFiniteLoss: loss diverged to nan\n"
+        assert not (tmp_path / "o").exists()
+
     def test_compare(self, tmp_path):
         path = series_file(tmp_path, seasonal_values())
         out = tmp_path / "cmp"
@@ -621,6 +709,22 @@ class TestDetectAndStream:
                   (out / "alerts.jsonl").read_text(encoding="utf-8").splitlines()]
         assert any(a["kind"] == "Intrusion" for a in alerts)
         assert (out / "network.json").exists()
+
+    def test_stream_labels_takes_each_record_in_once(self, trace_dir, tmp_path):
+        # training reads the stream's own intake: one intake_key call per
+        # record, a late copy and a duplicate included
+        lines = (trace_dir / "events.jsonl").read_text(encoding="utf-8").splitlines()
+        lines += [lines[0], lines[-1]]
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with mock.patch.object(cc4, "intake_key", wraps=cc4.intake_key) as key:
+            assert run("stream", "--input", str(events),
+                       "--labels", str(trace_dir / "labels.csv"),
+                       "--out", str(tmp_path / "o")) == 0
+        assert key.call_count == len(lines)
+        counts = json.loads((tmp_path / "o" / "stream_counts.json").read_text(
+            encoding="utf-8"))
+        assert (counts["dropped_late"], counts["dropped_duplicate"]) == (1, 1)
 
     def test_stream_requires_network_or_labels(self, trace_dir, tmp_path,
                                                capsys):

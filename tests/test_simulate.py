@@ -1,6 +1,7 @@
 import csv
 import ipaddress
 import json
+import re
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -433,3 +434,73 @@ def test_trace_matches_the_per_kind_generator(config):
         assert got_paths.keys() == want_paths.keys()
         for key, path in want_paths.items():
             assert got_paths[key].read_bytes() == path.read_bytes(), key
+
+
+# --- interval-indexed scoring against the label scan it replaced -------------
+
+
+def ref_score_detections(alerts, trace, coverage=1):
+    # Scans every label for every alert.
+    span = trace.interval_seconds * trace.duration
+    label_set = set(trace.labels)
+    covered = set()
+    tp = fp = 0
+    per_kind = {}
+    for alert in alerts:
+        offset = (alert.timestamp - trace.start).total_seconds()
+        if offset < 0 or offset >= span or offset % trace.interval_seconds != 0:
+            raise TimeBaseMismatch(
+                f"alert at {alert.timestamp.isoformat()} is off the trace grid")
+        start_idx = int(offset // trace.interval_seconds)
+        compatible = sim.COMPATIBLE.get(alert.kind, set())
+        hits = [
+            (i, d, k) for (i, d, k) in label_set
+            if start_idx <= i < start_idx + coverage and k in compatible
+            and (not alert.source or d == alert.source
+                 or k == "Sybil")  # flood of fake ids has no single source
+        ]
+        per_kind[alert.kind] = per_kind.get(alert.kind, 0) + 1
+        if hits:
+            tp += 1
+            covered.update(hits)
+        else:
+            fp += 1
+    fn = len(label_set - covered)
+    precision = tp / (tp + fp) if (tp + fp) > 0 else None
+    recall = len(covered) / len(label_set) if label_set else 1.0
+    return sim.DetectionScore(precision=precision, recall=recall,
+                              true_positives=tp, false_positives=fp,
+                              false_negatives=fn, per_kind=per_kind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scoring_by_interval_matches_the_label_scan(data):
+    duration = data.draw(st.integers(1, 40))
+    interval = data.draw(st.sampled_from([60.0, 3600.0, 7.5]))
+    trace = sim.LabeledTrace(
+        config=sim.SimConfig(duration=duration, interval_seconds=interval),
+        device_series={}, events=[], device_ips={},
+        labels=data.draw(st.lists(st.tuples(
+            st.integers(0, duration + 2), st.sampled_from(["a", "b", "fake-a-1"]),
+            st.sampled_from(sim.ATTACK_KINDS)), max_size=30)))
+    # mostly on the grid; a few before it, past it or between two slots
+    seconds = st.one_of(
+        st.integers(0, duration - 1).map(lambda i: i * interval),
+        st.sampled_from([-interval, duration * interval, 0.5 * interval, 1.0]))
+    alerts = data.draw(st.lists(st.builds(
+        lambda offset, kind, source: AnomalyAlert(
+            timestamp=trace.start + timedelta(seconds=offset), kind=kind,
+            observed=1.0, expected=0.0, band=None, severity="Warning", source=source),
+        seconds, st.sampled_from([*sim.COMPATIBLE, "Other"]),
+        st.sampled_from(["", "a", "b", "z"])), max_size=20))
+    for coverage in data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=3)):
+        try:
+            want = ref_score_detections(alerts, trace, coverage)
+        except TimeBaseMismatch as exc:
+            with pytest.raises(TimeBaseMismatch, match=re.escape(str(exc))):
+                sim.score_detections(alerts, trace, coverage)
+            continue
+        got = sim.score_detections(alerts, trace, coverage)
+        assert got == want
+        assert list(got.per_kind) == list(want.per_kind)
