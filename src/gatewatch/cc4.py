@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from itertools import compress
 
 import numpy as np
@@ -41,6 +41,10 @@ BLOCK_SIZE = 4096
 # the memory of rate scoring whatever the number of sources. A group holds at
 # least one source.
 RATE_BLOCK_CELLS = 2 ** 16
+# Stream stamps run as int64 microseconds since the epoch of their clock.
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+NAIVE_EPOCH = datetime(1970, 1, 1)
+MICROSECOND = timedelta(microseconds=1)
 
 
 @dataclass(frozen=True)
@@ -59,17 +63,17 @@ class EventLogRecord:
 
 
 def intake_key(record: EventLogRecord) -> tuple | None:
-    """The record's dedupe key, or None when the record is malformed: it has
-    no source or no stamp, or a field holds a JSON list or object, which
-    leaves the key unhashable. The stream and CC4 training both skip it."""
+    """The record's (source id, stamp), or None when the record is malformed:
+    it has no source or no stamp, or a field holds a JSON list or object,
+    which leaves its dedupe key unhashable. The stream and CC4 training both
+    skip it. Records that share this key are told apart by dedupe_key."""
     if not record.source_id or record.timestamp is None:
         return None
-    key = record.dedupe_key()
     try:
-        hash(key)
+        hash(tuple(record.fields.values()))
     except TypeError:
         return None
-    return key
+    return record.source_id, record.timestamp
 
 
 def parse_event_obj(obj: dict) -> EventLogRecord:
@@ -87,7 +91,8 @@ def parse_event_obj(obj: dict) -> EventLogRecord:
         timestamp = datetime.fromisoformat(ts)
     except ValueError:
         raise SchemaMismatch(f"event ts {ts!r} is not an ISO 8601 stamp") from None
-    fields = {k: v for k, v in obj.items() if k not in ("ts", "src")}
+    fields = obj.copy()
+    del fields["ts"], fields["src"]
     return EventLogRecord(timestamp=to_utc(timestamp), source_id=str(src),
                           fields=fields)
 
@@ -301,16 +306,37 @@ def training_samples(events: list[EventLogRecord], schema: SymbolSchema,
     event is Attack when its (interval index, source id) cell is in
     `attack_cells`, else Known. Duplicate vectors keep their first label. A
     record whose field set does not match the schema raises SchemaMismatch."""
-    vectors, _, matched = symbolize_block(events, schema)
+    return _training_samples(events, symbolize_block(events, schema), schema,
+                             attack_cells, start, interval_seconds)
+
+
+def _training_samples(events: list[EventLogRecord],
+                      block: tuple[np.ndarray, np.ndarray, np.ndarray],
+                      schema: SymbolSchema, attack_cells: set[tuple[int, str]],
+                      start: datetime, interval_seconds: float,
+                      ) -> list[tuple[np.ndarray, str]]:
+    """training_samples from the symbolize_block result of `events`."""
+    vectors, _, matched = block
     if not matched.all():
         raise _mismatch(events[int(np.argmin(matched))], schema)
-    _, first = np.unique(vectors, axis=0, return_index=True)
-    first = np.sort(first).tolist()
+    first = _first_rows(vectors)
     slots = interval_index([events[i].timestamp for i in first], start,
                            interval_seconds)
     return [(vectors[i].copy(),
              "Attack" if (idx, events[i].source_id) in attack_cells else "Known")
             for i, idx in zip(first, slots.tolist())]
+
+
+def _first_rows(vectors: np.ndarray) -> list[int]:
+    """Index of the first of each distinct row of a 0/1 block, ascending. Each
+    row is packed to bytes and compared as one value, so one 1-D unique finds
+    them whatever the width."""
+    packed = np.packbits(vectors, axis=1)
+    if packed.shape[1] == 0:      # zero bits wide: every row is the empty row
+        return [0] if len(vectors) else []
+    rows = np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[1])))
+    _, first = np.unique(rows.ravel(), return_index=True)
+    return np.sort(first).tolist()
 
 
 # --- streaming pipeline -----------------------------------------------------
@@ -405,6 +431,46 @@ def _rate_alerts(ids: list[str], slots: np.ndarray, config: StreamConfig,
     return alerts
 
 
+def _intake_columns(records: list[EventLogRecord],
+                    ) -> tuple[list[EventLogRecord], np.ndarray, np.ndarray]:
+    """The records intake_key does not refuse, with their stamps as int64
+    microseconds since the epoch of the first stamp's clock and their source
+    ids as ranks in sorted order. A stamp on the other clock, naive among
+    aware or aware among naive, raises TypeError ("can't subtract
+    offset-naive and offset-aware datetimes"): the two have no order."""
+    keys = list(map(intake_key, records))
+    kept = [rec for rec, key in zip(records, keys) if key is not None]
+    sources, stamps = zip(*(key for key in keys if key is not None)) if kept else ((), ())
+    epoch = NAIVE_EPOCH if stamps and stamps[0].utcoffset() is None else EPOCH
+    rank_of = {source: r for r, source in enumerate(sorted(set(sources)))}
+    return (kept,
+            np.fromiter(((stamp - epoch) // MICROSECOND for stamp in stamps), np.int64,
+                        len(kept)),
+            np.fromiter(map(rank_of.__getitem__, sources), np.int64, len(kept)))
+
+
+def _duplicates(kept: list[EventLogRecord], stamps: np.ndarray, ranks: np.ndarray,
+                on_time: np.ndarray) -> np.ndarray:
+    """Mask of the on-time records whose dedupe_key an earlier on-time record
+    has. Only a record that shares its (source, stamp) with another can be
+    one, so only those records take their dedupe key."""
+    group = np.flatnonzero(on_time)
+    group = group[np.lexsort((stamps[group], ranks[group]))]
+    same = (ranks[group[1:]] == ranks[group[:-1]]) & (stamps[group[1:]] == stamps[group[:-1]])
+    shared = np.zeros(len(group), dtype=bool)
+    shared[1:] = same
+    shared[:-1] |= same
+    duplicate = np.zeros(len(kept), dtype=bool)
+    seen: set[tuple] = set()
+    for i in np.sort(group[shared]).tolist():
+        key = kept[i].dedupe_key()
+        if key in seen:
+            duplicate[i] = True
+        else:
+            seen.add(key)
+    return duplicate
+
+
 def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
                     network: CC4Network | None, config: StreamConfig,
                     labels: list[tuple[int, str, str]] | None = None, radius: int = 1,
@@ -416,48 +482,53 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
     reordered. End of input flushes everything. A record without a source or
     stamp, or with a field that holds a JSON list or object, is counted in
     `dropped_malformed` and excluded before it can move the skew window. A
-    given network whose width is not the schema's raises WidthMismatch.
+    given network whose width is not the schema's raises WidthMismatch, a
+    negative skew window (`skew_intervals * interval_seconds`) ValueError, and
+    naive and aware stamps among the records intake keeps TypeError.
 
     Give a network or label rows, not both. Label rows train a network of
     `radius` on the records the intake accepts or finds late, duplicates
     aside, in (timestamp, source id) order, so the interval grid starts at the
     earliest of them. Returns the alerts, the counts and the network used.
+
+    The intake runs on columns: a record is late when its stamp is below the
+    running maximum of the stamps before it less the skew (a late record
+    never raises that maximum, and a duplicate does), and both orders are
+    stable sorts on (stamp, source rank), accepted records before late ones.
     """
     if (network is None) == (labels is None):
         raise ValueError("stream_pipeline takes a network or label rows, not both or neither")
     if network is not None and network.width != schema.total_bits:
         raise WidthMismatch(f"network width {network.width} vs schema {schema.total_bits}")
+    skew_seconds = config.skew_intervals * config.interval_seconds
+    if skew_seconds < 0:
+        raise ValueError(f"the skew window of {skew_seconds} s is negative")
+    skew = timedelta(seconds=skew_seconds)
     counts = StreamCounts(records_in=len(records))
-    skew = timedelta(seconds=config.skew_intervals * config.interval_seconds)
-    max_ts: datetime | None = None
-    seen: set[tuple] = set()
-    accepted: list[EventLogRecord] = []
-    late: list[EventLogRecord] = []
+    kept, stamps, ranks = _intake_columns(records)
+    late = np.zeros(len(kept), dtype=bool)
+    late[1:] = stamps[1:] < np.maximum.accumulate(stamps)[:-1] - skew // MICROSECOND
+    duplicate = _duplicates(kept, stamps, ranks, ~late)
+    order = np.flatnonzero(~late & ~duplicate)
+    order = order[np.lexsort((ranks[order], stamps[order]))]
+    accepted = [kept[i] for i in order.tolist()]
 
-    for rec in records:
-        key = intake_key(rec)
-        if key is None:
-            continue
-        if max_ts is not None and rec.timestamp < max_ts - skew:
-            late.append(rec)
-            continue
-        if max_ts is None or rec.timestamp > max_ts:
-            max_ts = rec.timestamp
-        if key in seen:
-            counts.dropped_duplicate += 1
-            continue
-        seen.add(key)
-        accepted.append(rec)
-
-    accepted.sort(key=lambda r: (r.timestamp, r.source_id))
     if labels is not None:
-        log = sorted(accepted + late, key=lambda r: (r.timestamp, r.source_id))
-        if not log:
+        log = np.concatenate((order, np.flatnonzero(late)))
+        in_log = np.lexsort((ranks[log], stamps[log]))
+        log_records = [kept[i] for i in log[in_log].tolist()]
+        if not log_records:
             raise EmptyTrainingSet("no well-formed event in the input to train on")
-        network = cc4_train(training_samples(log, schema, {(i, d) for i, d, _ in labels},
-                                             log[0].timestamp, config.interval_seconds),
+        block = symbolize_block(log_records, schema)
+        network = cc4_train(_training_samples(log_records, block, schema,
+                                              {(i, d) for i, d, _ in labels},
+                                              log_records[0].timestamp,
+                                              config.interval_seconds),
                             radius)
-    vectors, unknown_value, matched = symbolize_block(accepted, schema)
+        # the accepted records' rows, in accepted order
+        vectors, unknown_value, matched = (part[in_log < len(order)] for part in block)
+    else:
+        vectors, unknown_value, matched = symbolize_block(accepted, schema)
     emitted = list(compress(accepted, matched))
     classes, ambiguous = classify_block(network, vectors[matched])
     ambiguous |= unknown_value[matched]
@@ -479,7 +550,8 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
         rate_alerts = _rate_alerts([r.source_id for r in emitted], slots[matched],
                                    config, start, int(slots[-1]) + 1)
 
-    counts.dropped_late = len(late)
+    counts.dropped_duplicate = int(duplicate.sum())
+    counts.dropped_late = int(late.sum())
     counts.emitted_classifications = len(emitted)
     counts.dropped_malformed = counts.records_in - len(emitted) - counts.dropped_late
     return merge_alerts(intrusion_alerts, rate_alerts), counts, network

@@ -276,6 +276,18 @@ class TestStreamPipeline:
                          for a in aware]
 
 
+def test_labelled_stream_keeps_each_row_with_its_record():
+    # two sources at one stamp, out of name order: the classifier takes the
+    # accepted records' rows from the training block, which must pair the
+    # Attack row with b, as the network path does
+    events = [_event(0, "b", proto="udp", packets=500.0), _event(0, "a")]
+    config = cc4.StreamConfig()
+    alerts, _, network = cc4.stream_pipeline(events, schema(), None, config,
+                                             [(0, "b", "UdpFlood")], 0)
+    assert [(a.source, a.packet_class) for a in alerts] == [("b", "Attack")]
+    assert alerts == cc4.stream_pipeline(events, schema(), network, config)[0]
+
+
 def test_training_skips_records_the_stream_counts_malformed():
     # A record with a list field, stamped two intervals before the log, is
     # neither a hidden neuron nor the origin of the training grid.
@@ -340,6 +352,70 @@ def test_event_jsonl_with_a_byte_order_mark(tmp_path):
     plain.write_text(line * 2, encoding="utf-8")
     marked.write_bytes(b"\xef\xbb\xbf" + (line * 2).encode("utf-8"))
     assert cc4.read_events_jsonl(marked) == cc4.read_events_jsonl(plain)
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"ts": "2021-01-01T25:00:00+00:00", "src": "b"}',
+     "line 5: event ts '2021-01-01T25:00:00+00:00' is not an ISO 8601 stamp"),
+    ('{"ts": "2021-01-01T00:00:00+00:00", "src": ""}',
+     "line 5: event record requires nonempty ts and src"),
+    ('{"ts": ["2021-01-01T00:00:00+00:00"], "src": "b"}',
+     "line 5: event ts must be a string, not ['2021-01-01T00:00:00+00:00']"),
+])
+def test_a_bad_line_after_good_stamps_names_its_line(tmp_path, line, message):
+    # the stamp text of lines 1-3 parsed fine, and line 5 still fails alone
+    good = '{"ts": "2021-01-01T00:00:00+00:00", "src": "a", "proto": "udp"}'
+    path = tmp_path / "events.jsonl"
+    path.write_text("\n".join([good, good, good, "", line, good]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(SchemaMismatch) as info:
+        cc4.read_events_jsonl(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_one_instant_spelled_three_ways_reads_and_dedupes_as_one(tmp_path, bom):
+    spellings = ("2021-01-01T01:00:00+01:00", "2021-01-01T00:00:00+00:00",
+                 "2021-01-01T00:00:00", "2021-01-01T01:00:00+01:00")
+    lines = [json.dumps({"ts": ts, "src": "a", "proto": "udp", "packets": 3.0})
+             for ts in spellings]
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(bom + "\n".join(lines).encode("utf-8"))
+    events = cc4.read_events_jsonl(path)
+    assert events == [cc4.EventLogRecord(timestamp=T0, source_id="a",
+                                         fields={"proto": "udp", "packets": 3.0})] * 4
+    assert all(e.timestamp.tzinfo is timezone.utc for e in events)
+    _, counts, _ = cc4.stream_pipeline(events, schema(), _network(), cc4.StreamConfig())
+    assert (counts.emitted_classifications, counts.dropped_duplicate) == (1, 3)
+
+
+@pytest.mark.parametrize("labels", [None, []], ids=["network", "labels"])
+def test_naive_and_aware_stamps_in_one_stream_raise_type_error(labels):
+    # Only well-formed records count: a naive record with a list field is
+    # skipped before any stamp is compared.
+    naive = T0.replace(tzinfo=None)
+    odd = cc4.EventLogRecord(timestamp=naive, source_id="b",
+                             fields={"proto": ["udp"], "packets": 3.0})
+    aware = [_event(1, "a"), _event(2, "b")]
+    network = None if labels is not None else _network()
+    config = cc4.StreamConfig()
+    assert cc4.stream_pipeline([odd] + aware, schema(), network, config, labels)[1] \
+        .dropped_malformed == 1
+    mixed = replace(aware[0], timestamp=naive)
+    for events in ([mixed] + aware, aware + [mixed]):
+        with pytest.raises(TypeError) as info:
+            cc4.stream_pipeline(events, schema(), network, config, labels)
+        assert "naive" in str(info.value) and "aware" in str(info.value)
+
+
+@pytest.mark.parametrize("labels", [None, []], ids=["network", "labels"])
+@pytest.mark.parametrize("skew_intervals, interval_seconds", [(-1, 60.0), (2, -60.0)])
+def test_a_negative_skew_window_is_refused(labels, skew_intervals, interval_seconds):
+    network = None if labels is not None else _network()
+    config = cc4.StreamConfig(interval_seconds=interval_seconds,
+                              skew_intervals=skew_intervals)
+    with pytest.raises(ValueError, match=r"skew window of -\d+\.0 s is negative"):
+        cc4.stream_pipeline([_event(1, "a")], schema(), network, config, labels)
 
 
 def test_parse_event_requires_ts_and_src():

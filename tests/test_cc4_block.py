@@ -7,7 +7,8 @@ per-source, per-stamp rate count loop and the sort-every-record new-identity
 count are kept the same way, as references for the interval-grid versions.
 The reference stream counts a record whose field holds a list or object as
 malformed, the rule that replaced the duplicate filter's TypeError on it, and
-reference training skips such a record.
+reference training skips such a record. The packed-row dedupe is pinned
+against the `np.unique(axis=0)` it replaced.
 """
 import math
 import re
@@ -32,7 +33,14 @@ from gatewatch.errors import EmptyTrainingSet, SchemaMismatch
 from gatewatch.series import TimeSeries
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
+PLUS_ONE = timezone(timedelta(hours=1))
 NAN = float("nan")
+
+
+def examples(count):
+    """`count` examples under the default hypothesis profile, scaled with the
+    loaded profile's max_examples (five times under ci-deep, see conftest)."""
+    return count * settings.default.max_examples // 100
 
 
 # --- per-record reference ---------------------------------------------------
@@ -211,6 +219,8 @@ def ref_stream_pipeline(records, schema, network, config):
 # 1, 1.0 and True are equal, so a vocabulary holding several keeps the first.
 WORDS = ["udp", "wifi", "lora", 1, 1.0, True, 0, 2.5, None, "", NAN]
 OUT_OF_VOCABULARY = ["zigbee", 7, -1.5, [1], ("udp",)]
+# equal values, spelled 1, 1.0 and true in a log
+ONES = [1, 1.0, True]
 NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, width=32),
     st.sampled_from([NAN, 0.0, 5.0, 20.0, -3.0]),
@@ -250,17 +260,76 @@ def field_values(draw, schema):
 
 
 @st.composite
-def event_logs(draw, schema, max_size=40):
+def stamps(draw, minutes=st.integers(min_value=0, max_value=30)):
+    """A minute after T0, now and then spelled at UTC+01:00."""
+    stamp = T0 + timedelta(minutes=draw(minutes))
+    return stamp.astimezone(PLUS_ONE) if draw(st.integers(0, 3)) == 0 else stamp
+
+
+def is_one(value):
+    return type(value) in (int, float, bool) and value == 1
+
+
+@st.composite
+def respelled(draw, record):
+    """A record equal to `record` but not identical: its fields in another key
+    order, a field equal to 1 spelled as another of 1, 1.0 and true, and its
+    stamp possibly at another UTC offset."""
+    items = draw(st.permutations(list(record.fields.items())))
+    fields = {k: draw(st.sampled_from(ONES)) if is_one(v) else v for k, v in items}
+    stamp = record.timestamp
+    if stamp is not None and draw(st.booleans()):
+        stamp = stamp.astimezone(timezone.utc if stamp.utcoffset() else PLUS_ONE)
+    return cc4.EventLogRecord(timestamp=stamp, source_id=record.source_id, fields=fields)
+
+
+@st.composite
+def field_twin(draw, record, schema):
+    """A record with `record`'s source and stamp and one field drawn afresh:
+    not a duplicate unless the value happens to be equal."""
+    other = draw(field_values(schema))
+    shared = [name for name in record.fields if name in other]
+    if not shared:
+        return record
+    name = draw(st.sampled_from(shared))
+    return cc4.EventLogRecord(timestamp=record.timestamp, source_id=record.source_id,
+                              fields={**record.fields, name: other[name]})
+
+
+@st.composite
+def disordered(draw, records, schema, skew):
+    """`records` with repeats and near-repeats: verbatim copies, equal copies
+    spelled differently (see respelled), records that share a copy's (source,
+    stamp) and differ in a field, and, last, a record stamped exactly `skew`
+    before the latest stamp the intake counts, the boundary that is not late."""
+    if not records:
+        return records
+    picks = st.lists(st.sampled_from(records), max_size=3)
+    extra = draw(picks)
+    extra += [draw(respelled(rec)) for rec in draw(picks)]
+    extra += [draw(field_twin(rec, schema)) for rec in draw(picks)]
+    records = records + extra
+    if draw(st.booleans()):
+        records = draw(st.permutations(records))
+    counted = [rec for rec in records if cc4.intake_key(rec) is not None]
+    if counted:
+        latest = max(rec.timestamp for rec in counted)
+        boundary = draw(st.sampled_from(counted))
+        records.append(cc4.EventLogRecord(timestamp=latest - skew,
+                                          source_id=boundary.source_id,
+                                          fields=boundary.fields))
+    return records
+
+
+@st.composite
+def event_logs(draw, schema, max_size=40, skew=timedelta(minutes=5)):
     records = draw(st.lists(st.builds(
-        lambda minute, src, fields: cc4.EventLogRecord(
-            timestamp=T0 + timedelta(minutes=minute), source_id=src, fields=fields),
-        st.integers(min_value=0, max_value=30),
-        st.sampled_from(["a", "b", "c"]),
+        lambda stamp, src, fields: cc4.EventLogRecord(
+            timestamp=stamp, source_id=src, fields=fields),
+        stamps(), st.sampled_from(["a", "b", "c"]),
         field_values(schema)), max_size=max_size))
-    # repeat some records verbatim so the duplicate filter has work
-    repeats = draw(st.lists(st.integers(min_value=0, max_value=max(len(records) - 1, 0)),
-                            max_size=3)) if records else []
-    return records + [records[i] for i in repeats]
+    # repeats and near-repeats so the duplicate filter has work
+    return draw(disordered(records, schema, skew))
 
 
 @st.composite
@@ -296,7 +365,7 @@ def block_and_reference(records, schema, network):
 # --- properties --------------------------------------------------------------
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.data())
 def test_block_path_matches_per_record_reference(data):
     schema = data.draw(schemas())
@@ -332,7 +401,7 @@ def test_block_path_matches_per_record_reference(data):
         ref_new_id_counts(records, window_start, 90.0, 12).tobytes()
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(st.data())
 def test_training_from_labels_ignores_log_order_and_repeats(data):
     # a gateway log: at most one record per (stamp, source), any order, some
@@ -373,16 +442,15 @@ def test_training_from_labels_ignores_log_order_and_repeats(data):
 
 
 @st.composite
-def labelled_logs(draw, schema):
-    """A gateway log in any order: repeats, records late for a small skew
-    window, records the intake counts malformed (a list-valued field, no
-    source, no stamp) and, now and then, one whose field set is not the
-    schema's."""
+def labelled_logs(draw, schema, skew):
+    """A gateway log in any order: repeats and near-repeats (see disordered),
+    records late for a small skew window, records the intake counts malformed
+    (a list-valued field, no source, no stamp) and, now and then, one whose
+    field set is not the schema's."""
     names = {e.name for e in schema.encoders}
     first = schema.encoders[0].name
 
-    def record(minute, src, fields, flaw):
-        stamp = T0 + timedelta(minutes=minute)
+    def record(stamp, src, fields, flaw):
         if flaw == "list":
             fields = {**fields, first: ["ok"]}
         return cc4.EventLogRecord(timestamp=None if flaw == "no-stamp" else stamp,
@@ -390,29 +458,29 @@ def labelled_logs(draw, schema):
                                   fields=fields)
 
     records = draw(st.lists(st.builds(
-        record, st.integers(0, 30), st.sampled_from(["a", "b", "c"]),
+        record, stamps(), st.sampled_from(["a", "b", "c"]),
         field_values(schema).filter(lambda fields: fields.keys() == names),
         st.sampled_from(["none"] * 6 + ["list", "no-source", "no-stamp"])),
         max_size=30))
     if draw(st.integers(0, 9)) == 0:
         records.append(cc4.EventLogRecord(timestamp=T0, source_id="a", fields={}))
-    repeats = draw(st.lists(st.sampled_from(records), max_size=5)) if records else []
-    return draw(st.permutations(records + repeats))
+    return draw(disordered(draw(st.permutations(records)), schema, skew))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.data())
 def test_labelled_stream_trains_as_the_separate_training_intake(data):
     # Training on the stream's own intake (accepted and late records,
     # duplicates left out) gives the network the separate intake gave, and
     # the stream then runs as it does with that network passed in.
     schema = data.draw(schemas())
-    records = data.draw(labelled_logs(schema))
-    labels = data.draw(st.lists(st.tuples(st.integers(0, 40), st.sampled_from("abc"),
-                                          st.sampled_from(["UdpFlood", "Sybil"]))))
     config = cc4.StreamConfig(interval_seconds=data.draw(st.sampled_from([60.0, 90.0, 45.5])),
                               skew_intervals=data.draw(st.integers(0, 3)),
                               strict_unknown=data.draw(st.booleans()))
+    records = data.draw(labelled_logs(
+        schema, timedelta(seconds=config.skew_intervals * config.interval_seconds)))
+    labels = data.draw(st.lists(st.tuples(st.integers(0, 40), st.sampled_from("abc"),
+                                          st.sampled_from(["UdpFlood", "Sybil"]))))
     radius = data.draw(st.integers(0, 2))
     try:
         want = ref_train_from_labels(records, labels, schema, config.interval_seconds,
@@ -463,7 +531,7 @@ RATE_NETWORK = cc4.CC4Network(radius=0, vectors=np.array([[1, 1, 0]]),
                               classes=["Attack"])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(st.data())
 def test_rate_scoring_in_groups_matches_the_per_source_reference(data):
     # Runs of 1-6 intervals straddle the 4-interval surge floor; windows may
@@ -509,3 +577,13 @@ def test_training_rejects_a_mismatched_record():
                cc4.EventLogRecord(timestamp=T0, source_id="b", fields={})]
     with pytest.raises(SchemaMismatch, match=r"record \[\]"):
         cc4.training_samples(records, schema, set(), T0, 60.0)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(st.integers(0, 70).flatmap(lambda width: st.lists(
+    st.lists(st.integers(0, 1), min_size=width, max_size=width), max_size=30)
+    .map(lambda rows: np.array(rows, dtype=np.int8).reshape(len(rows), width))))
+def test_first_rows_are_the_first_of_each_distinct_row(vectors):
+    vectors = np.concatenate([vectors, vectors[::2]])
+    _, first = np.unique(vectors, axis=0, return_index=True)
+    assert cc4._first_rows(vectors) == np.sort(first).tolist()
