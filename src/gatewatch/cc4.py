@@ -396,18 +396,16 @@ def new_id_counts(records: list[EventLogRecord], start: datetime,
     return TimeSeries(start=start, interval_seconds=interval_seconds, values=counts)
 
 
-def _rate_alerts(ids: list[str], slots: np.ndarray, config: StreamConfig,
-                 start: datetime, duration: int) -> list[AnomalyAlert]:
+def _rate_alerts(ranks: np.ndarray, names: list[str], slots: np.ndarray,
+                 config: StreamConfig, start: datetime, duration: int) -> list[AnomalyAlert]:
     """Dropout and surge alerts on each source's record count per interval,
-    from each record's source id and slot in [0, duration), scored a group of
-    sources at a time, groups in sorted source order."""
+    from each record's rank in the sorted source ids `names` and slot in
+    [0, duration), scored a group of sources at a time, in source order."""
     z = z_score(config.confidence)
     # Surge scoring takes the first half of the run as each source's baseline
     # and scores the rest; runs shorter than four intervals get none.
     n_train = math.ceil(0.5 * duration)
-    sources = sorted(set(ids))
-    row_of = {source: k for k, source in enumerate(sources)}
-    rows = np.fromiter((row_of[source] for source in ids), dtype=np.int64, count=len(ids))
+    present, rows = np.unique(ranks, return_inverse=True)
     # Cells of the (sources x duration) count matrix, sorted so that each
     # group of sources is one slice. The whole matrix is never built:
     # thousands of one-shot Sybil sources would make it far larger than the
@@ -415,54 +413,56 @@ def _rate_alerts(ids: list[str], slots: np.ndarray, config: StreamConfig,
     cells = np.sort(rows * duration + slots)
     group = max(1, RATE_BLOCK_CELLS // duration)
     alerts: list[AnomalyAlert] = []
-    for lo in range(0, len(sources), group):
-        names = sources[lo:lo + group]
-        first, last = np.searchsorted(cells, [lo * duration, (lo + len(names)) * duration])
+    for lo in range(0, len(present), group):
+        sources = [names[r] for r in present[lo:lo + group].tolist()]
+        first, last = np.searchsorted(cells, [lo * duration, (lo + len(sources)) * duration])
         counts = np.bincount(cells[first:last] - lo * duration,
-                             minlength=len(names) * duration)
-        counts = counts.astype(float).reshape(len(names), duration)
+                             minlength=len(sources) * duration)
+        counts = counts.astype(float).reshape(len(sources), duration)
         alerts.extend(dropout_block(counts == 0, config.gap_threshold, start,
-                                    config.interval_seconds, names))
+                                    config.interval_seconds, sources))
         if duration >= 4:
             alerts.extend(mean_shift_block(counts, n_train,
                                            *band_stats(counts[:, :n_train]), z,
                                            config.surge_window, "Surge", start,
-                                           config.interval_seconds, names))
+                                           config.interval_seconds, sources))
     return alerts
 
 
 def _intake_columns(records: list[EventLogRecord],
-                    ) -> tuple[list[EventLogRecord], np.ndarray, np.ndarray]:
+                    ) -> tuple[list[EventLogRecord], np.ndarray, np.ndarray, list[str]]:
     """The records intake_key does not refuse, with their stamps as int64
-    microseconds since the epoch of the first stamp's clock and their source
-    ids as ranks in sorted order. A stamp on the other clock, naive among
-    aware or aware among naive, raises TypeError ("can't subtract
-    offset-naive and offset-aware datetimes"): the two have no order."""
+    microseconds since the epoch of the first stamp's clock, their source ids
+    as ranks in sorted order, and the sorted source ids. A stamp on the other
+    clock, naive among aware or aware among naive, raises TypeError ("can't
+    subtract offset-naive and offset-aware datetimes"): the two have no order."""
     keys = list(map(intake_key, records))
     kept = [rec for rec, key in zip(records, keys) if key is not None]
     sources, stamps = zip(*(key for key in keys if key is not None)) if kept else ((), ())
     epoch = NAIVE_EPOCH if stamps and stamps[0].utcoffset() is None else EPOCH
-    rank_of = {source: r for r, source in enumerate(sorted(set(sources)))}
+    names = sorted(set(sources))
+    rank_of = {source: r for r, source in enumerate(names)}
     return (kept,
             np.fromiter(((stamp - epoch) // MICROSECOND for stamp in stamps), np.int64,
                         len(kept)),
-            np.fromiter(map(rank_of.__getitem__, sources), np.int64, len(kept)))
+            np.fromiter(map(rank_of.__getitem__, sources), np.int64, len(kept)),
+            names)
 
 
 def _duplicates(kept: list[EventLogRecord], stamps: np.ndarray, ranks: np.ndarray,
-                on_time: np.ndarray) -> np.ndarray:
+                by_key: np.ndarray, on_time: np.ndarray) -> np.ndarray:
     """Mask of the on-time records whose dedupe_key an earlier on-time record
-    has. Only a record that shares its (source, stamp) with another can be
-    one, so only those records take their dedupe key."""
-    group = np.flatnonzero(on_time)
-    group = group[np.lexsort((stamps[group], ranks[group]))]
+    has. Only a record in a run of equal (stamp, source) in `by_key`, the
+    stable (stamp, source rank) order, can be one, so only those records take
+    their dedupe key; a run is in input order, and no key is in two runs."""
+    group = by_key[on_time[by_key]]
     same = (ranks[group[1:]] == ranks[group[:-1]]) & (stamps[group[1:]] == stamps[group[:-1]])
     shared = np.zeros(len(group), dtype=bool)
     shared[1:] = same
     shared[:-1] |= same
     duplicate = np.zeros(len(kept), dtype=bool)
     seen: set[tuple] = set()
-    for i in np.sort(group[shared]).tolist():
+    for i in group[shared].tolist():
         key = kept[i].dedupe_key()
         if key in seen:
             duplicate[i] = True
@@ -493,8 +493,9 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
 
     The intake runs on columns: a record is late when its stamp is below the
     running maximum of the stamps before it less the skew (a late record
-    never raises that maximum, and a duplicate does), and both orders are
-    stable sorts on (stamp, source rank), accepted records before late ones.
+    never raises that maximum, and a duplicate does). One stable sort on
+    (stamp, source rank) serves dedupe, training and acceptance; a record
+    after a late one of its stamp is late too, so accepted ones come first.
     """
     if (network is None) == (labels is None):
         raise ValueError("stream_pipeline takes a network or label rows, not both or neither")
@@ -505,30 +506,26 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
         raise ValueError(f"the skew window of {skew_seconds} s is negative")
     skew = timedelta(seconds=skew_seconds)
     counts = StreamCounts(records_in=len(records))
-    kept, stamps, ranks = _intake_columns(records)
+    kept, stamps, ranks, names = _intake_columns(records)
     late = np.zeros(len(kept), dtype=bool)
     late[1:] = stamps[1:] < np.maximum.accumulate(stamps)[:-1] - skew // MICROSECOND
-    duplicate = _duplicates(kept, stamps, ranks, ~late)
-    order = np.flatnonzero(~late & ~duplicate)
-    order = order[np.lexsort((ranks[order], stamps[order]))]
-    accepted = [kept[i] for i in order.tolist()]
-
+    by_key = np.lexsort((ranks, stamps))
+    duplicate = _duplicates(kept, stamps, ranks, by_key, ~late)
+    dropped = duplicate if labels is not None else duplicate | late
+    log = by_key[~dropped[by_key]]
+    log_records = [kept[i] for i in log.tolist()]
+    block = symbolize_block(log_records, schema)
     if labels is not None:
-        log = np.concatenate((order, np.flatnonzero(late)))
-        in_log = np.lexsort((ranks[log], stamps[log]))
-        log_records = [kept[i] for i in log[in_log].tolist()]
         if not log_records:
             raise EmptyTrainingSet("no well-formed event in the input to train on")
-        block = symbolize_block(log_records, schema)
         network = cc4_train(_training_samples(log_records, block, schema,
                                               {(i, d) for i, d, _ in labels},
                                               log_records[0].timestamp,
                                               config.interval_seconds),
                             radius)
-        # the accepted records' rows, in accepted order
-        vectors, unknown_value, matched = (part[in_log < len(order)] for part in block)
-    else:
-        vectors, unknown_value, matched = symbolize_block(accepted, schema)
+    on_time = ~late[log]
+    accepted = list(compress(log_records, on_time))
+    vectors, unknown_value, matched = (part[on_time] for part in block)
     emitted = list(compress(accepted, matched))
     classes, ambiguous = classify_block(network, vectors[matched])
     ambiguous |= unknown_value[matched]
@@ -547,7 +544,7 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
         start = accepted[0].timestamp
         slots = interval_index([r.timestamp for r in accepted], start,
                                config.interval_seconds)
-        rate_alerts = _rate_alerts([r.source_id for r in emitted], slots[matched],
+        rate_alerts = _rate_alerts(ranks[log[on_time][matched]], names, slots[matched],
                                    config, start, int(slots[-1]) + 1)
 
     counts.dropped_duplicate = int(duplicate.sum())

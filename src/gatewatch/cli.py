@@ -351,8 +351,9 @@ def main(argv=None) -> int:
     except GatewatchError as exc:
         print(f"error: data: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"error: data: IoFailure: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # MemoryError: the input asks for too much
+        kind = "IoFailure" if isinstance(exc, OSError) else "MemoryError"
+        print(f"error: data: {kind}: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

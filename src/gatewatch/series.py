@@ -264,13 +264,15 @@ def diagnose(series: TimeSeries, candidate_periods: list[int]) -> DiagnosticsRep
     if n < 3 * max(candidate_periods):
         raise SeriesTooShort(
             f"length {n} < 3 x max candidate period {max(candidate_periods)}")
+    clean_all = series.clean_values()
+    if len(clean_all) == 0:
+        raise AllMissing("no observed point to diagnose")
 
     acfs = {p: _acf_at_lag(series.values, series.missing, p) for p in candidate_periods}
     dominant = max(candidate_periods, key=lambda p: acfs[p])
     acf_at = acfs[dominant]
     seasonal = acf_at >= SEASONALITY_ACF_THRESHOLD
 
-    clean_all = series.clean_values()
     global_std = float(clean_all.std())
     seg_len = n // STATIONARITY_SEGMENTS
     means, stds = [], []

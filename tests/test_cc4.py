@@ -2,6 +2,7 @@ import json
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -286,6 +287,32 @@ def test_labelled_stream_keeps_each_row_with_its_record():
                                              [(0, "b", "UdpFlood")], 0)
     assert [(a.source, a.packet_class) for a in alerts] == [("b", "Attack")]
     assert alerts == cc4.stream_pipeline(events, schema(), network, config)[0]
+
+
+@pytest.mark.parametrize("labels", [None, [(0, "b", "UdpFlood")]],
+                         ids=["network", "labels"])
+def test_the_intake_sorts_once(labels):
+    # one (stamp, source) order serves dedupe, training and acceptance, and
+    # one symbolize_block call encodes the records for both
+    events = [_event(i, "ab"[i % 2]) for i in range(12)]
+    events += [events[10], _event(1, "b"), events[3]]    # duplicate, late, late
+    network = None if labels is not None else _network()
+    with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort, \
+            mock.patch.object(cc4, "symbolize_block", wraps=cc4.symbolize_block) as encode:
+        counts = cc4.stream_pipeline(events, schema(), network, cc4.StreamConfig(),
+                                     labels)[1]
+    assert (counts.dropped_duplicate, counts.dropped_late) == (1, 2)
+    assert (lexsort.call_count, encode.call_count) == (1, 1)
+
+
+def test_a_duplicate_keeps_its_first_copy_in_place():
+    # records of one (stamp, source) stay in input order, a duplicate's first
+    # copy kept, so the hidden neurons come in that order
+    first, other = _event(0, "a"), _event(0, "a", proto="udp", packets=500.0)
+    network = cc4.stream_pipeline([first, other, first], schema(), None,
+                                  cc4.StreamConfig(), [], 0)[2]
+    assert network.vectors.tolist() == [cc4.symbolize(event, schema())[0].tolist()
+                                        for event in (first, other)]
 
 
 def test_training_skips_records_the_stream_counts_malformed():

@@ -322,6 +322,30 @@ class TestDataErrors:
                    str(tmp_path / "o"), "--model", "holt_winters") == 2
         assert "SeriesTooShort" in capsys.readouterr().err
 
+    def test_inspect_a_series_with_no_observed_point(self, tmp_path, capsys):
+        path = series_file(tmp_path, [None] * 72)
+        assert run("inspect", "--input", str(path), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("error: data: AllMissing: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, files, extra", [
+        ("ingest", {"--input": "flow.csv"}, []),
+        ("detect", {"--input": "flow.csv"}, ["--source-ip", "10.0.0.2"]),
+        ("stream", {"--input": "events.jsonl", "--labels": "labels.csv"}, []),
+    ])
+    def test_an_interval_too_fine_to_count_is_a_data_error(self, trace_dir, tmp_path,
+                                                           capsys, command, files,
+                                                           extra):
+        # 1 ns intervals over the trace's 20 days: np.bincount asks for
+        # 12.3 PiB, more than the address space, so it fails at once
+        paths = [arg for flag, name in files.items() for arg in (flag, str(trace_dir / name))]
+        assert run(command, *paths, *extra, "--interval", "1e-9",
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: MemoryError: Unable to allocate")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["inspect", "forecast", "compare"])
     def test_series_commands_reject_a_flow_csv(self, trace_dir, tmp_path, capsys,
                                                command):

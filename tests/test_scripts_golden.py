@@ -24,11 +24,13 @@ GOLDEN = {
 
 
 def run_script(script, *args) -> bytes:
-    """The script's stdout; a nonzero exit fails the test."""
+    """The script's stdout; a nonzero exit fails the test. A RuntimeWarning
+    is an error, as it is in-process under pyproject.toml's filterwarnings."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(ROOT / "scripts" / script), *args],
                           capture_output=True, env=env, timeout=120, check=True)
     return done.stdout
 

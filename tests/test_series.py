@@ -107,6 +107,10 @@ class TestDiagnose:
         with pytest.raises(SeriesTooShort):
             ts.diagnose(make([1, 2, 3]), [24])
 
+    def test_no_observed_point(self):
+        with pytest.raises(AllMissing):
+            ts.diagnose(make([None] * 72), [24])
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(3)
         base = np.sin(2 * np.pi * np.arange(300) / 24) + rng.normal(0, 0.2, 300)
