@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,19 +55,30 @@ class EventLogRecord:
     fields: dict
 
     def dedupe_key(self) -> tuple:
-        return (self.source_id, self.timestamp,
-                tuple(sorted(self.fields.items())))
+        return (self.source_id, self.timestamp, _fields_key(self.fields))
 
     def to_json_obj(self) -> dict:
         """The record as one event line; parse_event_obj reads it back."""
         return {"ts": self.timestamp.isoformat(), "src": self.source_id, **self.fields}
 
 
+class _Event(NamedTuple):
+    """One event as read from a log line, before or instead of a record."""
+    timestamp: datetime
+    source_id: str
+    fields: dict
+
+
+def _fields_key(fields: dict) -> tuple:
+    return tuple(sorted(fields.items()))
+
+
 def intake_key(record: EventLogRecord) -> tuple | None:
     """The record's (source id, stamp), or None when the record is malformed:
     it has no source or no stamp, or a field holds a JSON list or object,
     which leaves its dedupe key unhashable. The stream and CC4 training both
-    skip it. Records that share this key are told apart by dedupe_key."""
+    skip it. Records that share this key are told apart by dedupe_key. Any
+    object with a record's three attributes is taken."""
     if not record.source_id or record.timestamp is None:
         return None
     try:
@@ -76,13 +88,13 @@ def intake_key(record: EventLogRecord) -> tuple | None:
     return record.source_id, record.timestamp
 
 
-def parse_event_obj(obj: dict) -> EventLogRecord:
-    """One event record; its stamp is taken to UTC, a naive stamp being UTC
-    already, so every record and alert of a stream runs on one clock."""
+def _event_parts(obj) -> _Event:
+    """parse_event_obj's checks and fields, taken from `obj` itself: its `ts`
+    and `src` are popped and what is left is the fields."""
     if not isinstance(obj, dict):
         raise SchemaMismatch("event record must be a JSON object")
-    ts = obj.get("ts")
-    src = obj.get("src")
+    ts = obj.pop("ts", None)
+    src = obj.pop("src", None)
     if not ts or not src:
         raise SchemaMismatch("event record requires nonempty ts and src")
     if not isinstance(ts, str):
@@ -91,10 +103,13 @@ def parse_event_obj(obj: dict) -> EventLogRecord:
         timestamp = datetime.fromisoformat(ts)
     except ValueError:
         raise SchemaMismatch(f"event ts {ts!r} is not an ISO 8601 stamp") from None
-    fields = obj.copy()
-    del fields["ts"], fields["src"]
-    return EventLogRecord(timestamp=to_utc(timestamp), source_id=str(src),
-                          fields=fields)
+    return _Event(to_utc(timestamp), str(src), obj)
+
+
+def parse_event_obj(obj: dict) -> EventLogRecord:
+    """One event record; its stamp is taken to UTC, a naive stamp being UTC
+    already, so every record and alert of a stream runs on one clock."""
+    return EventLogRecord(*_event_parts(obj.copy() if isinstance(obj, dict) else obj))
 
 
 @dataclass(frozen=True)
@@ -151,40 +166,49 @@ class SymbolSchema:
         return sum(e.width for e in self.encoders)
 
 
-def symbolize_block(records: list[EventLogRecord], schema: SymbolSchema,
+def symbolize_block(records: list[EventLogRecord] | EventColumns, schema: SymbolSchema,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symbolize many records at once, one encoder's column block at a time.
 
     Returns the (n, total_bits) int8 code matrix, the (n,) unknown-value flag
     and the (n,) mask of records whose field set matches the schema. Records
     that do not match are not encoded: their rows stay zero and unflagged.
+    The records may come as the EventColumns of `schema`, whose value lists
+    are the encoders' columns already.
     """
-    names = {e.name for e in schema.encoders}
-    n = len(records)
-    matched = np.fromiter((rec.fields.keys() == names for rec in records),
-                          dtype=bool, count=n)
-    rows = records if matched.all() else list(compress(records, matched))
-    vectors = np.zeros((n, schema.total_bits), dtype=np.int8)
-    unknown = np.zeros(n, dtype=bool)
+    if isinstance(records, EventColumns):
+        if records.schema != schema:
+            raise ValueError("the event columns were read for another schema")
+        matched = records.matched
+        keep = matched.tolist()
+        columns = (list(compress(column, keep)) for column in records.values)
+    else:
+        names = {e.name for e in schema.encoders}
+        matched = np.fromiter((rec.fields.keys() == names for rec in records),
+                              dtype=bool, count=len(records))
+        rows = records if matched.all() else list(compress(records, matched))
+        columns = ([rec.fields[enc.name] for rec in rows] for enc in schema.encoders)
+    vectors = np.zeros((len(matched), schema.total_bits), dtype=np.int8)
+    unknown = np.zeros(len(matched), dtype=bool)
     col = 0
-    for enc in schema.encoders:
-        bits, flag = enc.encode_column([rec.fields[enc.name] for rec in rows])
+    for enc, values in zip(schema.encoders, columns):
+        bits, flag = enc.encode_column(values)
         vectors[matched, col:col + enc.width] = bits
         unknown[matched] |= flag
         col += enc.width
     return vectors, unknown, matched
 
 
-def _mismatch(record: EventLogRecord, schema: SymbolSchema) -> SchemaMismatch:
+def _mismatch(fields: dict, schema: SymbolSchema) -> SchemaMismatch:
     names = sorted({e.name for e in schema.encoders})
-    return SchemaMismatch(f"schema fields {names} vs record {sorted(record.fields)}")
+    return SchemaMismatch(f"schema fields {names} vs record {sorted(fields)}")
 
 
 def symbolize(record: EventLogRecord, schema: SymbolSchema) -> tuple[np.ndarray, bool]:
     """Concatenated per-field binary code plus an unknown-value flag."""
     vectors, unknown, matched = symbolize_block([record], schema)
     if not matched[0]:
-        raise _mismatch(record, schema)
+        raise _mismatch(record.fields, schema)
     return vectors[0], bool(unknown[0])
 
 
@@ -306,24 +330,23 @@ def training_samples(events: list[EventLogRecord], schema: SymbolSchema,
     event is Attack when its (interval index, source id) cell is in
     `attack_cells`, else Known. Duplicate vectors keep their first label. A
     record whose field set does not match the schema raises SchemaMismatch."""
-    return _training_samples(events, symbolize_block(events, schema), schema,
-                             attack_cells, start, interval_seconds)
-
-
-def _training_samples(events: list[EventLogRecord],
-                      block: tuple[np.ndarray, np.ndarray, np.ndarray],
-                      schema: SymbolSchema, attack_cells: set[tuple[int, str]],
-                      start: datetime, interval_seconds: float,
-                      ) -> list[tuple[np.ndarray, str]]:
-    """training_samples from the symbolize_block result of `events`."""
-    vectors, _, matched = block
+    vectors, _, matched = symbolize_block(events, schema)
     if not matched.all():
-        raise _mismatch(events[int(np.argmin(matched))], schema)
+        raise _mismatch(events[int(np.argmin(matched))].fields, schema)
+    return _training_samples(vectors, [e.timestamp for e in events],
+                             [e.source_id for e in events], attack_cells, start,
+                             interval_seconds)
+
+
+def _training_samples(vectors: np.ndarray, stamps: list[datetime], sources: list[str],
+                      attack_cells: set[tuple[int, str]], start: datetime,
+                      interval_seconds: float) -> list[tuple[np.ndarray, str]]:
+    """training_samples from the code block of records that all match the
+    schema, with their stamps and source ids."""
     first = _first_rows(vectors)
-    slots = interval_index([events[i].timestamp for i in first], start,
-                           interval_seconds)
+    slots = interval_index([stamps[i] for i in first], start, interval_seconds)
     return [(vectors[i].copy(),
-             "Attack" if (idx, events[i].source_id) in attack_cells else "Known")
+             "Attack" if (idx, sources[i]) in attack_cells else "Known")
             for i, idx in zip(first, slots.tolist())]
 
 
@@ -364,22 +387,122 @@ class StreamCounts:
         return asdict(self)
 
 
-def read_events_jsonl(path) -> list[EventLogRecord]:
-    """Every event of a JSON-lines log; blank lines are skipped. A line that is
-    not an event record raises SchemaMismatch naming its line number."""
-    events = []
+# The default decoder's scanner: one value from a given index of a text.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode(line: str):
+    """json.loads(line) of a stripped line. The scanner alone decodes a line
+    that it reads whole as one value; json.loads is called on any other line,
+    so each error is its own. A stripped line has no JSON whitespace at either
+    end, and one that starts with a byte order mark stops the scanner."""
+    try:
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        end = -1
+    return obj if end == len(line) else json.loads(line)
+
+
+def _read_events(path):
+    """Each event of a JSON-lines log, blank lines skipped. A line that is not
+    an event record raises SchemaMismatch naming its line number."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                events.append(parse_event_obj(json.loads(line)))
+                event = _event_parts(_decode(line))
             except json.JSONDecodeError as exc:
                 raise SchemaMismatch(f"line {number}: not JSON: {exc}") from None
             except SchemaMismatch as exc:
                 raise SchemaMismatch(f"line {number}: {exc}") from None
-    return events
+            yield event
+
+
+def read_events_jsonl(path) -> list[EventLogRecord]:
+    """Every event of a JSON-lines log; blank lines are skipped. A line that is
+    not an event record raises SchemaMismatch naming its line number."""
+    return [EventLogRecord(*event) for event in _read_events(path)]
+
+
+@dataclass(eq=False)
+class EventColumns:
+    """A log's events as the stream's intake columns: the records intake_key
+    keeps, in input order, one entry per record in each column."""
+    schema: SymbolSchema
+    records_in: int              # records read, the malformed ones included
+    stamps: list[datetime]       # as given
+    micros: np.ndarray           # int64 µs since the epoch of the first stamp's clock
+    ranks: np.ndarray            # int64 rank of the source id in `names`
+    names: list[str]             # the sorted source ids
+    values: list[list]           # per schema encoder; None where not matched
+    matched: np.ndarray          # the field set is the schema's
+    unmatched: dict[int, dict]   # the fields of each record not matched
+
+    def fields(self, i: int) -> dict:
+        """Record i's fields (for a matched record, in schema order)."""
+        if i in self.unmatched:
+            return self.unmatched[i]
+        return {enc.name: column[i] for enc, column in zip(self.schema.encoders, self.values)}
+
+    def take(self, rows: np.ndarray) -> "EventColumns":
+        """The records at `rows`, in that order."""
+        index = rows.tolist()
+        others = np.flatnonzero(~self.matched[rows]).tolist()
+        return EventColumns(
+            self.schema, len(index), [self.stamps[i] for i in index],
+            self.micros[rows], self.ranks[rows], self.names,
+            [[column[i] for i in index] for column in self.values], self.matched[rows],
+            {k: self.unmatched[index[k]] for k in others})
+
+
+def _intake(events, schema: SymbolSchema) -> EventColumns:
+    """The intake's one pass over the events (records, or _Event triples read
+    from a log): intake_key drops the malformed, and each kept event gives
+    its stamp, its source id and, when its field set is the schema's, its
+    value of each field. A stamp on the other clock than the first kept one,
+    naive among aware or aware among naive, raises TypeError ("can't subtract
+    offset-naive and offset-aware datetimes"): the two have no order."""
+    encoders = [enc.name for enc in schema.encoders]
+    names = set(encoders)
+    values = [[] for _ in encoders]
+    # Values go straight to their columns: a row tuple kept per record would
+    # make the garbage collector walk every row again and again.
+    fill = [(column.append, name) for column, name in zip(values, encoders)]
+    stamps, sources, unmatched = [], [], {}
+    records_in = 0
+    for records_in, event in enumerate(events, start=1):
+        key = intake_key(event)
+        if key is None:
+            continue
+        fields = event.fields
+        if fields.keys() == names:
+            for append, name in fill:
+                append(fields[name])
+        else:
+            unmatched[len(stamps)] = fields
+            for append, _ in fill:
+                append(None)
+        sources.append(key[0])
+        stamps.append(key[1])
+    epoch = NAIVE_EPOCH if stamps and stamps[0].utcoffset() is None else EPOCH
+    sorted_sources = sorted(set(sources))
+    rank_of = {source: r for r, source in enumerate(sorted_sources)}
+    matched = np.ones(len(stamps), dtype=bool)
+    matched[list(unmatched)] = False
+    return EventColumns(
+        schema, records_in, stamps,
+        np.fromiter(((stamp - epoch) // MICROSECOND for stamp in stamps), np.int64, len(stamps)),
+        np.fromiter(map(rank_of.__getitem__, sources), np.int64, len(stamps)),
+        sorted_sources, values, matched, unmatched)
+
+
+def read_event_columns(path, schema: SymbolSchema) -> EventColumns:
+    """read_events_jsonl's events as the stream's intake columns for
+    `schema`, read without a record per event; stream_pipeline takes them in
+    place of the records."""
+    return _intake(_read_events(path), schema)
 
 
 def new_id_counts(records: list[EventLogRecord], start: datetime,
@@ -429,41 +552,21 @@ def _rate_alerts(ranks: np.ndarray, names: list[str], slots: np.ndarray,
     return alerts
 
 
-def _intake_columns(records: list[EventLogRecord],
-                    ) -> tuple[list[EventLogRecord], np.ndarray, np.ndarray, list[str]]:
-    """The records intake_key does not refuse, with their stamps as int64
-    microseconds since the epoch of the first stamp's clock, their source ids
-    as ranks in sorted order, and the sorted source ids. A stamp on the other
-    clock, naive among aware or aware among naive, raises TypeError ("can't
-    subtract offset-naive and offset-aware datetimes"): the two have no order."""
-    keys = list(map(intake_key, records))
-    kept = [rec for rec, key in zip(records, keys) if key is not None]
-    sources, stamps = zip(*(key for key in keys if key is not None)) if kept else ((), ())
-    epoch = NAIVE_EPOCH if stamps and stamps[0].utcoffset() is None else EPOCH
-    names = sorted(set(sources))
-    rank_of = {source: r for r, source in enumerate(names)}
-    return (kept,
-            np.fromiter(((stamp - epoch) // MICROSECOND for stamp in stamps), np.int64,
-                        len(kept)),
-            np.fromiter(map(rank_of.__getitem__, sources), np.int64, len(kept)),
-            names)
-
-
-def _duplicates(kept: list[EventLogRecord], stamps: np.ndarray, ranks: np.ndarray,
-                by_key: np.ndarray, on_time: np.ndarray) -> np.ndarray:
+def _duplicates(intake: EventColumns, by_key: np.ndarray, on_time: np.ndarray) -> np.ndarray:
     """Mask of the on-time records whose dedupe_key an earlier on-time record
     has. Only a record in a run of equal (stamp, source) in `by_key`, the
     stable (stamp, source rank) order, can be one, so only those records take
     their dedupe key; a run is in input order, and no key is in two runs."""
+    stamps, ranks = intake.micros, intake.ranks
     group = by_key[on_time[by_key]]
     same = (ranks[group[1:]] == ranks[group[:-1]]) & (stamps[group[1:]] == stamps[group[:-1]])
     shared = np.zeros(len(group), dtype=bool)
     shared[1:] = same
     shared[:-1] |= same
-    duplicate = np.zeros(len(kept), dtype=bool)
+    duplicate = np.zeros(len(stamps), dtype=bool)
     seen: set[tuple] = set()
     for i in group[shared].tolist():
-        key = kept[i].dedupe_key()
+        key = (int(ranks[i]), int(stamps[i]), _fields_key(intake.fields(i)))
         if key in seen:
             duplicate[i] = True
         else:
@@ -471,7 +574,7 @@ def _duplicates(kept: list[EventLogRecord], stamps: np.ndarray, ranks: np.ndarra
     return duplicate
 
 
-def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
+def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: SymbolSchema,
                     network: CC4Network | None, config: StreamConfig,
                     labels: list[tuple[int, str, str]] | None = None, radius: int = 1,
                     ) -> tuple[list[AnomalyAlert], StreamCounts, CC4Network]:
@@ -491,11 +594,13 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
     aside, in (timestamp, source id) order, so the interval grid starts at the
     earliest of them. Returns the alerts, the counts and the network used.
 
-    The intake runs on columns: a record is late when its stamp is below the
-    running maximum of the stamps before it less the skew (a late record
-    never raises that maximum, and a duplicate does). One stable sort on
-    (stamp, source rank) serves dedupe, training and acceptance; a record
-    after a late one of its stamp is late too, so accepted ones come first.
+    The intake runs on columns, from the records in one pass or as
+    read_event_columns read them from a log: a record is late when its stamp
+    is below the running maximum of the stamps before it less the skew (a
+    late record never raises that maximum, and a duplicate does). One stable
+    sort on (stamp, source rank) serves dedupe, training and acceptance; a
+    record after a late one of its stamp is late too, so accepted ones come
+    first.
     """
     if (network is None) == (labels is None):
         raise ValueError("stream_pipeline takes a network or label rows, not both or neither")
@@ -505,50 +610,53 @@ def stream_pipeline(records: list[EventLogRecord], schema: SymbolSchema,
     if skew_seconds < 0:
         raise ValueError(f"the skew window of {skew_seconds} s is negative")
     skew = timedelta(seconds=skew_seconds)
-    counts = StreamCounts(records_in=len(records))
-    kept, stamps, ranks, names = _intake_columns(records)
-    late = np.zeros(len(kept), dtype=bool)
+    intake = records if isinstance(records, EventColumns) else _intake(records, schema)
+    stamps, ranks = intake.micros, intake.ranks
+    late = np.zeros(len(stamps), dtype=bool)
     late[1:] = stamps[1:] < np.maximum.accumulate(stamps)[:-1] - skew // MICROSECOND
     by_key = np.lexsort((ranks, stamps))
-    duplicate = _duplicates(kept, stamps, ranks, by_key, ~late)
+    duplicate = _duplicates(intake, by_key, ~late)
     dropped = duplicate if labels is not None else duplicate | late
-    log = by_key[~dropped[by_key]]
-    log_records = [kept[i] for i in log.tolist()]
-    block = symbolize_block(log_records, schema)
+    rows = by_key[~dropped[by_key]]
+    log = intake.take(rows)
+    vectors, unknown_value, matched = symbolize_block(log, schema)
     if labels is not None:
-        if not log_records:
+        if not log.stamps:
             raise EmptyTrainingSet("no well-formed event in the input to train on")
-        network = cc4_train(_training_samples(log_records, block, schema,
+        if not matched.all():
+            raise _mismatch(log.fields(int(np.argmin(matched))), schema)
+        network = cc4_train(_training_samples(vectors, log.stamps,
+                                              [log.names[r] for r in log.ranks.tolist()],
                                               {(i, d) for i, d, _ in labels},
-                                              log_records[0].timestamp,
-                                              config.interval_seconds),
+                                              log.stamps[0], config.interval_seconds),
                             radius)
-    on_time = ~late[log]
-    accepted = list(compress(log_records, on_time))
-    vectors, unknown_value, matched = (part[on_time] for part in block)
-    emitted = list(compress(accepted, matched))
+    on_time = ~late[rows]
+    accepted = np.flatnonzero(on_time)
+    vectors, unknown_value, matched = vectors[on_time], unknown_value[on_time], matched[on_time]
+    emitted = accepted[matched].tolist()
     classes, ambiguous = classify_block(network, vectors[matched])
     ambiguous |= unknown_value[matched]
     flag = classes == ATTACK
     if config.strict_unknown:
         flag |= classes == UNKNOWN
     intrusion_alerts = [AnomalyAlert(
-        timestamp=emitted[i].timestamp, kind="Intrusion",
+        timestamp=log.stamps[emitted[i]], kind="Intrusion",
         observed=1.0, expected=0.0, band=None,
         severity="Critical" if classes[i] == ATTACK else "Warning",
-        source=emitted[i].source_id, packet_class=PACKET_CLASSES[classes[i]],
+        source=log.names[log.ranks[emitted[i]]], packet_class=PACKET_CLASSES[classes[i]],
         ambiguous=bool(ambiguous[i])) for i in np.flatnonzero(flag).tolist()]
 
     rate_alerts: list[AnomalyAlert] = []
-    if accepted:
-        start = accepted[0].timestamp
-        slots = interval_index([r.timestamp for r in accepted], start,
+    if len(accepted):
+        start = log.stamps[accepted[0]]
+        slots = interval_index([log.stamps[i] for i in accepted.tolist()], start,
                                config.interval_seconds)
-        rate_alerts = _rate_alerts(ranks[log[on_time][matched]], names, slots[matched],
+        rate_alerts = _rate_alerts(log.ranks[accepted[matched]], log.names, slots[matched],
                                    config, start, int(slots[-1]) + 1)
 
-    counts.dropped_duplicate = int(duplicate.sum())
-    counts.dropped_late = int(late.sum())
-    counts.emitted_classifications = len(emitted)
+    counts = StreamCounts(records_in=intake.records_in,
+                          emitted_classifications=len(emitted),
+                          dropped_duplicate=int(duplicate.sum()),
+                          dropped_late=int(late.sum()))
     counts.dropped_malformed = counts.records_in - len(emitted) - counts.dropped_late
     return merge_alerts(intrusion_alerts, rate_alerts), counts, network

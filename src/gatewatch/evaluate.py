@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import AllTargetsZero, EmptyInput, LengthMismatch
+from .errors import AllTargetsZero, EmptyInput, LengthMismatch, MissingValuesPresent
 from .forecast import ForecasterConfig, fit
 from .series import TimeSeries, split
 
@@ -125,8 +125,12 @@ def _score_row(name: str, pattern: str, config: ForecasterConfig,
 def compare_models(configs: list[ForecasterConfig], series: TimeSeries,
                    train_fraction: float) -> ModelReport:
     """Fit every config on the chronological train split and score one-step
-    ahead on the test split; the persistence baseline is always appended."""
+    ahead on the test split; the persistence baseline is always appended. A
+    training split with a missing point, which no forecaster fits, raises
+    MissingValuesPresent before any fit."""
     train, test = split(series, train_fraction)
+    if train.missing.any():
+        raise MissingValuesPresent("training series must not contain missing values")
     report = ModelReport()
     for config in configs:
         report.rows.append(_score_row(config.label(), PATTERN_CLASS[config.variant],

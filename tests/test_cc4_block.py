@@ -10,9 +10,14 @@ malformed, the rule that replaced the duplicate filter's TypeError on it, and
 reference training skips such a record. The packed-row dedupe is pinned
 against the `np.unique(axis=0)` it replaced.
 """
+import contextlib
+import io
+import json
 import math
 import re
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatewatch import cc4
+from gatewatch import cc4, cli, simulate
 from gatewatch.detect import (
     Z_TABLE,
     AnomalyAlert,
@@ -29,7 +34,7 @@ from gatewatch.detect import (
     merge_alerts,
     z_score,
 )
-from gatewatch.errors import EmptyTrainingSet, SchemaMismatch
+from gatewatch.errors import EmptyTrainingSet, GatewatchError, SchemaMismatch
 from gatewatch.series import TimeSeries
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
@@ -522,6 +527,117 @@ def test_stream_across_the_block_boundary(n):
     assert got == want
     assert cc4.stream_pipeline(records, schema, network, config)[:2] == \
         ref_stream_pipeline(records, schema, network, config)
+
+
+PROTOS = ["zigbee", "wifi", "lora", "udp", "tcp"]
+STATUSES = ["ok", "overflow", "retry", "lost"]
+PACKETS = st.one_of(st.sampled_from([0, 1, 1.0, True, 4.5, 5, 20.0, 99, 100, 500.0, 1e6]),
+                    st.floats(-10, 700), st.integers(-5, 700))
+
+
+@st.composite
+def event_texts(draw):
+    """A gateway log as the bytes of a JSON-lines file: records in any order,
+    late ones among them; equal copies spelled otherwise (another key order,
+    1 as 1, 1.0 or true, the stamp at +01:00 or without an offset); fields
+    that hold a list or an object; records whose field set is not the
+    schema's; now and then a thermometer value that is not a number; blank
+    lines and, now and then, a leading byte order mark."""
+    # each kind of flaw in about one log of three, so that most logs stream
+    flaws = [flaw for flaw in ("list", "object", "missing", "extra", "not-a-number")
+             if draw(st.integers(0, 2)) == 0]
+    events = []
+    for _ in range(draw(st.integers(0, 30))):
+        fields = {"proto": draw(st.sampled_from(PROTOS)), "packets": draw(PACKETS),
+                  "status": draw(st.sampled_from(STATUSES))}
+        flaw = draw(st.sampled_from(["none"] * 8 + flaws))
+        if flaw == "list":
+            fields["status"] = [fields["status"]]
+        elif flaw == "object":
+            fields["proto"] = {"name": fields["proto"]}
+        elif flaw == "missing":
+            del fields[draw(st.sampled_from(sorted(fields)))]
+        elif flaw == "extra":
+            fields["port"] = 80
+        elif flaw == "not-a-number":
+            fields["packets"] = draw(st.sampled_from(["many", None]))
+        events.append((draw(st.integers(0, 30)), draw(st.sampled_from("abc")), fields))
+    events += draw(st.lists(st.sampled_from(events), max_size=4)) if events else []
+    events = draw(st.permutations(events))
+
+    def line(minute, src, fields):
+        stamp = T0 + timedelta(minutes=minute)
+        stamp = draw(st.sampled_from([stamp, stamp.astimezone(PLUS_ONE),
+                                      stamp.replace(tzinfo=None)]))
+        items = [("ts", stamp.isoformat()), ("src", src)] + [
+            (k, draw(st.sampled_from(ONES)) if is_one(v) else v) for k, v in fields.items()]
+        return json.dumps(dict(draw(st.permutations(items))))
+
+    lines = [line(*event) for event in events]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  \t"])))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
+
+
+def stream_both_ways(tmp, log, flags, reference):
+    """Run `gatewatch stream` on `log` and compare its artifacts, or its error
+    line, with what `reference(path)` gives from the library's records."""
+    path = tmp / "events.jsonl"
+    path.write_bytes(log)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["stream", "--input", str(path), *flags, "--out", str(tmp / "cli")])
+    try:
+        artifacts = reference(path)
+    except GatewatchError as exc:
+        assert (code, err.getvalue()) == (2, f"error: data: {type(exc).__name__}: {exc}\n")
+        return
+    assert (code, err.getvalue()) == (0, "")
+    (tmp / "ref").mkdir()
+    for name, content in artifacts.items():
+        cli._write(tmp / "ref" / name, content)
+        assert (tmp / "cli" / name).read_bytes() == (tmp / "ref" / name).read_bytes(), name
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(st.data())
+def test_the_stream_reads_a_log_as_the_records_read_from_it(data):
+    # gatewatch stream reads its log into intake columns; the library reads
+    # it into records and streams them: every artifact is the same, byte for
+    # byte, and so is every error line
+    log = data.draw(event_texts())
+    interval = data.draw(st.sampled_from([60.0, 90.0, 45.5]))
+    strict = data.draw(st.booleans())
+    flags = ["--interval", repr(interval)] + (["--strict-unknown"] if strict else [])
+    config = cc4.StreamConfig(interval_seconds=interval, strict_unknown=strict)
+    schema = simulate.event_schema()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if data.draw(st.booleans()):
+            labels = data.draw(st.lists(st.tuples(st.integers(0, 40), st.sampled_from("abc"),
+                                                  st.sampled_from(["UdpFlood", "Sybil"]))))
+            radius = data.draw(st.integers(0, 2))
+            path = tmp / "labels.csv"
+            path.write_text("\n".join([",".join(simulate.LABEL_COLUMNS)]
+                                      + [f"{i},{d},{k}" for i, d, k in labels]) + "\n",
+                            encoding="utf-8")
+            flags += ["--labels", str(path), "--radius", str(radius)]
+            network = None
+        else:
+            labels, radius = None, 1
+            path = tmp / "network.json"
+            path.write_text(data.draw(networks(schema.total_bits)).to_json(), encoding="utf-8")
+            flags += ["--network", str(path)]
+            network = cc4.CC4Network.from_json(path.read_text(encoding="utf-8"))
+
+        def reference(log_path):
+            alerts, counts, used = cc4.stream_pipeline(cc4.read_events_jsonl(log_path), schema,
+                                                       network, config, labels, radius)
+            return {"alerts.jsonl": alerts, "stream_counts.json": counts.to_json_obj(),
+                    "network.json": used.to_json_obj()}
+
+        stream_both_ways(tmp, log, flags, reference)
 
 
 RATE_SOURCES = ["a", "b", "c", "d", "e", "f", "g"]

@@ -649,6 +649,20 @@ class TestInspectForecastCompare:
         assert obj["ranking"][0] == "holt_winters(m=24)"
         assert "ranking:" in (out / "report.txt").read_text(encoding="utf-8")
 
+    def test_compare_refuses_a_training_split_with_a_missing_point(self, tmp_path,
+                                                                   capsys):
+        # as forecast does on the same file; compare once wrote a report with
+        # no score for any model, the persistence baseline included
+        values = seasonal_values(100)
+        values[10] = float("nan")
+        path = series_file(tmp_path, values)
+        for command in ("forecast", "compare"):
+            assert run(command, "--input", str(path), "--out", str(tmp_path / command)) == 2
+            assert capsys.readouterr().err == ("error: data: MissingValuesPresent: "
+                                               "training series must not contain "
+                                               "missing values\n")
+            assert not (tmp_path / command).exists()
+
     def test_config_file_fills_defaults_flags_win(self, tmp_path):
         path = series_file(tmp_path, seasonal_values())
         config = tmp_path / "c.json"

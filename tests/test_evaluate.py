@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gatewatch import evaluate as ev
-from gatewatch.errors import AllTargetsZero, EmptyInput, LengthMismatch
+from gatewatch.errors import AllTargetsZero, EmptyInput, LengthMismatch, MissingValuesPresent
 from gatewatch.forecast import ForecasterConfig
 from gatewatch.series import TimeSeries
 
@@ -84,6 +86,15 @@ class TestCompareModels:
         assert row.error is not None and row.test_mse is None
         assert row.name not in report.ranking
         assert "persistence" in report.ranking
+
+    def test_a_missing_training_point_is_refused_before_any_fit(self):
+        values = seasonal_series(n=100).values.copy()
+        values[10] = np.nan
+        configs = [ForecasterConfig(variant="moving_average", ma_window=3)]
+        with mock.patch.object(ev, "fit", wraps=ev.fit) as fit, \
+                pytest.raises(MissingValuesPresent):
+            ev.compare_models(configs, make(values), 0.8)
+        fit.assert_not_called()
 
     def test_ranking_sorted_by_mse(self):
         configs = [ForecasterConfig(variant="moving_average", ma_window=3),
