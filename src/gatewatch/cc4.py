@@ -48,8 +48,7 @@ NAIVE_EPOCH = datetime(1970, 1, 1)
 MICROSECOND = timedelta(microseconds=1)
 
 
-@dataclass(frozen=True)
-class EventLogRecord:
+class EventLogRecord(NamedTuple):
     timestamp: datetime
     source_id: str
     fields: dict
@@ -62,13 +61,6 @@ class EventLogRecord:
         return {"ts": self.timestamp.isoformat(), "src": self.source_id, **self.fields}
 
 
-class _Event(NamedTuple):
-    """One event as read from a log line, before or instead of a record."""
-    timestamp: datetime
-    source_id: str
-    fields: dict
-
-
 def _fields_key(fields: dict) -> tuple:
     return tuple(sorted(fields.items()))
 
@@ -77,8 +69,7 @@ def intake_key(record: EventLogRecord) -> tuple | None:
     """The record's (source id, stamp), or None when the record is malformed:
     it has no source or no stamp, or a field holds a JSON list or object,
     which leaves its dedupe key unhashable. The stream and CC4 training both
-    skip it. Records that share this key are told apart by dedupe_key. Any
-    object with a record's three attributes is taken."""
+    skip it. Records that share this key are told apart by dedupe_key."""
     if not record.source_id or record.timestamp is None:
         return None
     try:
@@ -88,7 +79,7 @@ def intake_key(record: EventLogRecord) -> tuple | None:
     return record.source_id, record.timestamp
 
 
-def _event_parts(obj) -> _Event:
+def _event_parts(obj) -> EventLogRecord:
     """parse_event_obj's checks and fields, taken from `obj` itself: its `ts`
     and `src` are popped and what is left is the fields."""
     if not isinstance(obj, dict):
@@ -103,13 +94,13 @@ def _event_parts(obj) -> _Event:
         timestamp = datetime.fromisoformat(ts)
     except ValueError:
         raise SchemaMismatch(f"event ts {ts!r} is not an ISO 8601 stamp") from None
-    return _Event(to_utc(timestamp), str(src), obj)
+    return EventLogRecord(to_utc(timestamp), str(src), obj)
 
 
 def parse_event_obj(obj: dict) -> EventLogRecord:
     """One event record; its stamp is taken to UTC, a naive stamp being UTC
     already, so every record and alert of a stream runs on one clock."""
-    return EventLogRecord(*_event_parts(obj.copy() if isinstance(obj, dict) else obj))
+    return _event_parts(obj.copy() if isinstance(obj, dict) else obj)
 
 
 @dataclass(frozen=True)
@@ -323,31 +314,26 @@ def cc4_classify(network: CC4Network, vector: np.ndarray) -> tuple[str, bool]:
     return PACKET_CLASSES[classes[0]], bool(ambiguous[0])
 
 
-def training_samples(events: list[EventLogRecord], schema: SymbolSchema,
-                     attack_cells: set[tuple[int, str]], start: datetime,
-                     interval_seconds: float) -> list[tuple[np.ndarray, str]]:
-    """Labeled (vector, class) pairs for CC4 training, in event order: an
-    event is Attack when its (interval index, source id) cell is in
-    `attack_cells`, else Known. Duplicate vectors keep their first label. A
-    record whose field set does not match the schema raises SchemaMismatch."""
-    vectors, _, matched = symbolize_block(events, schema)
-    if not matched.all():
-        raise _mismatch(events[int(np.argmin(matched))].fields, schema)
-    return _training_samples(vectors, [e.timestamp for e in events],
-                             [e.source_id for e in events], attack_cells, start,
-                             interval_seconds)
+def _slots(micros: np.ndarray, start: int, interval_seconds: float) -> np.ndarray:
+    """series.interval_index of stamps held as int64 µs on one clock, on the
+    grid that starts at µs `start`. (µs - start) / 1e6 is the offset's
+    total_seconds(), rounded once, while the offset is under 2**53 µs."""
+    return ((micros - start) / 1e6 // interval_seconds).astype(np.int64)
 
 
-def _training_samples(vectors: np.ndarray, stamps: list[datetime], sources: list[str],
-                      attack_cells: set[tuple[int, str]], start: datetime,
-                      interval_seconds: float) -> list[tuple[np.ndarray, str]]:
-    """training_samples from the code block of records that all match the
-    schema, with their stamps and source ids."""
+def _training_samples(vectors: np.ndarray, log: EventColumns,
+                      attack_cells: set[tuple[int, str]], interval_seconds: float,
+                      ) -> list[tuple[np.ndarray, str]]:
+    """Labeled (vector, class) pairs for CC4 training from the code block of
+    `log`, whose records all match the schema, in record order: a record is
+    Attack when its (interval index, source id) cell, on the grid that starts
+    at the first record, is in `attack_cells`, else Known. Duplicate vectors
+    keep their first label."""
     first = _first_rows(vectors)
-    slots = interval_index([stamps[i] for i in first], start, interval_seconds)
+    slots = _slots(log.micros[first], log.micros[0], interval_seconds)
     return [(vectors[i].copy(),
-             "Attack" if (idx, sources[i]) in attack_cells else "Known")
-            for i, idx in zip(first, slots.tolist())]
+             "Attack" if (slot, log.names[log.ranks[i]]) in attack_cells else "Known")
+            for i, slot in zip(first, slots.tolist())]
 
 
 def _first_rows(vectors: np.ndarray) -> list[int]:
@@ -423,7 +409,7 @@ def _read_events(path):
 def read_events_jsonl(path) -> list[EventLogRecord]:
     """Every event of a JSON-lines log; blank lines are skipped. A line that is
     not an event record raises SchemaMismatch naming its line number."""
-    return [EventLogRecord(*event) for event in _read_events(path)]
+    return list(_read_events(path))
 
 
 @dataclass(eq=False)
@@ -432,8 +418,8 @@ class EventColumns:
     keeps, in input order, one entry per record in each column."""
     schema: SymbolSchema
     records_in: int              # records read, the malformed ones included
-    stamps: list[datetime]       # as given
-    micros: np.ndarray           # int64 µs since the epoch of the first stamp's clock
+    epoch: datetime              # the stamps' clock: EPOCH, or NAIVE_EPOCH if naive
+    micros: np.ndarray           # int64 µs since `epoch`
     ranks: np.ndarray            # int64 rank of the source id in `names`
     names: list[str]             # the sorted source ids
     values: list[list]           # per schema encoder; None where not matched
@@ -446,24 +432,28 @@ class EventColumns:
             return self.unmatched[i]
         return {enc.name: column[i] for enc, column in zip(self.schema.encoders, self.values)}
 
+    def stamp(self, i: int) -> datetime:
+        """Record i's stamp on the intake's clock."""
+        return self.epoch + int(self.micros[i]) * MICROSECOND
+
     def take(self, rows: np.ndarray) -> "EventColumns":
         """The records at `rows`, in that order."""
         index = rows.tolist()
         others = np.flatnonzero(~self.matched[rows]).tolist()
         return EventColumns(
-            self.schema, len(index), [self.stamps[i] for i in index],
-            self.micros[rows], self.ranks[rows], self.names,
+            self.schema, len(index), self.epoch, self.micros[rows], self.ranks[rows], self.names,
             [[column[i] for i in index] for column in self.values], self.matched[rows],
             {k: self.unmatched[index[k]] for k in others})
 
 
 def _intake(events, schema: SymbolSchema) -> EventColumns:
-    """The intake's one pass over the events (records, or _Event triples read
-    from a log): intake_key drops the malformed, and each kept event gives
-    its stamp, its source id and, when its field set is the schema's, its
-    value of each field. A stamp on the other clock than the first kept one,
-    naive among aware or aware among naive, raises TypeError ("can't subtract
-    offset-naive and offset-aware datetimes"): the two have no order."""
+    """The intake's one pass over the records (in memory, or as read from a
+    log): intake_key drops the malformed, and each kept record gives its
+    stamp, its source id and, when its field set is the schema's, its value
+    of each field. Stamps become µs on the first kept stamp's clock; a stamp
+    on the other clock, naive among aware or aware among naive, raises
+    TypeError ("can't subtract offset-naive and offset-aware datetimes"): the
+    two have no order."""
     encoders = [enc.name for enc in schema.encoders]
     names = set(encoders)
     values = [[] for _ in encoders]
@@ -492,7 +482,7 @@ def _intake(events, schema: SymbolSchema) -> EventColumns:
     matched = np.ones(len(stamps), dtype=bool)
     matched[list(unmatched)] = False
     return EventColumns(
-        schema, records_in, stamps,
+        schema, records_in, epoch,
         np.fromiter(((stamp - epoch) // MICROSECOND for stamp in stamps), np.int64, len(stamps)),
         np.fromiter(map(rank_of.__getitem__, sources), np.int64, len(stamps)),
         sorted_sources, values, matched, unmatched)
@@ -586,8 +576,9 @@ def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: Symbol
     stamp, or with a field that holds a JSON list or object, is counted in
     `dropped_malformed` and excluded before it can move the skew window. A
     given network whose width is not the schema's raises WidthMismatch, a
-    negative skew window (`skew_intervals * interval_seconds`) ValueError, and
-    naive and aware stamps among the records intake keeps TypeError.
+    negative skew window (`skew_intervals * interval_seconds`) or an interval
+    that is not a positive finite number ValueError, and naive and aware
+    stamps among the records intake keeps TypeError.
 
     Give a network or label rows, not both. Label rows train a network of
     `radius` on the records the intake accepts or finds late, duplicates
@@ -600,7 +591,8 @@ def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: Symbol
     late record never raises that maximum, and a duplicate does). One stable
     sort on (stamp, source rank) serves dedupe, training and acceptance; a
     record after a late one of its stamp is late too, so accepted ones come
-    first.
+    first. Interval slots come from the intake's µs (see _slots), and every
+    alert is stamped on the intake's clock: UTC, or naive for naive records.
     """
     if (network is None) == (labels is None):
         raise ValueError("stream_pipeline takes a network or label rows, not both or neither")
@@ -609,6 +601,9 @@ def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: Symbol
     skew_seconds = config.skew_intervals * config.interval_seconds
     if skew_seconds < 0:
         raise ValueError(f"the skew window of {skew_seconds} s is negative")
+    if not (math.isfinite(config.interval_seconds) and config.interval_seconds > 0):
+        raise ValueError(f"the interval of {config.interval_seconds} s is not a positive "
+                         "finite number")
     skew = timedelta(seconds=skew_seconds)
     intake = records if isinstance(records, EventColumns) else _intake(records, schema)
     stamps, ranks = intake.micros, intake.ranks
@@ -621,15 +616,12 @@ def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: Symbol
     log = intake.take(rows)
     vectors, unknown_value, matched = symbolize_block(log, schema)
     if labels is not None:
-        if not log.stamps:
+        if not len(rows):
             raise EmptyTrainingSet("no well-formed event in the input to train on")
         if not matched.all():
             raise _mismatch(log.fields(int(np.argmin(matched))), schema)
-        network = cc4_train(_training_samples(vectors, log.stamps,
-                                              [log.names[r] for r in log.ranks.tolist()],
-                                              {(i, d) for i, d, _ in labels},
-                                              log.stamps[0], config.interval_seconds),
-                            radius)
+        network = cc4_train(_training_samples(vectors, log, {(i, d) for i, d, _ in labels},
+                                              config.interval_seconds), radius)
     on_time = ~late[rows]
     accepted = np.flatnonzero(on_time)
     vectors, unknown_value, matched = vectors[on_time], unknown_value[on_time], matched[on_time]
@@ -640,7 +632,7 @@ def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: Symbol
     if config.strict_unknown:
         flag |= classes == UNKNOWN
     intrusion_alerts = [AnomalyAlert(
-        timestamp=log.stamps[emitted[i]], kind="Intrusion",
+        timestamp=log.stamp(emitted[i]), kind="Intrusion",
         observed=1.0, expected=0.0, band=None,
         severity="Critical" if classes[i] == ATTACK else "Warning",
         source=log.names[log.ranks[emitted[i]]], packet_class=PACKET_CLASSES[classes[i]],
@@ -648,11 +640,10 @@ def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: Symbol
 
     rate_alerts: list[AnomalyAlert] = []
     if len(accepted):
-        start = log.stamps[accepted[0]]
-        slots = interval_index([log.stamps[i] for i in accepted.tolist()], start,
-                               config.interval_seconds)
+        micros = log.micros[accepted]
+        slots = _slots(micros, micros[0], config.interval_seconds)
         rate_alerts = _rate_alerts(log.ranks[accepted[matched]], log.names, slots[matched],
-                                   config, start, int(slots[-1]) + 1)
+                                   config, log.stamp(accepted[0]), int(slots[-1]) + 1)
 
     counts = StreamCounts(records_in=intake.records_in,
                           emitted_classifications=len(emitted),

@@ -287,16 +287,16 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_stream(args) -> dict:
+    if not (args.network or args.labels):
+        raise UsageError("stream requires --network or --labels")
     schema = simulate.event_schema()
     events = cc4.read_event_columns(args.input, schema)
     network = labels = None
     if args.network:
         network = cc4.CC4Network.from_json(
             Path(args.network).read_text(encoding="utf-8-sig"))
-    elif args.labels:
-        labels = simulate.read_labels_csv(args.labels)
     else:
-        raise UsageError("stream requires --network or --labels")
+        labels = simulate.read_labels_csv(args.labels)
     config = cc4.StreamConfig(interval_seconds=args.interval,
                               strict_unknown=args.strict_unknown,
                               confidence=args.confidence,

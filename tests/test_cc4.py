@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatewatch import cc4, simulate
+from gatewatch import cc4, cli, simulate
 from gatewatch.errors import EmptyTrainingSet, SchemaMismatch, WidthMismatch
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
@@ -276,6 +276,35 @@ class TestStreamPipeline:
         assert naive == [replace(a, timestamp=a.timestamp.replace(tzinfo=None))
                          for a in aware]
 
+    def test_every_alert_runs_on_one_clock(self, tmp_path):
+        # The same log at UTC and at +01:00 streams to the same alert lines,
+        # those `gatewatch stream` writes for it: each alert is stamped on the
+        # intake's clock, which is UTC for aware stamps. One device also goes
+        # quiet, so rate alerts are stamped too.
+        config = simulate.default_flood_config(seed=1)
+        config = replace(config, attacks=config.attacks
+                         + simulate.default_silence_config().attacks)
+        trace = simulate.generate_trace(config)
+        paths = simulate.write_trace(trace, tmp_path / "trace")
+        plus_one = timezone(timedelta(hours=1))
+
+        def lines(events):
+            alerts = cc4.stream_pipeline(
+                events, simulate.event_schema(), None,
+                cc4.StreamConfig(interval_seconds=config.interval_seconds),
+                trace.labels, 0)[0]
+            return [alert.to_json() for alert in alerts]
+
+        assert cli.main(["stream", "--input", str(paths["events"]),
+                         "--labels", str(paths["labels"]), "--radius", "0",
+                         "--interval", repr(config.interval_seconds),
+                         "--out", str(tmp_path / "out")]) == 0
+        written = (tmp_path / "out" / "alerts.jsonl").read_text(encoding="utf-8")
+        assert {json.loads(line)["kind"] for line in written.splitlines()} == \
+            {"Intrusion", "Dropout"}
+        assert lines([e._replace(timestamp=e.timestamp.astimezone(plus_one))
+                      for e in trace.events]) == lines(trace.events) == written.splitlines()
+
 
 def test_labelled_stream_keeps_each_row_with_its_record():
     # two sources at one stamp, out of name order: the classifier takes the
@@ -321,9 +350,9 @@ def test_training_skips_records_the_stream_counts_malformed():
     config = simulate.default_flood_config(seed=1)
     trace = simulate.generate_trace(config)
     first = trace.events[0]
-    early = replace(first, fields={**first.fields, "status": ["ok"]},
-                    timestamp=first.timestamp - timedelta(
-                        seconds=2 * config.interval_seconds))
+    early = first._replace(fields={**first.fields, "status": ["ok"]},
+                           timestamp=first.timestamp - timedelta(
+                               seconds=2 * config.interval_seconds))
 
     def train(events):
         return cc4.stream_pipeline(
@@ -343,10 +372,10 @@ def test_records_without_source_or_stamp_never_reach_training():
     config = simulate.default_flood_config(seed=1)
     trace = simulate.generate_trace(config)
     first = trace.events[0]
-    odd = [replace(first, source_id="", fields={**first.fields, "status": "retry"},
-                   timestamp=first.timestamp - timedelta(
-                       seconds=2 * config.interval_seconds)),
-           replace(first, timestamp=None, fields={**first.fields, "status": "overflow"})]
+    odd = [first._replace(source_id="", fields={**first.fields, "status": "retry"},
+                          timestamp=first.timestamp - timedelta(
+                              seconds=2 * config.interval_seconds)),
+           first._replace(timestamp=None, fields={**first.fields, "status": "overflow"})]
 
     def stream(events):
         alerts, counts, network = cc4.stream_pipeline(
@@ -428,7 +457,7 @@ def test_naive_and_aware_stamps_in_one_stream_raise_type_error(labels):
     config = cc4.StreamConfig()
     assert cc4.stream_pipeline([odd] + aware, schema(), network, config, labels)[1] \
         .dropped_malformed == 1
-    mixed = replace(aware[0], timestamp=naive)
+    mixed = aware[0]._replace(timestamp=naive)
     for events in ([mixed] + aware, aware + [mixed]):
         with pytest.raises(TypeError) as info:
             cc4.stream_pipeline(events, schema(), network, config, labels)
@@ -442,6 +471,19 @@ def test_a_negative_skew_window_is_refused(labels, skew_intervals, interval_seco
     config = cc4.StreamConfig(interval_seconds=interval_seconds,
                               skew_intervals=skew_intervals)
     with pytest.raises(ValueError, match=r"skew window of -\d+\.0 s is negative"):
+        cc4.stream_pipeline([_event(1, "a")], schema(), network, config, labels)
+
+
+@pytest.mark.parametrize("labels", [None, []], ids=["network", "labels"])
+@pytest.mark.parametrize("skew_intervals, interval_seconds",
+                         [(5, 0.0), (0, -60.0), (5, float("nan")), (5, float("inf")),
+                          (0, float("inf"))])
+def test_an_interval_that_is_not_a_positive_number_is_refused(labels, skew_intervals,
+                                                               interval_seconds):
+    network = None if labels is not None else _network()
+    config = cc4.StreamConfig(interval_seconds=interval_seconds,
+                              skew_intervals=skew_intervals)
+    with pytest.raises(ValueError, match=r"the interval of \S+ s is not a positive finite"):
         cc4.stream_pipeline([_event(1, "a")], schema(), network, config, labels)
 
 

@@ -35,7 +35,7 @@ from gatewatch.detect import (
     z_score,
 )
 from gatewatch.errors import EmptyTrainingSet, GatewatchError, SchemaMismatch
-from gatewatch.series import TimeSeries
+from gatewatch.series import TimeSeries, interval_index
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
 PLUS_ONE = timezone(timedelta(hours=1))
@@ -119,7 +119,7 @@ def ref_train_from_labels(events, labels, schema, interval_seconds, radius):
     if not ordered:
         raise EmptyTrainingSet("no well-formed event in the input to train on")
     attack_cells = {(i, d) for i, d, _ in labels}
-    return cc4.cc4_train(cc4.training_samples(ordered, schema, attack_cells,
+    return cc4.cc4_train(ref_training_samples(ordered, schema, attack_cells,
                                               ordered[0].timestamp, interval_seconds),
                          radius)
 
@@ -389,16 +389,9 @@ def test_block_path_matches_per_record_reference(data):
         vector, flag = cc4.symbolize(rec, schema)
         assert (vector.tolist(), flag) == (expected[2], expected[1])
         assert cc4.cc4_classify(network, vector) == expected[0]
-    well_formed = [rec for rec, expected in zip(records, want) if expected]
-    start = min((rec.timestamp for rec in records), default=T0)
-    cells = {(k, src) for k in range(0, 31, 3) for src in ("a", "c")}
     with mock.patch.object(cc4, "BLOCK_SIZE", block_size):
         assert (cc4.stream_pipeline(records, schema, network, config)[:2]
                 == ref_stream_pipeline(records, schema, network, config))
-    samples = cc4.training_samples(well_formed, schema, cells, start, 60.0)
-    want_samples = ref_training_samples(well_formed, schema, cells, start, 60.0)
-    assert [(v.tolist(), c) for v, c in samples] == \
-        [(v.tolist(), c) for v, c in want_samples]
     # a window that starts after some first sightings and ends before others
     window_start = T0 + timedelta(minutes=5)
     new_ids = cc4.new_id_counts(records, window_start, 90.0, 12)
@@ -673,6 +666,27 @@ def test_rate_scoring_in_groups_matches_the_per_source_reference(data):
     assert got == ref_stream_pipeline(records, RATE_SCHEMA, RATE_NETWORK, config)
 
 
+@settings(max_examples=examples(200), deadline=None)
+@given(st.data())
+def test_the_stream_slots_its_stamps_as_interval_index(data):
+    # The stream's slot rule on the intake's µs column gives each stamp the
+    # slot series.interval_index gives it: at fractional intervals, before
+    # the grid start as well as after it, at +01:00 among UTC stamps.
+    records = data.draw(st.lists(st.builds(
+        lambda micros, zone: cc4.EventLogRecord(
+            timestamp=(T0 + timedelta(microseconds=micros)).astimezone(zone),
+            source_id="a", fields={"packets": 1}),
+        st.integers(-10 ** 12, 10 ** 12), st.sampled_from([timezone.utc, PLUS_ONE])),
+        min_size=1, max_size=30))
+    interval = data.draw(st.one_of(st.sampled_from([45.5, 0.001, 60.0]),
+                                   st.floats(min_value=1e-3, max_value=1e6)))
+    start = data.draw(st.integers(0, len(records) - 1))
+    micros = cc4._intake(records, RATE_SCHEMA).micros
+    stamps = [rec.timestamp for rec in records]
+    assert cc4._slots(micros, micros[start], interval).tolist() == \
+        interval_index(stamps, stamps[start], interval).tolist()
+
+
 def test_non_numeric_thermometer_value_raises_value_error():
     schema = cc4.SymbolSchema(encoders=(
         cc4.FieldEncoder(name="packets", kind="thermometer", bin_edges=(5.0,)),))
@@ -692,7 +706,7 @@ def test_training_rejects_a_mismatched_record():
     records = [cc4.EventLogRecord(timestamp=T0, source_id="a", fields={"proto": "udp"}),
                cc4.EventLogRecord(timestamp=T0, source_id="b", fields={})]
     with pytest.raises(SchemaMismatch, match=r"record \[\]"):
-        cc4.training_samples(records, schema, set(), T0, 60.0)
+        cc4.stream_pipeline(records, schema, None, cc4.StreamConfig(), labels=[])
 
 
 @settings(max_examples=examples(200), deadline=None)

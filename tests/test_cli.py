@@ -770,6 +770,13 @@ class TestDetectAndStream:
                    "--out", str(tmp_path / "o")) == 1
         assert "--network or --labels" in capsys.readouterr().err
 
+    def test_stream_checks_its_flags_before_reading_the_log(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        events.write_text("not json\n", encoding="utf-8")
+        assert run("stream", "--input", str(events), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == \
+            "error: usage: stream requires --network or --labels\n"
+
     def test_stream_with_saved_network(self, trace_dir, tmp_path):
         first = tmp_path / "first"
         assert run("stream", "--input", str(trace_dir / "events.jsonl"),

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatewatch import simulate as sim
-from gatewatch.cc4 import (EventLogRecord, cc4_classify, cc4_train, parse_event_obj,
-                           training_samples)
+from gatewatch.cc4 import (EventLogRecord, StreamConfig, cc4_classify, parse_event_obj,
+                           stream_pipeline)
 from gatewatch.detect import AnomalyAlert
 from gatewatch.errors import InvalidScript, TimeBaseMismatch
 from gatewatch.ingest import format_timestamp, parse_flow_csv
@@ -186,15 +186,12 @@ class TestGeneration:
 
 def test_training_samples_label_attack_cells():
     trace = sim.generate_trace(sim.default_flood_config(seed=3))
-    schema = sim.event_schema()
-    attack_cells = {(i, d) for i, d, _ in trace.labels}
-    samples = training_samples(trace.events, schema, attack_cells,
-                               trace.start, trace.interval_seconds)
-    classes = {cls for _, cls in samples}
-    assert classes == {"Known", "Attack"}
+    net = stream_pipeline(trace.events, sim.event_schema(), None,
+                          StreamConfig(interval_seconds=trace.interval_seconds),
+                          trace.labels, 0)[2]
+    assert set(net.classes) == {"Known", "Attack"}
     # one-shot training on the trace's own samples recalls them at radius 0
-    net = cc4_train(samples, radius=0)
-    for vector, cls in samples[:50]:
+    for vector, cls in zip(net.vectors[:50], net.classes):
         got, _ = cc4_classify(net, vector)
         assert got == cls
 
