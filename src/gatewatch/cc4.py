@@ -30,7 +30,7 @@ from .errors import (
     SchemaMismatch,
     WidthMismatch,
 )
-from .series import TimeSeries, band_stats, interval_index, to_utc
+from .series import TimeSeries, band_stats, check_interval, interval_index, slots, to_utc
 
 PACKET_CLASSES = ("Known", "Unknown", "Attack")
 UNKNOWN, ATTACK = PACKET_CLASSES.index("Unknown"), PACKET_CLASSES.index("Attack")
@@ -314,13 +314,6 @@ def cc4_classify(network: CC4Network, vector: np.ndarray) -> tuple[str, bool]:
     return PACKET_CLASSES[classes[0]], bool(ambiguous[0])
 
 
-def _slots(micros: np.ndarray, start: int, interval_seconds: float) -> np.ndarray:
-    """series.interval_index of stamps held as int64 µs on one clock, on the
-    grid that starts at µs `start`. (µs - start) / 1e6 is the offset's
-    total_seconds(), rounded once, while the offset is under 2**53 µs."""
-    return ((micros - start) / 1e6 // interval_seconds).astype(np.int64)
-
-
 def _training_samples(vectors: np.ndarray, log: EventColumns,
                       attack_cells: set[tuple[int, str]], interval_seconds: float,
                       ) -> list[tuple[np.ndarray, str]]:
@@ -330,10 +323,10 @@ def _training_samples(vectors: np.ndarray, log: EventColumns,
     at the first record, is in `attack_cells`, else Known. Duplicate vectors
     keep their first label."""
     first = _first_rows(vectors)
-    slots = _slots(log.micros[first], log.micros[0], interval_seconds)
+    offsets = (log.micros[first] - log.micros[0]) / 1e6
     return [(vectors[i].copy(),
              "Attack" if (slot, log.names[log.ranks[i]]) in attack_cells else "Known")
-            for i, slot in zip(first, slots.tolist())]
+            for i, slot in zip(first, slots(offsets, interval_seconds).tolist())]
 
 
 def _first_rows(vectors: np.ndarray) -> list[int]:
@@ -591,8 +584,11 @@ def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: Symbol
     late record never raises that maximum, and a duplicate does). One stable
     sort on (stamp, source rank) serves dedupe, training and acceptance; a
     record after a late one of its stamp is late too, so accepted ones come
-    first. Interval slots come from the intake's µs (see _slots), and every
-    alert is stamped on the intake's clock: UTC, or naive for naive records.
+    first. A record's interval slot is series.slots of its offset from the
+    grid start, (µs - µs0) / 1e6 s: the offset's total_seconds(), rounded
+    once. So a grid too fine to count raises OverflowError, as does a skew
+    window past timedelta's range. Every alert is stamped on the intake's
+    clock: UTC, or naive for naive records.
     """
     if (network is None) == (labels is None):
         raise ValueError("stream_pipeline takes a network or label rows, not both or neither")
@@ -601,9 +597,7 @@ def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: Symbol
     skew_seconds = config.skew_intervals * config.interval_seconds
     if skew_seconds < 0:
         raise ValueError(f"the skew window of {skew_seconds} s is negative")
-    if not (math.isfinite(config.interval_seconds) and config.interval_seconds > 0):
-        raise ValueError(f"the interval of {config.interval_seconds} s is not a positive "
-                         "finite number")
+    check_interval(config.interval_seconds)
     skew = timedelta(seconds=skew_seconds)
     intake = records if isinstance(records, EventColumns) else _intake(records, schema)
     stamps, ranks = intake.micros, intake.ranks
@@ -641,9 +635,10 @@ def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: Symbol
     rate_alerts: list[AnomalyAlert] = []
     if len(accepted):
         micros = log.micros[accepted]
-        slots = _slots(micros, micros[0], config.interval_seconds)
-        rate_alerts = _rate_alerts(log.ranks[accepted[matched]], log.names, slots[matched],
-                                   config, log.stamp(accepted[0]), int(slots[-1]) + 1)
+        rate_slots = slots((micros - micros[0]) / 1e6, config.interval_seconds)
+        rate_alerts = _rate_alerts(log.ranks[accepted[matched]], log.names,
+                                   rate_slots[matched], config, log.stamp(accepted[0]),
+                                   int(rate_slots[-1]) + 1)
 
     counts = StreamCounts(records_in=intake.records_in,
                           emitted_classifications=len(emitted),

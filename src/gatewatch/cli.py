@@ -51,8 +51,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gatewatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--input", help="input file")
+    def common(p, reads_input=True):
+        if reads_input:
+            p.add_argument("--input", help="input file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file; flags win on conflict")
         p.add_argument("--seed", type=_between(int, -1), default=None)
@@ -97,7 +98,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gap-threshold", type=_between(int, 0), default=3)
 
     p = sub.add_parser("simulate", help="generate a labeled attack trace")
-    common(p)
+    common(p, reads_input=False)
     p.add_argument("--scenario", choices=["flood", "silence", "sybil", "clean"],
                    default="flood")
     p.add_argument("--magnitude", type=_between(float, 0), default=10.0)
@@ -187,18 +188,18 @@ def _series_from_json(args) -> ts.TimeSeries:
 
 
 def _write(path: Path, content) -> None:
-    """One artifact, in the format its file name says: alerts, JSON or text."""
-    if path.suffix == ".jsonl":
+    """One artifact: text as it is, else alerts or JSON as its file name says."""
+    if isinstance(content, str):
+        path.write_text(content, encoding="utf-8", newline="")
+    elif path.suffix == ".jsonl":
         detect.write_alerts_jsonl(content, path)
-    elif path.suffix == ".json":
-        path.write_text(json.dumps(content, indent=2) + "\n", encoding="utf-8")
     else:
-        path.write_text(content, encoding="utf-8")
+        path.write_text(json.dumps(content, indent=2) + "\n", encoding="utf-8")
 
 
 # --- subcommand bodies ------------------------------------------------------
 # Each returns its artifacts, {file name: content}, for main to write under
-# --out; only simulate writes files itself, its trace.
+# --out.
 
 
 def cmd_ingest(args) -> dict:
@@ -282,8 +283,7 @@ def cmd_simulate(args) -> dict:
         config = simulate.default_sybil_config(seed=seed)
     else:
         config = simulate.SimConfig(seed=seed, fleet=simulate.default_fleet())
-    simulate.write_trace(simulate.generate_trace(config), args.out)
-    return {}
+    return simulate.trace_files(simulate.generate_trace(config))
 
 
 def cmd_stream(args) -> dict:
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
         if args.config:  # the file's flags go first, so the command line's win
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_argv(parser, args) + argv[at:])
-        if getattr(args, "input", None) is None and args.command != "simulate":
+        if "input" in args and args.input is None:
             raise UsageError(f"{args.command} requires --input")
         if "confidence" in args:  # refused before any input is read
             detect.z_score(args.confidence)
@@ -352,8 +352,9 @@ def main(argv=None) -> int:
     except GatewatchError as exc:
         print(f"error: data: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (OSError, MemoryError) as exc:  # MemoryError: the input asks for too much
-        kind = "IoFailure" if isinstance(exc, OSError) else "MemoryError"
+    except (OSError, MemoryError, OverflowError) as exc:  # the last two: input asks too much
+        kind = ("IoFailure" if isinstance(exc, OSError)
+                else "MemoryError" if isinstance(exc, MemoryError) else "OverflowError")
         print(f"error: data: {kind}: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -19,7 +19,7 @@ from .errors import (
     MissingColumn,
     TimestampParseError,
 )
-from .series import TimeSeries, interval_index
+from .series import TimeSeries, check_interval, interval_index
 
 TIMESTAMP_FORMAT = "%d/%m/%Y %I:%M:%S %p"
 
@@ -156,8 +156,7 @@ def to_series(records: list[FlowRecord], interval_seconds: float,
     """Roll clean records up into one bucket per interval; empty buckets are missing."""
     if aggregator not in ("mean", "sum", "count"):
         raise ValueError(f"unknown aggregator {aggregator!r}")
-    if interval_seconds <= 0:
-        raise ValueError("interval must be positive")
+    check_interval(interval_seconds)
     usable = [r for r in records if r.is_clean]
     if not usable:
         raise EmptyInput("no clean records to bucket")

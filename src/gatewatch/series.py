@@ -34,12 +34,29 @@ STATIONARITY_SEGMENTS = 4
 MAX_IMPUTED_RUN = 2
 
 
+def check_interval(interval_seconds: float) -> None:
+    """Refuse, with ValueError, a grid interval that is not positive and finite."""
+    if not (math.isfinite(interval_seconds) and interval_seconds > 0):
+        raise ValueError(f"the interval of {interval_seconds} s is not a positive "
+                         "finite number")
+
+
+def slots(offsets_seconds, interval_seconds: float) -> np.ndarray:
+    """Index of the interval each offset from the grid start falls in,
+    offset // interval_seconds as an int64 array (negative before the start).
+    A slot of 2**53 or more, where float64 no longer tells neighbouring
+    integers apart, raises OverflowError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # past float64: refused below
+        quotients = np.asarray(offsets_seconds, dtype=np.float64) // interval_seconds
+    if quotients.size and not np.abs(quotients).max() < 2 ** 53:
+        raise OverflowError(f"an interval of {interval_seconds} s puts a slot past 2**53")
+    return quotients.astype(np.int64)
+
+
 def interval_index(stamps, start: datetime, interval_seconds: float) -> np.ndarray:
     """Index of the interval each stamp falls in on the grid that starts at
-    `start`: int((t - start).total_seconds() // interval_seconds) for each t,
-    as an int64 array (negative before `start`)."""
-    offsets = np.array([(t - start).total_seconds() for t in stamps], dtype=np.float64)
-    return (offsets // interval_seconds).astype(np.int64)
+    `start`: slots of each (t - start).total_seconds()."""
+    return slots([(t - start).total_seconds() for t in stamps], interval_seconds)
 
 
 def runs(mask) -> tuple[np.ndarray, np.ndarray]:
@@ -75,8 +92,7 @@ class TimeSeries:
         values = np.asarray(self.values, dtype=float)
         if len(values) == 0:
             raise ValueError("values must be nonempty")
-        if self.interval_seconds <= 0:
-            raise ValueError("interval must be positive")
+        check_interval(self.interval_seconds)
         if np.isinf(values).any():
             raise ValueError("values must be finite or NaN")
         object.__setattr__(self, "start", to_utc(self.start))

@@ -9,6 +9,7 @@ perturbed (interval, device) is labeled, and nothing else is.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
@@ -21,7 +22,7 @@ from .cc4 import EventLogRecord, FieldEncoder, SymbolSchema
 from .detect import AnomalyAlert
 from .errors import InvalidScript, MalformedLabels, TimeBaseMismatch
 from .ingest import format_timestamp
-from .series import TimeSeries, slot_time, to_utc
+from .series import TimeSeries, check_interval, slot_time, slots, to_utc
 
 DEVICE_KINDS = ("streetlight", "camera", "water_sensor")
 ATTACK_KINDS = ("UdpFlood", "SilenceAfterOverflow", "Sybil")
@@ -86,8 +87,7 @@ class SimConfig:
     def validate(self) -> None:
         if self.duration < 1:
             raise ValueError("duration must be >= 1")
-        if not self.interval_seconds > 0:
-            raise ValueError("interval_seconds must be > 0")
+        check_interval(self.interval_seconds)
         if len(self.fleet) > 64536:  # flow ports 1000 + index stay <= 65535
             raise ValueError(f"a fleet holds at most 64536 devices, not {len(self.fleet)}")
         ids = {d.id for d in self.fleet}
@@ -196,41 +196,37 @@ def event_schema() -> SymbolSchema:
 # --- file output ------------------------------------------------------------
 
 
-def write_trace(trace: LabeledTrace, outdir) -> dict[str, Path]:
-    """Emit flow.csv (ingestion schema), events.jsonl, and labels.csv."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    flow_path = outdir / "flow.csv"
-    events_path = outdir / "events.jsonl"
-    labels_path = outdir / "labels.csv"
-
+def trace_files(trace: LabeledTrace) -> dict[str, str]:
+    """The text of flow.csv (ingestion schema), events.jsonl and labels.csv."""
     config = trace.config
     utc = to_utc(config.start)      # flow stamps run on the series' UTC grid
     flows = sorted((f"{trace.device_ips[dev.id]}-{GATEWAY_IP}-{1000 + index}-80-17",
                     trace.device_series[dev.id].values.tolist())
                    for index, dev in enumerate(config.fleet))
-    with open(flow_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FLOW_COLUMNS)
-        for i in range(config.duration):
-            stamp = format_timestamp(slot_time(utc, config.interval_seconds, i))
-            for flow_id, rates in flows:
-                rate = rates[i]
-                if rate == rate:    # NaN where silenced
-                    writer.writerow([flow_id, stamp, f"{rate:.6f}", f"{rate:.6f}",
-                                     -1, 8192, 0])
+    flow, labels = io.StringIO(), io.StringIO()
+    writer = csv.writer(flow)
+    writer.writerow(FLOW_COLUMNS)
+    for i in range(config.duration):
+        stamp = format_timestamp(slot_time(utc, config.interval_seconds, i))
+        for flow_id, rates in flows:
+            rate = rates[i]
+            if rate == rate:    # NaN where silenced
+                writer.writerow([flow_id, stamp, f"{rate:.6f}", f"{rate:.6f}", -1, 8192, 0])
+    csv.writer(labels).writerows([LABEL_COLUMNS, *trace.labels])
+    return {"flow.csv": flow.getvalue(),
+            "events.jsonl": "".join(json.dumps(event.to_json_obj()) + "\n"
+                                    for event in trace.events),
+            "labels.csv": labels.getvalue()}
 
-    with open(events_path, "w", encoding="utf-8") as fh:
-        for event in trace.events:
-            fh.write(json.dumps(event.to_json_obj()) + "\n")
 
-    with open(labels_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABEL_COLUMNS)
-        for row in trace.labels:
-            writer.writerow(row)
-
-    return {"flow": flow_path, "events": events_path, "labels": labels_path}
+def write_trace(trace: LabeledTrace, outdir) -> dict[str, Path]:
+    """Write trace_files under outdir; returns the flow, events and labels paths."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = trace_files(trace)
+    for name, text in files.items():
+        (outdir / name).write_text(text, encoding="utf-8", newline="")
+    return {Path(name).stem: outdir / name for name in files}
 
 
 def read_labels_csv(path) -> list[tuple[int, str, str]]:
@@ -286,12 +282,12 @@ def score_detections(alerts: list[AnomalyAlert], trace: LabeledTrace,
     covered: set[tuple[int, str, str]] = set()
     tp = fp = 0
     per_kind: dict[str, int] = {}
-    for alert in alerts:
-        offset = (alert.timestamp - trace.start).total_seconds()
-        if offset < 0 or offset >= span or offset % trace.interval_seconds != 0:
-            raise TimeBaseMismatch(
-                f"alert at {alert.timestamp.isoformat()} is off the trace grid")
-        start_idx = int(offset // trace.interval_seconds)
+    offsets = np.array([(alert.timestamp - trace.start).total_seconds() for alert in alerts])
+    off_grid = (offsets < 0) | (offsets >= span) | (offsets % trace.interval_seconds != 0)
+    if off_grid.any():
+        stamp = alerts[int(np.argmax(off_grid))].timestamp
+        raise TimeBaseMismatch(f"alert at {stamp.isoformat()} is off the trace grid")
+    for alert, start_idx in zip(alerts, slots(offsets, trace.interval_seconds).tolist()):
         compatible = COMPATIBLE.get(alert.kind, set())
         first = bisect_left(intervals, start_idx)
         last = bisect_left(intervals, start_idx + coverage)

@@ -35,7 +35,7 @@ from gatewatch.detect import (
     z_score,
 )
 from gatewatch.errors import EmptyTrainingSet, GatewatchError, SchemaMismatch
-from gatewatch.series import TimeSeries, interval_index
+from gatewatch.series import TimeSeries, interval_index, slots
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
 PLUS_ONE = timezone(timedelta(hours=1))
@@ -683,7 +683,7 @@ def test_the_stream_slots_its_stamps_as_interval_index(data):
     start = data.draw(st.integers(0, len(records) - 1))
     micros = cc4._intake(records, RATE_SCHEMA).micros
     stamps = [rec.timestamp for rec in records]
-    assert cc4._slots(micros, micros[start], interval).tolist() == \
+    assert slots((micros - micros[start]) / 1e6, interval).tolist() == \
         interval_index(stamps, stamps[start], interval).tolist()
 
 

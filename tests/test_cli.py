@@ -29,6 +29,14 @@ def series_file(tmp_path, values, name="series.json"):
     return path
 
 
+def grid_series(tmp_path, **changes):
+    """s.json: 200 hourly points, with `changes` written over its fields."""
+    obj = TimeSeries.from_values(seasonal_values(200), interval_seconds=3600.0).to_json_obj()
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**obj, **changes}), encoding="utf-8")
+    return path
+
+
 def with_bom(source, target):
     """A copy of `source` that starts with a UTF-8 byte-order mark."""
     target.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
@@ -328,6 +336,14 @@ class TestDataErrors:
         assert capsys.readouterr().err.startswith("error: data: AllMissing: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("interval, error", [
+        # 1 ns intervals over the trace's 20 days: np.bincount asks for
+        # 12.3 PiB, more than the address space, so it fails at once
+        ("1e-9", "MemoryError: Unable to allocate"),
+        # finer still, a slot passes 2**53, past float64's integers
+        ("1e-12", "OverflowError: an interval of 1e-12 s puts a slot past 2**53"),
+        ("1e-300", "OverflowError: an interval of 1e-300 s puts a slot past 2**53"),
+    ], ids=["1e-9", "1e-12", "1e-300"])
     @pytest.mark.parametrize("command, files, extra", [
         ("ingest", {"--input": "flow.csv"}, []),
         ("detect", {"--input": "flow.csv"}, ["--source-ip", "10.0.0.2"]),
@@ -335,15 +351,48 @@ class TestDataErrors:
     ])
     def test_an_interval_too_fine_to_count_is_a_data_error(self, trace_dir, tmp_path,
                                                            capsys, command, files,
-                                                           extra):
-        # 1 ns intervals over the trace's 20 days: np.bincount asks for
-        # 12.3 PiB, more than the address space, so it fails at once
+                                                           extra, interval, error):
         paths = [arg for flag, name in files.items() for arg in (flag, str(trace_dir / name))]
-        assert run(command, *paths, *extra, "--interval", "1e-9",
+        assert run(command, *paths, *extra, "--interval", interval,
                    "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: data: MemoryError: Unable to allocate")
+        assert err.startswith(f"error: data: {error}")
         assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["inspect", "forecast", "detect", "compare"])
+    @pytest.mark.parametrize("interval", ["NaN", "Infinity"])
+    def test_a_series_whose_interval_is_not_positive_and_finite(self, tmp_path, capsys,
+                                                                command, interval):
+        path = grid_series(tmp_path, interval_seconds=float(interval))
+        assert interval in path.read_text(encoding="utf-8")
+        assert run(command, "--input", str(path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: MalformedSeries: ") and err.count("\n") == 1
+        assert "is not a positive finite number" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "compare"])
+    @pytest.mark.parametrize("changes", [{"interval_seconds": 1e308},
+                                         {"start": "9999-12-31T00:00:00+00:00"}],
+                             ids=["interval-1e308", "year-9999"])
+    def test_a_split_past_the_calendar_is_a_data_error(self, tmp_path, capsys, command,
+                                                       changes):
+        # the test half starts past datetime's range
+        path = grid_series(tmp_path, **changes)
+        assert run(command, "--input", str(path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: OverflowError: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_a_skew_window_past_timedelta_is_a_data_error(self, trace_dir, tmp_path,
+                                                          capsys):
+        # five intervals of 1e17 s is past timedelta's range
+        assert run("stream", "--input", str(trace_dir / "events.jsonl"),
+                   "--labels", str(trace_dir / "labels.csv"), "--interval", "1e17",
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: OverflowError: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["inspect", "forecast", "compare"])
@@ -509,6 +558,7 @@ class TestArtifacts:
         "compare": {"report.json", "report.txt"},
         "detect": {"alerts.jsonl"},
         "stream": {"alerts.jsonl", "stream_counts.json", "network.json"},
+        "simulate": {"flow.csv", "events.jsonl", "labels.csv"},
     }
 
     @pytest.mark.parametrize("command", ARTIFACTS)
@@ -516,7 +566,8 @@ class TestArtifacts:
                                                          command):
         inputs = {"ingest": ["--input", str(trace_dir / "flow.csv")],
                   "stream": ["--input", str(trace_dir / "events.jsonl"),
-                             "--labels", str(trace_dir / "labels.csv")]}
+                             "--labels", str(trace_dir / "labels.csv")],
+                  "simulate": []}
         series = ["--input", str(series_file(tmp_path, seasonal_values()))]
         out = tmp_path / "o"
         args = cli.build_parser().parse_args(
@@ -552,6 +603,33 @@ class TestArtifacts:
         assert str(target) in err
         assert target.read_bytes() == before
         assert [path.name for path in d.iterdir()] == [target.name]
+
+    def test_simulate_refuses_to_overwrite_its_config(self, tmp_path, capsys):
+        d = tmp_path / "d"
+        d.mkdir()
+        config = d / "labels.csv"
+        config.write_text('{"seed": 7}', encoding="utf-8")
+        assert run("simulate", "--out", str(d), "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: usage: {config} is an input; choose another --out\n"
+        assert config.read_text(encoding="utf-8") == '{"seed": 7}'
+        assert [path.name for path in d.iterdir()] == [config.name]
+
+    def test_simulate_takes_no_input(self, tmp_path, capsys):
+        assert run("simulate", "--input", "x", "--out", str(tmp_path / "d")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: ") and err.count("\n") == 1
+        assert "--input" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_simulate_skips_an_input_key_in_its_config(self, trace_dir, tmp_path):
+        # the key names one of the run's own artifacts, and still no clash
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"seed": 7, "input": str(tmp_path / "d" / "flow.csv")}),
+                          encoding="utf-8")
+        assert run("simulate", "--config", str(config), "--out", str(tmp_path / "d")) == 0
+        for name in self.ARTIFACTS["simulate"]:
+            assert (tmp_path / "d" / name).read_bytes() == (trace_dir / name).read_bytes()
 
 
 class TestSimulateAndIngest:

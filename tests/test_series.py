@@ -130,17 +130,37 @@ class TestIntervalIndex:
            multiples=st.lists(st.integers(-10**6, 10**6), max_size=30),
            interval=INTERVALS)
     @example(start_us=0, offsets_us=[2_100_000], multiples=[], interval=0.7)
+    # 2**33 s on a 2**-20 s grid is slot 2**53, and 1 µs less is slot 2**53 - 1
+    @example(start_us=0, offsets_us=[2 ** 33 * 10 ** 6 - 1], multiples=[],
+             interval=2.0 ** -20)
+    @example(start_us=0, offsets_us=[2 ** 33 * 10 ** 6 - 1, 2 ** 33 * 10 ** 6],
+             multiples=[], interval=2.0 ** -20)
+    @example(start_us=0, offsets_us=[-2 ** 33 * 10 ** 6], multiples=[],
+             interval=2.0 ** -20)
     def test_matches_python_floor_division(self, start_us, offsets_us, multiples,
                                            interval):
-        # stamps on or next to a grid line, where the float quotient rounds
+        # stamps on or next to a grid line, where the float quotient rounds;
+        # a slot of 2**53 or more, past float64's integers, is refused
         offsets_us += [round(k * interval * 1e6) for k in multiples
                        if abs(k * interval) <= 1e6]
         start = datetime(2021, 1, 1, 12, 30, 15, start_us, tzinfo=timezone.utc)
         stamps = [start + timedelta(microseconds=o) for o in offsets_us]
+        want = [int((t - start).total_seconds() // interval) for t in stamps]
+        if any(abs(slot) >= 2 ** 53 for slot in want):
+            with pytest.raises(OverflowError, match="past 2\\*\\*53"):
+                ts.interval_index(stamps, start, interval)
+            return
         got = ts.interval_index(stamps, start, interval)
         assert got.dtype == np.int64
-        assert got.tolist() == [int((t - start).total_seconds() // interval)
-                                for t in stamps]
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("interval", [0.0, -60.0, float("nan"), float("inf")])
+def test_a_grid_interval_must_be_positive_and_finite(interval):
+    with pytest.raises(ValueError, match="is not a positive finite number"):
+        ts.check_interval(interval)
+    with pytest.raises(ValueError, match="is not a positive finite number"):
+        make([1.0, 2.0], interval)
 
 
 def naive_runs(mask):

@@ -63,13 +63,13 @@ class TestValidation:
                              start=10, end=30)])
         config.validate()
 
-    # a day holds no whole number of 0-second intervals, and a negative
-    # interval would stamp the events backwards
-    @pytest.mark.parametrize("interval", [0.0, -60.0, float("nan")])
+    # a day holds no whole number of 0-second intervals, a negative interval
+    # would stamp the events backwards, and an infinite one has no second slot
+    @pytest.mark.parametrize("interval", [0.0, -60.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("fleet", [[], sim.default_fleet()], ids=["empty", "stock"])
     def test_interval_must_be_positive(self, interval, fleet):
         config = sim.SimConfig(duration=4, interval_seconds=interval, fleet=fleet)
-        with pytest.raises(ValueError, match="interval_seconds must be > 0"):
+        with pytest.raises(ValueError, match="interval of .* s is not a positive finite"):
             config.validate()
 
     def test_fleet_size_keeps_flow_ports_in_range(self):
@@ -208,6 +208,15 @@ class TestFiles:
         assert report.rows_read == non_missing
         labels = sim.read_labels_csv(paths["labels"])
         assert labels == trace.labels
+
+    def test_write_trace_writes_trace_files_byte_for_byte(self, tmp_path):
+        trace = sim.generate_trace(sim.default_sybil_config(seed=5))
+        files = sim.trace_files(trace)
+        paths = sim.write_trace(trace, tmp_path)
+        assert paths == {name.split(".")[0]: tmp_path / name for name in files}
+        for name, text in files.items():
+            assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+        assert b"\r\n" in paths["flow"].read_bytes()   # csv's row ends are kept
 
     def test_byte_identical_across_runs(self, tmp_path):
         config = sim.default_sybil_config(seed=5)
