@@ -21,6 +21,10 @@ from .series import Scaler, TimeSeries, band_stats, fit_scaler, windows
 VARIANTS = ("moving_average", "holt_winters", "linear_trend", "lstm")
 
 HW_GRID = [round(0.1 * k, 1) for k in range(1, 10)]
+# The search grid {0.1..0.9}^3; its alpha, beta and gamma columns, read-only.
+HW_SEARCH = tuple(product(HW_GRID, HW_GRID, HW_GRID))
+HW_SEARCH_COLUMNS = np.array(HW_SEARCH).T.copy()
+HW_SEARCH_COLUMNS.flags.writeable = False
 
 
 @dataclass
@@ -270,9 +274,9 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
         given = (config.hw_alpha, config.hw_beta, config.hw_gamma)
         if all(c is not None for c in given):
             grid = [given]
+            alpha, beta, gamma = (np.array([c], dtype=float) for c in given)
         else:
-            grid = list(product(HW_GRID, HW_GRID, HW_GRID))
-        alpha, beta, gamma = (np.array(c, dtype=float) for c in zip(*grid))
+            grid, (alpha, beta, gamma) = HW_SEARCH, HW_SEARCH_COLUMNS
         level, trend, seasonals = _hw_initial_state(y, m)
         S = np.tile(seasonals[:, None], (1, len(grid)))
         preds, level, trend = _hw_run(y[m:], alpha, beta, gamma, m, level, trend,

@@ -136,9 +136,11 @@ class TimeSeries:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TimeSeries":
-        return cls.from_values(obj["values"],
-                               start=datetime.fromisoformat(obj["start"]),
-                               interval_seconds=float(obj["interval_seconds"]))
+        interval = obj["interval_seconds"]
+        if isinstance(interval, bool) or not isinstance(interval, (int, float)):
+            raise TypeError(f"interval_seconds {interval!r} is not a number")
+        return cls.from_values(obj["values"], start=datetime.fromisoformat(obj["start"]),
+                               interval_seconds=float(interval))
 
     @classmethod
     def from_json(cls, text: str) -> "TimeSeries":

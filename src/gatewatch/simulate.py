@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -162,21 +164,20 @@ def generate_trace(config: SimConfig) -> LabeledTrace:
                 rates[s.start:s.end] = np.nan
         device_series[dev.id] = TimeSeries(
             start=config.start, interval_seconds=config.interval_seconds, values=rates)
-        for stamp, rate, flooded in zip(stamps, rates.tolist(), udp.tolist()):
-            if rate == rate:    # NaN where silenced
-                events.append(EventLogRecord(
-                    timestamp=stamp, source_id=dev.id,
-                    fields={"proto": "udp" if flooded else KIND_PROTO[dev.kind],
-                            "packets": round(rate, 3), "status": "ok"}))
+        proto = KIND_PROTO[dev.kind]
+        events.extend(EventLogRecord(stamp, dev.id, {"proto": "udp" if flooded else proto,
+                                                     "packets": round(rate, 3), "status": "ok"})
+                      for stamp, rate, flooded in zip(stamps, rates.tolist(), udp.tolist())
+                      if rate == rate)    # NaN where silenced
 
     for s in config.attacks:
         if s.kind == "Sybil":
             events.extend(
-                EventLogRecord(timestamp=stamps[i], source_id=f"fake-{s.target_id}-{i}-{j}",
-                               fields={"proto": "wifi", "packets": 1.0, "status": "ok"})
+                EventLogRecord(stamps[i], f"fake-{s.target_id}-{i}-{j}",
+                               {"proto": "wifi", "packets": 1.0, "status": "ok"})
                 for i in range(s.start, s.end) for j in range(s.fake_id_count))
 
-    events.sort(key=lambda e: (e.timestamp, e.source_id))
+    events.sort(key=itemgetter(0, 1))     # (timestamp, source_id)
     return LabeledTrace(config=config, device_series=device_series,
                         events=events, labels=labels, device_ips=device_ips)
 
@@ -196,26 +197,51 @@ def event_schema() -> SymbolSchema:
 # --- file output ------------------------------------------------------------
 
 
+def _event_lines(events: list[EventLogRecord]) -> str:
+    """`json.dumps(event.to_json_obj())` and a newline per event. Each run of one
+    stamp, each source and each (key, str value) are encoded once; a finite float
+    is its repr, as in json. Any other key or value, or a field named ts or src,
+    dumps the event whole. Memo keys are str or tuple: 1, 1.0 and True are equal."""
+    dumps, memo, lines, last = json.dumps, {}, [], None
+    for event in events:
+        ts, src, fields = event
+        if type(src) is str and "ts" not in fields and "src" not in fields:
+            if ts is not last:
+                last, head = ts, f'{{"ts": {dumps(ts.isoformat())}, "src": '
+            line = [head, memo.get(src) or memo.setdefault(src, dumps(src))]
+            for kv in fields.items():
+                key, value = kv
+                if type(key) is str and type(value) is str:
+                    line.append(memo.get(kv) or memo.setdefault(
+                        kv, f", {dumps(key)}: {dumps(value)}"))
+                elif type(key) is str and type(value) is float and math.isfinite(value):
+                    line.append(f", {memo.get(key) or memo.setdefault(key, dumps(key))}: {value!r}")
+                else:
+                    break
+            else:
+                lines.append("".join(line) + "}\n")
+                continue
+        lines.append(dumps(event.to_json_obj()) + "\n")
+    return "".join(lines)
+
+
 def trace_files(trace: LabeledTrace) -> dict[str, str]:
-    """The text of flow.csv (ingestion schema), events.jsonl and labels.csv."""
+    """The text of flow.csv (ingestion schema), events.jsonl and labels.csv. No
+    flow row holds a comma, quote or line break, so they are joined without csv."""
     config = trace.config
     utc = to_utc(config.start)      # flow stamps run on the series' UTC grid
     flows = sorted((f"{trace.device_ips[dev.id]}-{GATEWAY_IP}-{1000 + index}-80-17",
-                    trace.device_series[dev.id].values.tolist())
+                    [f"{rate:.6f}" if rate == rate else None    # NaN where silenced
+                     for rate in trace.device_series[dev.id].values.tolist()])
                    for index, dev in enumerate(config.fleet))
-    flow, labels = io.StringIO(), io.StringIO()
-    writer = csv.writer(flow)
-    writer.writerow(FLOW_COLUMNS)
+    rows = [",".join(FLOW_COLUMNS) + "\r\n"]
     for i in range(config.duration):
         stamp = format_timestamp(slot_time(utc, config.interval_seconds, i))
-        for flow_id, rates in flows:
-            rate = rates[i]
-            if rate == rate:    # NaN where silenced
-                writer.writerow([flow_id, stamp, f"{rate:.6f}", f"{rate:.6f}", -1, 8192, 0])
+        rows.extend([f"{flow_id},{stamp},{cells[i]},{cells[i]},-1,8192,0\r\n"
+                     for flow_id, cells in flows if cells[i] is not None])
+    labels = io.StringIO()
     csv.writer(labels).writerows([LABEL_COLUMNS, *trace.labels])
-    return {"flow.csv": flow.getvalue(),
-            "events.jsonl": "".join(json.dumps(event.to_json_obj()) + "\n"
-                                    for event in trace.events),
+    return {"flow.csv": "".join(rows), "events.jsonl": _event_lines(trace.events),
             "labels.csv": labels.getvalue()}
 
 

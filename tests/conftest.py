@@ -9,3 +9,9 @@ the same factor through `examples`. Select it with
 from hypothesis import settings
 
 settings.register_profile("ci-deep", derandomize=True, max_examples=500)
+
+
+def examples(count):
+    """`count` examples under the default hypothesis profile, scaled with the
+    loaded profile's max_examples (five times under ci-deep)."""
+    return count * settings.default.max_examples // 100

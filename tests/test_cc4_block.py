@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from gatewatch import cc4, cli, simulate
 from gatewatch.detect import (
     Z_TABLE,
@@ -40,12 +41,6 @@ from gatewatch.series import TimeSeries, interval_index, slots
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
 PLUS_ONE = timezone(timedelta(hours=1))
 NAN = float("nan")
-
-
-def examples(count):
-    """`count` examples under the default hypothesis profile, scaled with the
-    loaded profile's max_examples (five times under ci-deep, see conftest)."""
-    return count * settings.default.max_examples // 100
 
 
 # --- per-record reference ---------------------------------------------------

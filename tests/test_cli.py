@@ -372,6 +372,18 @@ class TestDataErrors:
         assert "is not a positive finite number" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["inspect", "forecast", "detect", "compare"])
+    @pytest.mark.parametrize("interval", [True, "3600"])
+    def test_a_series_whose_interval_is_not_a_number(self, tmp_path, capsys, command,
+                                                     interval):
+        # true is no 1 s grid, and "3600" no 3600 s one
+        path = grid_series(tmp_path, interval_seconds=interval)
+        assert run(command, "--input", str(path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: MalformedSeries: ") and err.count("\n") == 1
+        assert f"interval_seconds {interval!r} is not a number" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["detect", "compare"])
     @pytest.mark.parametrize("changes", [{"interval_seconds": 1e308},
                                          {"start": "9999-12-31T00:00:00+00:00"}],

@@ -259,6 +259,18 @@ def ref_hw_fit(config, y):
                      hw_state=(float(level), float(trend), S))
 
 
+def test_the_grid_search_builds_no_grid(monkeypatch):
+    # {0.1..0.9}^3 and its columns are built once, read-only, not on every fit
+    assert fc.HW_SEARCH == tuple(product(fc.HW_GRID, fc.HW_GRID, fc.HW_GRID))
+    assert fc.HW_SEARCH_COLUMNS.tolist() == [list(c) for c in zip(*fc.HW_SEARCH)]
+    with pytest.raises(ValueError, match="read-only"):
+        fc.HW_SEARCH_COLUMNS[0, 0] = 0.5
+    monkeypatch.setattr(fc, "product", None)
+    model = fc.fit(fc.ForecasterConfig(variant="holt_winters", hw_period=4),
+                   sine(cycles=4, period=4, noise=0.1))
+    assert model.hw_constants in fc.HW_SEARCH
+
+
 @pytest.mark.parametrize("period", [2, 4, 12, 24])
 @pytest.mark.parametrize("constants", [None, (0.3, 0.1, 0.7), (0.15, 0.05, 0.9)])
 @pytest.mark.parametrize("seed", range(4))

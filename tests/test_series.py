@@ -1,3 +1,4 @@
+import json
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -9,6 +10,7 @@ from gatewatch import series as ts
 from gatewatch.errors import (
     AllMissing,
     DegenerateSplit,
+    MalformedSeries,
     MissingValuesPresent,
     SeriesTooShort,
 )
@@ -241,6 +243,20 @@ def test_json_round_trip():
     assert back.missing.tolist() == [False, True, False]
     assert back.interval_seconds == 120.0
     assert back.start == series.start
+
+
+@pytest.mark.parametrize("interval", [True, False, "3600", None, [60.0], {"s": 60}])
+def test_a_json_interval_must_be_a_number(interval):
+    # float() would read true as a 1 s grid and "3600" as 3600 s
+    text = json.dumps({**make([1.0, 2.0]).to_json_obj(), "interval_seconds": interval})
+    with pytest.raises(MalformedSeries, match="interval_seconds .* is not a number"):
+        ts.TimeSeries.from_json(text)
+
+
+@pytest.mark.parametrize("interval", [60, 7.5])
+def test_a_json_interval_may_be_an_int_or_a_float(interval):
+    text = json.dumps({**make([1.0, 2.0]).to_json_obj(), "interval_seconds": interval})
+    assert ts.TimeSeries.from_json(text).interval_seconds == interval
 
 
 def test_a_missing_point_is_nan():

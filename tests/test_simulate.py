@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from gatewatch import simulate as sim
 from gatewatch.cc4 import (EventLogRecord, StreamConfig, cc4_classify, parse_event_obj,
                            stream_pipeline)
@@ -394,9 +395,14 @@ STARTS = (datetime(2021, 1, 1, tzinfo=timezone.utc),
           datetime(2020, 2, 29, 23, 59, 59))
 
 
+# Text that json must escape and csv must quote: quotes, a backslash, commas,
+# line breaks, a control character and non-ASCII letters.
+AWKWARD = 'abz-019",\\\n\r\t é€\u2028'
+
+
 @st.composite
 def sim_configs(draw):
-    names = draw(st.lists(st.text("abcz-019", min_size=1, max_size=5),
+    names = draw(st.lists(st.text(AWKWARD, min_size=1, max_size=5),
                           min_size=1, max_size=12, unique=True))
     fleet = [sim.DeviceSpec(
         id=name, kind=draw(st.sampled_from(sim.DEVICE_KINDS)),
@@ -422,7 +428,7 @@ def sim_configs(draw):
                          attacks=attacks)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(sim_configs())
 def test_trace_matches_the_per_kind_generator(config):
     got, want = sim.generate_trace(config), ref_generate_trace(config)
@@ -440,6 +446,75 @@ def test_trace_matches_the_per_kind_generator(config):
         assert got_paths.keys() == want_paths.keys()
         for key, path in want_paths.items():
             assert got_paths[key].read_bytes() == path.read_bytes(), key
+
+
+# --- the event-line encoder against json.dumps --------------------------------
+
+
+ZONES = st.one_of(st.none(), st.builds(
+    timezone, st.timedeltas(timedelta(hours=-23, minutes=-59), timedelta(hours=23, minutes=59))))
+
+
+@st.composite
+def awkward_stamps(draw):
+    # instants, each in one or more zones (one instant in two zones is one dict
+    # key with two texts), or naive; the events reuse these objects in runs
+    stamps = []
+    for base in draw(st.lists(st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1)),
+                              min_size=1, max_size=3)):
+        for zone in draw(st.lists(ZONES, min_size=1, max_size=3)):
+            stamps.append(base if zone is None else
+                          base.replace(tzinfo=timezone.utc).astimezone(zone))
+    return stamps
+
+
+# 1, 1.0 and True are one dict key and three JSON texts; so are 0.0 and -0.0
+AWKWARD_VALUES = st.one_of(
+    st.text(AWKWARD, max_size=4), st.floats(), st.integers(-2, 2), st.booleans(), st.none(),
+    st.sampled_from([-0.0, 1e16, 1e-7, float("nan"), float("inf"), float("-inf")]),
+    st.lists(st.one_of(st.integers(), st.text(AWKWARD, max_size=2)), max_size=2))
+AWKWARD_KEYS = st.one_of(st.sampled_from(["ts", "src", "proto", "packets", "status"]),
+                         st.text(AWKWARD, max_size=3), st.sampled_from([1, 1.0, True, None]))
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(st.data())
+def test_event_lines_are_json_dumps_lines(data):
+    stamps = data.draw(awkward_stamps())
+    sources = st.one_of(st.text(AWKWARD, max_size=4), st.sampled_from([1, 1.0, True]))
+    events = data.draw(st.lists(st.builds(
+        EventLogRecord, st.sampled_from(stamps), sources,
+        st.dictionaries(AWKWARD_KEYS, AWKWARD_VALUES, max_size=4)), max_size=12))
+    trace = sim.LabeledTrace(config=sim.SimConfig(duration=1), device_series={},
+                             events=events, labels=[], device_ips={})
+    assert sim.trace_files(trace)["events.jsonl"] == \
+        "".join(json.dumps(event.to_json_obj()) + "\n" for event in events)
+
+
+def test_event_lines_of_awkward_records():
+    # equal dict keys with different JSON texts, as values, sources, keys and
+    # stamps; a NaN; a field that overrides the source
+    stamp = datetime(2021, 1, 1, tzinfo=timezone.utc)
+    events = [EventLogRecord(stamp, src, fields) for src, fields in
+              [("a", {"v": 0.0}), ("a", {"v": -0.0}), (1, {"v": 1}), (1.0, {"v": 1.0}),
+               (True, {"v": True}), ("1", {"v": "1"}), ("a", {1: "1"}), ("a", {True: 1.0}),
+               ("a", {"v": float("nan")}), ("a", {"src": "b"})]]
+    # the same instant in another zone
+    events.append(EventLogRecord(stamp.astimezone(timezone(timedelta(hours=2))), "a", {}))
+    trace = sim.LabeledTrace(config=sim.SimConfig(duration=1), device_series={},
+                             events=events, labels=[], device_ips={})
+    assert sim.trace_files(trace)["events.jsonl"].splitlines() == [
+        '{"ts": "2021-01-01T00:00:00+00:00", "src": "a", "v": 0.0}',
+        '{"ts": "2021-01-01T00:00:00+00:00", "src": "a", "v": -0.0}',
+        '{"ts": "2021-01-01T00:00:00+00:00", "src": 1, "v": 1}',
+        '{"ts": "2021-01-01T00:00:00+00:00", "src": 1.0, "v": 1.0}',
+        '{"ts": "2021-01-01T00:00:00+00:00", "src": true, "v": true}',
+        '{"ts": "2021-01-01T00:00:00+00:00", "src": "1", "v": "1"}',
+        '{"ts": "2021-01-01T00:00:00+00:00", "src": "a", "1": "1"}',
+        '{"ts": "2021-01-01T00:00:00+00:00", "src": "a", "true": 1.0}',
+        '{"ts": "2021-01-01T00:00:00+00:00", "src": "a", "v": NaN}',
+        '{"ts": "2021-01-01T00:00:00+00:00", "src": "b"}',
+        '{"ts": "2021-01-01T02:00:00+02:00", "src": "a"}']
 
 
 # --- interval-indexed scoring against the label scan it replaced -------------
@@ -479,7 +554,7 @@ def ref_score_detections(alerts, trace, coverage=1):
                               false_negatives=fn, per_kind=per_kind)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(st.data())
 def test_scoring_by_interval_matches_the_label_scan(data):
     duration = data.draw(st.integers(1, 40))
