@@ -32,6 +32,7 @@ Z_TABLE = {
 KINDS = ("Surge", "Dropout", "IdentityFlood", "Intrusion")
 
 DEFAULT_WINDOW = 24
+ALERT_CHUNK = 4096     # alerts encoded per write
 
 
 def z_score(confidence: float) -> float:
@@ -105,10 +106,39 @@ class AnomalyAlert:
         return json.dumps(self.to_json_obj())
 
 
+def alert_lines(alerts: list[AnomalyAlert]) -> str:
+    """`alert.to_json()` and a newline per alert. Each run of one stamp object and
+    each str kind, severity, source and class are encoded once; a finite float is
+    its repr, as in json; any other value goes through json.dumps. Memo keys are
+    only str: 1, 1.0 and True are equal keys, and so are 0.0 and -0.0."""
+    dumps, isfinite, memo, lines, last = json.dumps, math.isfinite, {}, [], None
+
+    def word(v):
+        return (memo.get(v) or memo.setdefault(v, dumps(v))) if type(v) is str else dumps(v)
+
+    def number(v):
+        return repr(v) if type(v) is float and isfinite(v) else dumps(v)
+
+    for a in alerts:
+        if a.timestamp is not last:
+            last = a.timestamp
+            head = f'{{"ts": {dumps(last.isoformat())}, "kind": '
+        band = a.band
+        line = (f'{head}{word(a.kind)}, "observed": {number(a.observed)}, '
+                f'"expected": {number(a.expected)}, '
+                f'"lower": {"null" if band is None else number(band.lower)}, '
+                f'"upper": {"null" if band is None else number(band.upper)}, '
+                f'"severity": {word(a.severity)}, "source": {word(a.source)}')
+        if a.kind == "Intrusion":
+            line += f', "class": {word(a.packet_class)}, "ambiguous": {dumps(a.ambiguous)}'
+        lines.append(line + "}\n")
+    return "".join(lines)
+
+
 def write_alerts_jsonl(alerts: list[AnomalyAlert], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for alert in alerts:
-            fh.write(alert.to_json() + "\n")
+        for i in range(0, len(alerts), ALERT_CHUNK):   # bounds the text held at once
+            fh.write(alert_lines(alerts[i:i + ALERT_CHUNK]))
 
 
 def _severity(excess: float, threshold: float) -> str:
@@ -144,14 +174,18 @@ def mean_shift_block(values: np.ndarray, first: int, X, s, z: float,
         if len(chunk):
             means[r, w] = chunk.mean()
     excess = np.abs(means - X) - threshold[:, None]
+    rows, cols = np.nonzero(excess > 0)
+    slots = cols.tolist()
+    stamps = {w: slot_time(start, interval_seconds, first + w * window) for w in set(slots)}
     alerts: list[AnomalyAlert] = []
-    for r, w in np.argwhere(excess > 0).tolist():
-        band = ConfidenceBand(X=float(X[r, w]), s=float(s[r]), n=window, z=z)
+    for r, w, centre, mean, over, spread, limit in zip(
+            rows.tolist(), slots, X[rows, cols].tolist(),
+            means[rows, cols].tolist(), excess[rows, cols].tolist(),
+            s[rows].tolist(), threshold[rows].tolist()):
         alerts.append(AnomalyAlert(
-            timestamp=slot_time(start, interval_seconds, first + w * window),
-            kind=kind, observed=float(means[r, w]), expected=band.X, band=band,
-            severity=_severity(float(excess[r, w]), float(threshold[r])),
-            source=sources[r]))
+            timestamp=stamps[w], kind=kind, observed=mean, expected=centre,
+            band=ConfidenceBand(X=centre, s=spread, n=window, z=z),
+            severity=_severity(over, limit), source=sources[r]))
     return alerts
 
 
@@ -208,13 +242,15 @@ def dropout_block(silent: np.ndarray, gap_threshold: int, start: datetime,
     lengths = ends - starts
     long = lengths >= gap_threshold
     rows, cols = np.divmod(starts[long], n + 1)
+    slots = cols.tolist()
+    stamps = {i: slot_time(start, interval_seconds, i) for i in set(slots)}
+    expected = float(gap_threshold)
     alerts: list[AnomalyAlert] = []
-    for r, i, run in zip(rows.tolist(), cols.tolist(), lengths[long].tolist()):
-        excess = run - gap_threshold
+    for r, i, run in zip(rows.tolist(), slots, lengths[long].tolist()):
         alerts.append(AnomalyAlert(
-            timestamp=slot_time(start, interval_seconds, i),
-            kind="Dropout", observed=float(run), expected=float(gap_threshold),
-            band=None, severity=_severity(float(excess), float(gap_threshold)),
+            timestamp=stamps[i], kind="Dropout", observed=float(run),
+            expected=expected, band=None,
+            severity=_severity(float(run - gap_threshold), expected),
             source=sources[r]))
     return alerts
 

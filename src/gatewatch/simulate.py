@@ -158,7 +158,11 @@ def generate_trace(config: SimConfig) -> LabeledTrace:
             if s.target_id != dev.id:
                 continue
             if s.kind == "UdpFlood":
-                rates[s.start:s.end] *= s.magnitude
+                with np.errstate(over="ignore", invalid="ignore"):
+                    rates[s.start:s.end] *= s.magnitude
+                if not np.isfinite(rates[s.start:s.end]).all():
+                    raise OverflowError(f"a flood of magnitude {s.magnitude} on "
+                                        f"{dev.id!r} gives rates that are not finite")
                 udp[s.start:s.end] = True
             elif s.kind == "SilenceAfterOverflow":
                 rates[s.start:s.end] = np.nan

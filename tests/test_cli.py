@@ -324,6 +324,16 @@ class TestDataErrors:
         assert capsys.readouterr().err.startswith("error: data: UnsupportedConfidence")
         assert not (tmp_path / "o").exists()
 
+    def test_simulate_a_flood_whose_rates_overflow(self, tmp_path, capsys):
+        # a finite magnitude whose scaled rates are not: one error line, no
+        # numpy overflow warning and no file
+        assert run("simulate", "--scenario", "flood", "--magnitude", "1e308",
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: OverflowError: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_series_too_short(self, tmp_path, capsys):
         path = series_file(tmp_path, [1.0, 2.0, 3.0])
         assert run("forecast", "--input", str(path), "--out",

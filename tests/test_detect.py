@@ -1,5 +1,6 @@
 import json
 import math
+from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from gatewatch import detect
 from gatewatch.errors import AllMissing, UnsupportedConfidence
 from gatewatch.forecast import FittedForecaster, ForecasterConfig, fit
@@ -15,6 +17,10 @@ from gatewatch.series import TimeSeries, band_stats, split
 
 def make(values, interval=3600.0):
     return TimeSeries.from_values(values, interval_seconds=interval)
+
+
+def lines(alerts):
+    return [a.to_json() for a in alerts]
 
 
 class TestZTable:
@@ -315,7 +321,7 @@ WINDOWS = st.one_of(st.integers(min_value=1, max_value=4),
                     st.integers(min_value=9, max_value=24))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(st.data())
 def test_one_row_cores_match_the_one_series_loops(data):
     n = data.draw(st.integers(min_value=1, max_value=80))
@@ -325,18 +331,21 @@ def test_one_row_cores_match_the_one_series_loops(data):
     first = data.draw(st.integers(min_value=0, max_value=n + 1))
     z = data.draw(st.sampled_from(sorted(detect.Z_TABLE.values())))
     gap_threshold = data.draw(st.integers(min_value=1, max_value=6))
-    assert detect.mean_shift_alerts(series, first, baseline, z, window,
-                                    "Surge", "s") == \
-        ref_mean_shift_alerts(series, first, baseline, z, window, "Surge", "s")
-    assert detect.detect_dropout(series, gap_threshold, "s") == \
-        ref_detect_dropout(series, gap_threshold, "s")
+    got = detect.mean_shift_alerts(series, first, baseline, z, window, "Surge", "s")
+    want = ref_mean_shift_alerts(series, first, baseline, z, window, "Surge", "s")
+    assert got == want
+    assert lines(got) == lines(want)
+    got = detect.detect_dropout(series, gap_threshold, "s")
+    want = ref_detect_dropout(series, gap_threshold, "s")
+    assert got == want
+    assert lines(got) == lines(want)
 
 
 FORECASTS = st.one_of(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
                      st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1 / 3]))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(st.data())
 def test_residual_surges_match_the_point_loop(data):
     # Residual mode is the mean-shift core on one-point windows, each centred
@@ -352,11 +361,16 @@ def test_residual_surges_match_the_point_loop(data):
                             residual_std=sigma)
     got = detect.detect_surges(series, model, confidence, mode="residual",
                                source="s")
-    assert got == ref_residual_surges(series, preds, sigma,
-                                      detect.z_score(confidence), "s")
+    want = ref_residual_surges(series, preds, sigma, detect.z_score(confidence), "s")
+    assert got == want
+    # One difference in the text: the core observes a point as its one-point
+    # window's mean, which numpy sums from +0.0, so a point of -0.0 is
+    # observed as 0.0 where the point loop wrote -0.0.
+    assert lines(got) == [line.replace('"observed": -0.0,', '"observed": 0.0,')
+                          for line in lines(want)]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(st.data())
 def test_row_wise_cores_match_the_one_series_loops_row_by_row(data):
     k = data.draw(st.integers(min_value=1, max_value=4))
@@ -379,11 +393,13 @@ def test_row_wise_cores_match_the_one_series_loops_row_by_row(data):
             for a in ref_mean_shift_alerts(r, first, base, 1.960, window,
                                            "Surge", src)]
     assert got == want
+    assert lines(got) == lines(want)
     silent = np.array([r.missing for r in rows])
     got = detect.dropout_block(silent, gap_threshold, start, interval, sources)
     want = [a for r, src in zip(rows, sources)
             for a in ref_detect_dropout(r, gap_threshold, source=src)]
     assert got == want
+    assert lines(got) == lines(want)
 
 
 def test_merge_is_time_ordered_and_stable():
@@ -404,3 +420,97 @@ def test_alert_json_shape():
                          "lower", "upper", "severity", "source"]
     assert obj["kind"] == "Surge"
     assert obj["lower"] < obj["observed"] or obj["observed"] < obj["lower"]
+
+
+# --- the alerts.jsonl encoder against to_json ---------------------------------
+
+
+AWKWARD = 'ab-0",\\\n\r\t é€\u2028'
+# 1, 1.0 and True are one dict key and three JSON texts; so are 0.0 and -0.0
+NUMBERS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 0.0, 1e16, math.nan, math.inf, -math.inf, 3, True,
+                                  np.float64(2.5), np.float64(-0.0)]))
+WORDS = st.one_of(st.text(AWKWARD, max_size=4), st.sampled_from([1, 1.0, True, None]))
+
+
+@st.composite
+def alert_stamps(draw):
+    # instants with microseconds, each naive or in up to three fixed-offset
+    # zones (one instant in two zones is one dict key with two texts), and
+    # equal but distinct copies of some; alerts reuse these objects in runs
+    stamps = []
+    for base in draw(st.lists(st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1)),
+                              min_size=1, max_size=2)):
+        for offset in draw(st.lists(st.one_of(st.none(), st.integers(-23 * 60, 23 * 60)),
+                                    min_size=1, max_size=3)):
+            stamps.append(base if offset is None else base.replace(tzinfo=timezone.utc)
+                          .astimezone(timezone(timedelta(minutes=offset))))
+    return stamps + [stamp + timedelta(0) for stamp in stamps if draw(st.booleans())]
+
+
+@st.composite
+def awkward_alerts(draw, stamps):
+    band = draw(st.one_of(st.none(), st.builds(
+        detect.ConfidenceBand, NUMBERS, NUMBERS, st.integers(1, 30),
+        st.sampled_from(sorted(detect.Z_TABLE.values())))))
+    return detect.AnomalyAlert(
+        timestamp=draw(st.sampled_from(stamps)),
+        kind=draw(st.one_of(st.sampled_from(detect.KINDS), WORDS)),
+        observed=draw(NUMBERS), expected=draw(NUMBERS), band=band,
+        severity=draw(st.one_of(st.sampled_from(["Warning", "Critical"]), WORDS)),
+        source=draw(WORDS), packet_class=draw(WORDS),
+        ambiguous=draw(st.sampled_from([None, True, False, 1])))
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(st.data())
+def test_alert_lines_are_to_json_lines(data):
+    stamps = data.draw(alert_stamps())
+    runs = data.draw(st.lists(st.tuples(awkward_alerts(stamps), st.integers(1, 3)),
+                              max_size=8))
+    alerts = [alert for alert, count in runs for _ in range(count)]
+    assert detect.alert_lines(alerts) == "".join(a.to_json() + "\n" for a in alerts)
+
+
+def test_alert_lines_of_awkward_alerts(tmp_path, monkeypatch):
+    # equal dict keys with different JSON texts, as numbers and as sources;
+    # values that are not finite or not float; one instant in two zones
+    stamp = datetime(2021, 1, 1, tzinfo=timezone.utc)
+    band = detect.ConfidenceBand(X=np.float64(2.5), s=0.0, n=1, z=1.96)
+    alerts = [detect.AnomalyAlert(stamp, "Surge", observed, expected, None,
+                                  "Warning", source)
+              for observed, expected, source in
+              [(0.0, 1.0, "a"), (-0.0, 1, "a"), (1.0, True, 1), (math.nan, math.inf, True),
+               (np.float64(0.5), -math.inf, 1.0), (3, 0.5, "1")]]
+    alerts += [detect.AnomalyAlert(stamp.astimezone(timezone(timedelta(hours=2))), "Intrusion",
+                                   1.0, 0.0, band, "Critical", "a", True, None),
+               detect.AnomalyAlert(stamp + timedelta(microseconds=5), "Dropout", 4.0, 3.0,
+                                   None, "Warning", "a")]
+    want = [
+        '{"ts": "2021-01-01T00:00:00+00:00", "kind": "Surge", "observed": 0.0, '
+        '"expected": 1.0, "lower": null, "upper": null, "severity": "Warning", "source": "a"}',
+        '{"ts": "2021-01-01T00:00:00+00:00", "kind": "Surge", "observed": -0.0, '
+        '"expected": 1, "lower": null, "upper": null, "severity": "Warning", "source": "a"}',
+        '{"ts": "2021-01-01T00:00:00+00:00", "kind": "Surge", "observed": 1.0, '
+        '"expected": true, "lower": null, "upper": null, "severity": "Warning", "source": 1}',
+        '{"ts": "2021-01-01T00:00:00+00:00", "kind": "Surge", "observed": NaN, '
+        '"expected": Infinity, "lower": null, "upper": null, "severity": "Warning", '
+        '"source": true}',
+        '{"ts": "2021-01-01T00:00:00+00:00", "kind": "Surge", "observed": 0.5, '
+        '"expected": -Infinity, "lower": null, "upper": null, "severity": "Warning", '
+        '"source": 1.0}',
+        '{"ts": "2021-01-01T00:00:00+00:00", "kind": "Surge", "observed": 3, '
+        '"expected": 0.5, "lower": null, "upper": null, "severity": "Warning", "source": "1"}',
+        '{"ts": "2021-01-01T02:00:00+02:00", "kind": "Intrusion", "observed": 1.0, '
+        '"expected": 0.0, "lower": 2.5, "upper": 2.5, "severity": "Critical", "source": "a", '
+        '"class": true, "ambiguous": null}',
+        '{"ts": "2021-01-01T00:00:00.000005+00:00", "kind": "Dropout", "observed": 4.0, '
+        '"expected": 3.0, "lower": null, "upper": null, "severity": "Warning", "source": "a"}']
+    assert lines(alerts) == want
+    assert detect.alert_lines(alerts) == "".join(line + "\n" for line in want)
+    # written a chunk of alerts at a time, for chunks that split runs anywhere
+    for chunk in (1, 2, 3, 4096):
+        monkeypatch.setattr(detect, "ALERT_CHUNK", chunk)
+        detect.write_alerts_jsonl(alerts, tmp_path / "alerts.jsonl")
+        assert (tmp_path / "alerts.jsonl").read_bytes() == \
+            "".join(line + "\n" for line in want).encode()
