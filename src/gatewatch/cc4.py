@@ -30,7 +30,7 @@ from .errors import (
     SchemaMismatch,
     WidthMismatch,
 )
-from .series import TimeSeries, band_stats, check_interval, interval_index, slots, to_utc
+from .series import TimeSeries, band_stats, check_interval, slots, to_utc
 
 PACKET_CLASSES = ("Known", "Unknown", "Attack")
 UNKNOWN, ATTACK = PACKET_CLASSES.index("Unknown"), PACKET_CLASSES.index("Attack")
@@ -53,9 +53,6 @@ class EventLogRecord(NamedTuple):
     source_id: str
     fields: dict
 
-    def dedupe_key(self) -> tuple:
-        return (self.source_id, self.timestamp, _fields_key(self.fields))
-
     def to_json_obj(self) -> dict:
         """The record as one event line; parse_event_obj reads it back."""
         return {"ts": self.timestamp.isoformat(), "src": self.source_id, **self.fields}
@@ -68,8 +65,9 @@ def _fields_key(fields: dict) -> tuple:
 def intake_key(record: EventLogRecord) -> tuple | None:
     """The record's (source id, stamp), or None when the record is malformed:
     it has no source or no stamp, or a field holds a JSON list or object,
-    which leaves its dedupe key unhashable. The stream and CC4 training both
-    skip it. Records that share this key are told apart by dedupe_key."""
+    which leaves its fields unhashable. The stream, CC4 training and
+    new_id_counts all skip it. Records that share this key are told apart by
+    their sorted fields (see _duplicates)."""
     if not record.source_id or record.timestamp is None:
         return None
     try:
@@ -86,10 +84,12 @@ def _event_parts(obj) -> EventLogRecord:
         raise SchemaMismatch("event record must be a JSON object")
     ts = obj.pop("ts", None)
     src = obj.pop("src", None)
-    if not ts or not src:
+    if not ts or src is None or src == "":
         raise SchemaMismatch("event record requires nonempty ts and src")
     if not isinstance(ts, str):
         raise SchemaMismatch(f"event ts must be a string, not {ts!r}")
+    if type(src) not in (str, int):     # a bool is no device number
+        raise SchemaMismatch(f"event src must be a string or an integer, not {src!r}")
     try:
         timestamp = datetime.fromisoformat(ts)
     except ValueError:
@@ -99,8 +99,37 @@ def _event_parts(obj) -> EventLogRecord:
 
 def parse_event_obj(obj: dict) -> EventLogRecord:
     """One event record; its stamp is taken to UTC, a naive stamp being UTC
-    already, so every record and alert of a stream runs on one clock."""
+    already, so every record and alert of a stream runs on one clock. Its
+    source id is a nonempty string, or an integer taken as its decimal text."""
     return _event_parts(obj.copy() if isinstance(obj, dict) else obj)
+
+
+def event_lines(events: list[EventLogRecord]) -> str:
+    """`json.dumps(event.to_json_obj())` and a newline per event. Each run of one
+    stamp, each source and each (key, str value) are encoded once; a finite float
+    is its repr, as in json. Any other key or value, or a field named ts or src,
+    dumps the event whole. Memo keys are str or tuple: 1, 1.0 and True are equal."""
+    dumps, memo, lines, last = json.dumps, {}, [], None
+    for event in events:
+        ts, src, fields = event
+        if type(src) is str and "ts" not in fields and "src" not in fields:
+            if ts is not last:
+                last, head = ts, f'{{"ts": {dumps(ts.isoformat())}, "src": '
+            line = [head, memo.get(src) or memo.setdefault(src, dumps(src))]
+            for kv in fields.items():
+                key, value = kv
+                if type(key) is str and type(value) is str:
+                    line.append(memo.get(kv) or memo.setdefault(
+                        kv, f", {dumps(key)}: {dumps(value)}"))
+                elif type(key) is str and type(value) is float and math.isfinite(value):
+                    line.append(f", {memo.get(key) or memo.setdefault(key, dumps(key))}: {value!r}")
+                else:
+                    break
+            else:
+                lines.append("".join(line) + "}\n")
+                continue
+        lines.append(dumps(event.to_json_obj()) + "\n")
+    return "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -491,13 +520,16 @@ def read_event_columns(path, schema: SymbolSchema) -> EventColumns:
 def new_id_counts(records: list[EventLogRecord], start: datetime,
                   interval_seconds: float, duration: int) -> TimeSeries:
     """Count distinct never-before-seen source ids per interval: each source
-    counts once, in the interval of its earliest record."""
-    earliest: dict[str, datetime] = {}
-    for rec in records:
-        earliest[rec.source_id] = min(earliest.get(rec.source_id, rec.timestamp),
-                                      rec.timestamp)
-    slots = interval_index(earliest.values(), start, interval_seconds)
-    counts = np.bincount(slots[(slots >= 0) & (slots < duration)],
+    counts once, in the interval of its earliest record. The records go
+    through the stream's intake, so a record intake_key drops is never seen,
+    and a slot is series.slots of the µs offset from `start`, as in the stream."""
+    log = _intake(records, SymbolSchema(()))
+    first = np.full(len(log.names), np.iinfo(np.int64).max)
+    np.minimum.at(first, log.ranks, log.micros)
+    # an empty log has no clock to put `start` on
+    index = slots((first - (start - log.epoch) // MICROSECOND) / 1e6,
+                  interval_seconds) if len(first) else first
+    counts = np.bincount(index[(index >= 0) & (index < duration)],
                          minlength=duration).astype(float)
     return TimeSeries(start=start, interval_seconds=interval_seconds, values=counts)
 
@@ -536,10 +568,11 @@ def _rate_alerts(ranks: np.ndarray, names: list[str], slots: np.ndarray,
 
 
 def _duplicates(intake: EventColumns, by_key: np.ndarray, on_time: np.ndarray) -> np.ndarray:
-    """Mask of the on-time records whose dedupe_key an earlier on-time record
-    has. Only a record in a run of equal (stamp, source) in `by_key`, the
-    stable (stamp, source rank) order, can be one, so only those records take
-    their dedupe key; a run is in input order, and no key is in two runs."""
+    """Mask of the on-time records whose dedupe key, (source, stamp, sorted
+    fields), an earlier on-time record has: the one dedupe rule. Only a record
+    in a run of equal (stamp, source) in `by_key`, the stable (stamp, source
+    rank) order, can be one, so only those records take their dedupe key; a
+    run is in input order, and no key is in two runs."""
     stamps, ranks = intake.micros, intake.ranks
     group = by_key[on_time[by_key]]
     same = (ranks[group[1:]] == ranks[group[:-1]]) & (stamps[group[1:]] == stamps[group[:-1]])

@@ -126,11 +126,12 @@ def compare_models(configs: list[ForecasterConfig], series: TimeSeries,
                    train_fraction: float) -> ModelReport:
     """Fit every config on the chronological train split and score one-step
     ahead on the test split; the persistence baseline is always appended. A
-    training split with a missing point, which no forecaster fits, raises
+    split with a missing point, which no forecaster fits or scores, raises
     MissingValuesPresent before any fit."""
     train, test = split(series, train_fraction)
-    if train.missing.any():
-        raise MissingValuesPresent("training series must not contain missing values")
+    for name, part in (("training", train), ("test", test)):
+        if part.missing.any():
+            raise MissingValuesPresent(f"{name} series must not contain missing values")
     report = ModelReport()
     for config in configs:
         report.rows.append(_score_row(config.label(), PATTERN_CLASS[config.variant],

@@ -19,7 +19,7 @@ from .errors import (
     MissingColumn,
     TimestampParseError,
 )
-from .series import TimeSeries, check_interval, interval_index
+from .series import TimeSeries, check_interval, slots
 
 TIMESTAMP_FORMAT = "%d/%m/%Y %I:%M:%S %p"
 
@@ -164,12 +164,12 @@ def to_series(records: list[FlowRecord], interval_seconds: float,
     # left-to-right order as summing the bucket.
     usable.sort(key=lambda r: r.timestamp)
     first = usable[0].timestamp
-    slots = interval_index([r.timestamp for r in usable], first, interval_seconds)
-    counts = np.bincount(slots)
+    index = slots([(r.timestamp - first).total_seconds() for r in usable], interval_seconds)
+    counts = np.bincount(index)
     if aggregator == "count":
         values = counts.astype(float)
     else:
-        values = np.bincount(slots, weights=[r.value for r in usable])
+        values = np.bincount(index, weights=[r.value for r in usable])
         if aggregator == "mean":
             values /= np.maximum(counts, 1)
     values[counts == 0] = np.nan

@@ -1,6 +1,6 @@
 """Uniform time-series container and preparation utilities.
 
-The interval grid (which interval a timestamp falls in, where an interval
+The interval grid (which interval an offset falls in, where an interval
 starts, maximal runs of flagged points), the mean-shift band statistics,
 scaling, chronological splitting, sliding windows for sequence models, and
 seasonality / stationarity diagnostics.
@@ -51,12 +51,6 @@ def slots(offsets_seconds, interval_seconds: float) -> np.ndarray:
     if quotients.size and not np.abs(quotients).max() < 2 ** 53:
         raise OverflowError(f"an interval of {interval_seconds} s puts a slot past 2**53")
     return quotients.astype(np.int64)
-
-
-def interval_index(stamps, start: datetime, interval_seconds: float) -> np.ndarray:
-    """Index of the interval each stamp falls in on the grid that starts at
-    `start`: slots of each (t - start).total_seconds()."""
-    return slots([(t - start).total_seconds() for t in stamps], interval_seconds)
 
 
 def runs(mask) -> tuple[np.ndarray, np.ndarray]:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -20,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cc4 import EventLogRecord, FieldEncoder, SymbolSchema
+from .cc4 import EventLogRecord, FieldEncoder, SymbolSchema, event_lines
 from .detect import AnomalyAlert
 from .errors import InvalidScript, MalformedLabels, TimeBaseMismatch
 from .ingest import format_timestamp
@@ -201,34 +199,6 @@ def event_schema() -> SymbolSchema:
 # --- file output ------------------------------------------------------------
 
 
-def _event_lines(events: list[EventLogRecord]) -> str:
-    """`json.dumps(event.to_json_obj())` and a newline per event. Each run of one
-    stamp, each source and each (key, str value) are encoded once; a finite float
-    is its repr, as in json. Any other key or value, or a field named ts or src,
-    dumps the event whole. Memo keys are str or tuple: 1, 1.0 and True are equal."""
-    dumps, memo, lines, last = json.dumps, {}, [], None
-    for event in events:
-        ts, src, fields = event
-        if type(src) is str and "ts" not in fields and "src" not in fields:
-            if ts is not last:
-                last, head = ts, f'{{"ts": {dumps(ts.isoformat())}, "src": '
-            line = [head, memo.get(src) or memo.setdefault(src, dumps(src))]
-            for kv in fields.items():
-                key, value = kv
-                if type(key) is str and type(value) is str:
-                    line.append(memo.get(kv) or memo.setdefault(
-                        kv, f", {dumps(key)}: {dumps(value)}"))
-                elif type(key) is str and type(value) is float and math.isfinite(value):
-                    line.append(f", {memo.get(key) or memo.setdefault(key, dumps(key))}: {value!r}")
-                else:
-                    break
-            else:
-                lines.append("".join(line) + "}\n")
-                continue
-        lines.append(dumps(event.to_json_obj()) + "\n")
-    return "".join(lines)
-
-
 def trace_files(trace: LabeledTrace) -> dict[str, str]:
     """The text of flow.csv (ingestion schema), events.jsonl and labels.csv. No
     flow row holds a comma, quote or line break, so they are joined without csv."""
@@ -245,7 +215,7 @@ def trace_files(trace: LabeledTrace) -> dict[str, str]:
                      for flow_id, cells in flows if cells[i] is not None])
     labels = io.StringIO()
     csv.writer(labels).writerows([LABEL_COLUMNS, *trace.labels])
-    return {"flow.csv": "".join(rows), "events.jsonl": _event_lines(trace.events),
+    return {"flow.csv": "".join(rows), "events.jsonl": event_lines(trace.events),
             "labels.csv": labels.getvalue()}
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from gatewatch import cc4, cli, simulate
 from gatewatch.errors import EmptyTrainingSet, SchemaMismatch, WidthMismatch
 
@@ -163,7 +164,7 @@ class TestNetwork:
         assert net.fires(at_radius).tolist() == [True]
         assert net.fires(beyond).tolist() == [False]
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 5 - 1),
            st.integers(min_value=0, max_value=2 ** 5 - 1),
            st.integers(min_value=0, max_value=3))
@@ -494,6 +495,29 @@ def test_parse_event_requires_ts_and_src():
         cc4.parse_event_obj({"ts": "2021-01-01T00:00:00"})
 
 
+@pytest.mark.parametrize("src, source_id", [
+    ("x", "x"), (0, "0"), (7, "7"), (-3, "-3"), (10 ** 20, "100000000000000000000")])
+def test_parse_event_takes_a_string_or_integer_source(src, source_id):
+    record = cc4.parse_event_obj({"ts": "2021-01-01T00:00:00", "src": src})
+    assert record.source_id == source_id
+
+
+@pytest.mark.parametrize("src, message", [
+    (False, "event src must be a string or an integer, not False"),
+    (True, "event src must be a string or an integer, not True"),
+    (1.5, "event src must be a string or an integer, not 1.5"),
+    (1.0, "event src must be a string or an integer, not 1.0"),
+    ([1], "event src must be a string or an integer, not [1]"),
+    ({"a": 1}, "event src must be a string or an integer, not {'a': 1}"),
+    ("", "event record requires nonempty ts and src"),
+    (None, "event record requires nonempty ts and src"),
+])
+def test_parse_event_refuses_any_other_source(src, message):
+    with pytest.raises(SchemaMismatch) as info:
+        cc4.parse_event_obj({"ts": "2021-01-01T00:00:00", "src": src})
+    assert str(info.value) == message
+
+
 def test_parse_event_takes_every_stamp_to_utc():
     for ts in ("2021-01-01T00:00:00", "2021-01-01T00:00:00+00:00",
                "2021-01-01T05:00:00+05:00", "2020-12-31T19:00:00-05:00"):
@@ -505,3 +529,19 @@ def test_new_id_counts():
     events = [_event(0, "a"), _event(0, "b"), _event(1, "a"), _event(2, "c")]
     series = cc4.new_id_counts(events, T0, 60.0, 4)
     assert series.values.tolist() == [2.0, 0.0, 1.0, 0.0]
+
+
+def test_new_id_counts_skips_what_the_stream_counts_malformed():
+    # a list or object field and an empty source are malformed to the stream,
+    # so none of them is the first sighting of an identity
+    events = [cc4.EventLogRecord(T0, "a", {"proto": ["udp"]}),
+              cc4.EventLogRecord(T0, "b", {"proto": {"udp": 1}}),
+              cc4.EventLogRecord(T0, "", {"proto": "udp"}),
+              _event(1, "a"), _event(2, "c")]
+    assert cc4.new_id_counts(events, T0, 60.0, 3).values.tolist() == [0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("start", [datetime(2021, 1, 1), T0], ids=["naive", "utc"])
+def test_new_id_counts_of_an_empty_log_is_zeros(start):
+    series = cc4.new_id_counts([], start, 60.0, 3)
+    assert series.values.tolist() == [0.0, 0.0, 0.0]

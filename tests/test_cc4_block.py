@@ -4,7 +4,9 @@ The reference functions below are the per-record encode/score loops, kept
 here verbatim except that activations are summed in int64 (the int8 product
 they used overflowed above 127 bits; the probes here are narrower). The
 per-source, per-stamp rate count loop and the sort-every-record new-identity
-count are kept the same way, as references for the interval-grid versions.
+count are kept the same way, as references for the interval-grid versions;
+the new-identity count skips the records `cc4.intake_key` drops, and the
+reference stream builds its own (source, stamp, sorted fields) dedupe key.
 The reference stream counts a record whose field holds a list or object as
 malformed, the rule that replaced the duplicate filter's TypeError on it, and
 reference training skips such a record. The packed-row dedupe is pinned
@@ -36,7 +38,7 @@ from gatewatch.detect import (
     z_score,
 )
 from gatewatch.errors import EmptyTrainingSet, GatewatchError, SchemaMismatch
-from gatewatch.series import TimeSeries, interval_index, slots
+from gatewatch.series import TimeSeries, slots
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
 PLUS_ONE = timezone(timedelta(hours=1))
@@ -145,7 +147,7 @@ def ref_new_id_counts(records, start, interval_seconds, duration):
     counts = np.zeros(duration)
     seen = set()
     for rec in sorted(records, key=lambda r: (r.timestamp, r.source_id)):
-        if rec.source_id in seen:
+        if rec.source_id in seen or cc4.intake_key(rec) is None:
             continue
         seen.add(rec.source_id)
         idx = int((rec.timestamp - start).total_seconds() // interval_seconds)
@@ -165,7 +167,7 @@ def ref_stream_pipeline(records, schema, network, config):
         if not rec.source_id or rec.timestamp is None:
             counts.dropped_malformed += 1
             continue
-        key = rec.dedupe_key()
+        key = (rec.source_id, rec.timestamp, tuple(sorted(rec.fields.items())))
         try:
             hash(key)
         except TypeError:   # a field holds a list or object: malformed
@@ -665,8 +667,9 @@ def test_rate_scoring_in_groups_matches_the_per_source_reference(data):
 @given(st.data())
 def test_the_stream_slots_its_stamps_as_interval_index(data):
     # The stream's slot rule on the intake's µs column gives each stamp the
-    # slot series.interval_index gives it: at fractional intervals, before
-    # the grid start as well as after it, at +01:00 among UTC stamps.
+    # slot of its total_seconds() offset, as the flow buckets take it: at
+    # fractional intervals, before the grid start as well as after it, at
+    # +01:00 among UTC stamps.
     records = data.draw(st.lists(st.builds(
         lambda micros, zone: cc4.EventLogRecord(
             timestamp=(T0 + timedelta(microseconds=micros)).astimezone(zone),
@@ -679,7 +682,7 @@ def test_the_stream_slots_its_stamps_as_interval_index(data):
     micros = cc4._intake(records, RATE_SCHEMA).micros
     stamps = [rec.timestamp for rec in records]
     assert slots((micros - micros[start]) / 1e6, interval).tolist() == \
-        interval_index(stamps, stamps[start], interval).tolist()
+        slots([(t - stamps[start]).total_seconds() for t in stamps], interval).tolist()
 
 
 def test_non_numeric_thermometer_value_raises_value_error():

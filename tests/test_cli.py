@@ -462,7 +462,10 @@ class TestDataErrors:
         ('{"ts": 1609459200, "src": "a"}', "line 3: event ts must be a string"),
         ('{"ts": "yesterday", "src": "a"}', "line 3: event ts 'yesterday' is not"),
         ('["2021-01-01T00:00:00+00:00", "a"]', "line 3: event record must be a JSON object"),
-    ], ids=["not-json", "no-ts", "numeric-ts", "unparseable-ts", "not-an-object"])
+        ('{"ts": "2021-01-01T00:00:00+00:00", "src": ""}', "line 3: event record requires"),
+        ('{"ts": "2021-01-01T00:00:00+00:00", "src": null}', "line 3: event record requires"),
+    ], ids=["not-json", "no-ts", "numeric-ts", "unparseable-ts", "not-an-object", "empty-src",
+            "null-src"])
     def test_stream_malformed_event_line(self, trace_dir, tmp_path, capsys,
                                          line, message):
         lines = (trace_dir / "events.jsonl").read_text(encoding="utf-8").splitlines()
@@ -524,6 +527,46 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: data: MalformedNetwork: ")
+
+    @pytest.mark.parametrize("src, source", [
+        ("0", "0"), ("1", "1"), ("-12", "-12"), ('"camera-1"', "camera-1"),
+        ("false", None), ("true", None), ("1.5", None), ("[1]", None), ('{"a": 1}', None),
+    ])
+    def test_stream_source_id_rule(self, tmp_path, capsys, src, source):
+        # a source is a nonempty string or an integer, taken as its decimal
+        # text; any other value refuses the log, naming the line and the value
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"ts": "2021-01-01T00:00:00+00:00", "src": ' + src +
+                          ', "proto": "udp", "packets": 3.0, "status": "ok"}\n',
+                          encoding="utf-8")
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps({**self.NETWORK, "classes": ["Attack"]}),
+                           encoding="utf-8")
+        code = run("stream", "--input", str(events), "--network", str(network),
+                   "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        if source is None:
+            assert code == 2
+            assert err == ("error: data: SchemaMismatch: line 1: event src must be a "
+                           f"string or an integer, not {json.loads(src)!r}\n")
+            assert not (tmp_path / "o").exists()
+        else:
+            assert (code, err) == (0, "")
+            alert = json.loads((tmp_path / "o" / "alerts.jsonl").read_text(encoding="utf-8"))
+            assert (alert["kind"], alert["source"]) == ("Intrusion", source)
+
+    def test_compare_refuses_a_test_split_with_a_missing_point(self, tmp_path, capsys):
+        # its scores were NaN, written as bare NaN tokens, and its ranking
+        # was the input order
+        values = np.sin(2 * np.pi * np.arange(200) / 24).tolist()
+        values[190] = None
+        path = series_file(tmp_path, values)
+        assert run("compare", "--input", str(path), "--models",
+                   "moving_average,holt_winters,linear_trend",
+                   "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == ("error: data: MissingValuesPresent: test "
+                                           "series must not contain missing values\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestByteOrderMark:

@@ -96,6 +96,16 @@ class TestCompareModels:
             ev.compare_models(configs, make(values), 0.8)
         fit.assert_not_called()
 
+    def test_a_missing_test_point_is_refused_before_any_fit(self):
+        # every score would be NaN and the ranking the input order
+        values = seasonal_series(n=100).values.copy()
+        values[95] = np.nan
+        configs = [ForecasterConfig(variant="moving_average", ma_window=3)]
+        with mock.patch.object(ev, "fit", wraps=ev.fit) as fit, \
+                pytest.raises(MissingValuesPresent, match="^test series"):
+            ev.compare_models(configs, make(values), 0.8)
+        fit.assert_not_called()
+
     def test_ranking_sorted_by_mse(self):
         configs = [ForecasterConfig(variant="moving_average", ma_window=3),
                    ForecasterConfig(variant="linear_trend")]

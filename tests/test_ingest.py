@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from gatewatch import ingest
 from gatewatch.errors import (
     EmptyInput,
@@ -311,7 +312,7 @@ BAD_STAMPS = ["", "2018-02-22 00:27:57", "31/02/2018 01:00:00 AM",
               "22/02/2018 13:00:00 PM", "22/02/2018 01:00:00", "x"]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(instants=st.lists(st.datetimes(datetime(2000, 1, 1), datetime(2030, 1, 1)),
                          min_size=1, max_size=4),
        rows=st.lists(st.tuples(st.integers(0, 15), st.sampled_from(

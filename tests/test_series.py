@@ -147,12 +147,13 @@ class TestIntervalIndex:
                        if abs(k * interval) <= 1e6]
         start = datetime(2021, 1, 1, 12, 30, 15, start_us, tzinfo=timezone.utc)
         stamps = [start + timedelta(microseconds=o) for o in offsets_us]
-        want = [int((t - start).total_seconds() // interval) for t in stamps]
+        offsets = [(t - start).total_seconds() for t in stamps]
+        want = [int(offset // interval) for offset in offsets]
         if any(abs(slot) >= 2 ** 53 for slot in want):
             with pytest.raises(OverflowError, match="past 2\\*\\*53"):
-                ts.interval_index(stamps, start, interval)
+                ts.slots(offsets, interval)
             return
-        got = ts.interval_index(stamps, start, interval)
+        got = ts.slots(offsets, interval)
         assert got.dtype == np.int64
         assert got.tolist() == want
 
