@@ -145,11 +145,6 @@ class FieldEncoder:
             return len(self.vocabulary)
         return len(self.bin_edges) + 1
 
-    def encode(self, value) -> tuple[np.ndarray, bool]:
-        """Returns (bits, unknown_flag). Out-of-vocabulary -> all zeros."""
-        bits, unknown = self.encode_column([value])
-        return bits[0], bool(unknown[0])
-
     def encode_column(self, values: list) -> tuple[np.ndarray, np.ndarray]:
         """Encode one field of many records: an (n, width) int8 bit block and
         an (n,) unknown-value flag. A thermometer value that float() rejects
@@ -186,37 +181,26 @@ class SymbolSchema:
         return sum(e.width for e in self.encoders)
 
 
-def symbolize_block(records: list[EventLogRecord] | EventColumns, schema: SymbolSchema,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symbolize many records at once, one encoder's column block at a time.
-
-    Returns the (n, total_bits) int8 code matrix, the (n,) unknown-value flag
-    and the (n,) mask of records whose field set matches the schema. Records
-    that do not match are not encoded: their rows stay zero and unflagged.
-    The records may come as the EventColumns of `schema`, whose value lists
-    are the encoders' columns already.
-    """
-    if isinstance(records, EventColumns):
-        if records.schema != schema:
-            raise ValueError("the event columns were read for another schema")
-        matched = records.matched
-        keep = matched.tolist()
-        columns = (list(compress(column, keep)) for column in records.values)
-    else:
-        names = {e.name for e in schema.encoders}
-        matched = np.fromiter((rec.fields.keys() == names for rec in records),
-                              dtype=bool, count=len(records))
-        rows = records if matched.all() else list(compress(records, matched))
-        columns = ([rec.fields[enc.name] for rec in rows] for enc in schema.encoders)
+def symbolize_block(log: EventColumns, schema: SymbolSchema,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Symbolize the intake `log`, read for `schema`, one encoder's column
+    block at a time: the (n, total_bits) int8 code matrix and the (n,)
+    unknown-value flag, one row per intake row. A record whose field set is
+    not the schema's (see `log.matched`) is not encoded: its row stays zero
+    and unflagged."""
+    if log.schema != schema:
+        raise ValueError("the event columns were read for another schema")
+    matched = log.matched
+    keep = matched.tolist()
     vectors = np.zeros((len(matched), schema.total_bits), dtype=np.int8)
     unknown = np.zeros(len(matched), dtype=bool)
     col = 0
-    for enc, values in zip(schema.encoders, columns):
-        bits, flag = enc.encode_column(values)
+    for enc, column in zip(schema.encoders, log.values):
+        bits, flag = enc.encode_column(list(compress(column, keep)))
         vectors[matched, col:col + enc.width] = bits
         unknown[matched] |= flag
         col += enc.width
-    return vectors, unknown, matched
+    return vectors, unknown
 
 
 def _mismatch(fields: dict, schema: SymbolSchema) -> SchemaMismatch:
@@ -225,10 +209,16 @@ def _mismatch(fields: dict, schema: SymbolSchema) -> SchemaMismatch:
 
 
 def symbolize(record: EventLogRecord, schema: SymbolSchema) -> tuple[np.ndarray, bool]:
-    """Concatenated per-field binary code plus an unknown-value flag."""
-    vectors, unknown, matched = symbolize_block([record], schema)
-    if not matched[0]:
+    """Concatenated per-field binary code plus an unknown-value flag: the
+    block function on a one-record intake. A record the intake drops, or
+    whose field set is not the schema's, raises SchemaMismatch."""
+    log = _intake([record], schema)
+    if not len(log.matched):
+        raise SchemaMismatch("the intake drops a record with no source, no stamp, "
+                             "or a field that holds a JSON list or object")
+    if not log.matched[0]:
         raise _mismatch(record.fields, schema)
+    vectors, unknown = symbolize_block(log, schema)
     return vectors[0], bool(unknown[0])
 
 
@@ -343,19 +333,19 @@ def cc4_classify(network: CC4Network, vector: np.ndarray) -> tuple[str, bool]:
     return PACKET_CLASSES[classes[0]], bool(ambiguous[0])
 
 
-def _training_samples(vectors: np.ndarray, log: EventColumns,
+def _training_samples(vectors: np.ndarray, intake: EventColumns, rows: np.ndarray,
                       attack_cells: set[tuple[int, str]], interval_seconds: float,
                       ) -> list[tuple[np.ndarray, str]]:
-    """Labeled (vector, class) pairs for CC4 training from the code block of
-    `log`, whose records all match the schema, in record order: a record is
-    Attack when its (interval index, source id) cell, on the grid that starts
-    at the first record, is in `attack_cells`, else Known. Duplicate vectors
-    keep their first label."""
-    first = _first_rows(vectors)
-    offsets = (log.micros[first] - log.micros[0]) / 1e6
+    """Labeled (vector, class) pairs for CC4 training from the intake's code
+    block, at the intake rows `rows`, whose records all match the schema, in
+    that order: a record is Attack when its (interval index, source id) cell,
+    on the grid that starts at the record of rows[0], is in `attack_cells`,
+    else Known. Duplicate vectors keep their first label."""
+    first = rows[_first_rows(vectors[rows])]
+    offsets = (intake.micros[first] - intake.micros[rows[0]]) / 1e6
     return [(vectors[i].copy(),
-             "Attack" if (slot, log.names[log.ranks[i]]) in attack_cells else "Known")
-            for i, slot in zip(first, slots(offsets, interval_seconds).tolist())]
+             "Attack" if (slot, intake.names[intake.ranks[i]]) in attack_cells else "Known")
+            for i, slot in zip(first.tolist(), slots(offsets, interval_seconds).tolist())]
 
 
 def _first_rows(vectors: np.ndarray) -> list[int]:
@@ -423,7 +413,7 @@ def _read_events(path):
                 event = _event_parts(_decode(line))
             except json.JSONDecodeError as exc:
                 raise SchemaMismatch(f"line {number}: not JSON: {exc}") from None
-            except SchemaMismatch as exc:
+            except (SchemaMismatch, ValueError) as exc:  # ValueError: an int past the digit limit
                 raise SchemaMismatch(f"line {number}: {exc}") from None
             yield event
 
@@ -457,15 +447,6 @@ class EventColumns:
     def stamp(self, i: int) -> datetime:
         """Record i's stamp on the intake's clock."""
         return self.epoch + int(self.micros[i]) * MICROSECOND
-
-    def take(self, rows: np.ndarray) -> "EventColumns":
-        """The records at `rows`, in that order."""
-        index = rows.tolist()
-        others = np.flatnonzero(~self.matched[rows]).tolist()
-        return EventColumns(
-            self.schema, len(index), self.epoch, self.micros[rows], self.ranks[rows], self.names,
-            [[column[i] for i in index] for column in self.values], self.matched[rows],
-            {k: self.unmatched[index[k]] for k in others})
 
 
 def _intake(events, schema: SymbolSchema) -> EventColumns:
@@ -614,12 +595,14 @@ def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: Symbol
     The intake runs on columns, from the records in one pass or as
     read_event_columns read them from a log: a record is late when its stamp
     is below the running maximum of the stamps before it less the skew (a
-    late record never raises that maximum, and a duplicate does). One stable
-    sort on (stamp, source rank) serves dedupe, training and acceptance; a
-    record after a late one of its stamp is late too, so accepted ones come
-    first. A record's interval slot is series.slots of its offset from the
-    grid start, (µs - µs0) / 1e6 s: the offset's total_seconds(), rounded
-    once. So a grid too fine to count raises OverflowError, as does a skew
+    late record never raises that maximum, and a duplicate does). The whole
+    intake is symbolized in one call, in arrival order, so a late record's
+    values are checked too, and every index after it is an intake row. One
+    stable sort on (stamp, source rank) serves dedupe, training and
+    acceptance; a record after a late one of its stamp is late too, so
+    accepted ones come first. A record's interval slot is series.slots of
+    its offset from the grid start, (µs - µs0) / 1e6 s: the offset's
+    total_seconds(), rounded once. So a grid too fine to count raises OverflowError, as does a skew
     window past timedelta's range. Every alert is stamped on the intake's
     clock: UTC, or naive for naive records.
     """
@@ -640,38 +623,37 @@ def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: Symbol
     duplicate = _duplicates(intake, by_key, ~late)
     dropped = duplicate if labels is not None else duplicate | late
     rows = by_key[~dropped[by_key]]
-    log = intake.take(rows)
-    vectors, unknown_value, matched = symbolize_block(log, schema)
+    vectors, unknown_value = symbolize_block(intake, schema)
+    matched = intake.matched
     if labels is not None:
         if not len(rows):
             raise EmptyTrainingSet("no well-formed event in the input to train on")
-        if not matched.all():
-            raise _mismatch(log.fields(int(np.argmin(matched))), schema)
-        network = cc4_train(_training_samples(vectors, log, {(i, d) for i, d, _ in labels},
+        if not matched[rows].all():
+            raise _mismatch(intake.fields(int(rows[np.argmin(matched[rows])])), schema)
+        network = cc4_train(_training_samples(vectors, intake, rows,
+                                              {(i, d) for i, d, _ in labels},
                                               config.interval_seconds), radius)
-    on_time = ~late[rows]
-    accepted = np.flatnonzero(on_time)
-    vectors, unknown_value, matched = vectors[on_time], unknown_value[on_time], matched[on_time]
-    emitted = accepted[matched].tolist()
-    classes, ambiguous = classify_block(network, vectors[matched])
-    ambiguous |= unknown_value[matched]
+    accepted = rows[~late[rows]]
+    emitted = accepted[matched[accepted]]
+    classes, ambiguous = classify_block(network, vectors[emitted])
+    ambiguous |= unknown_value[emitted]
     flag = classes == ATTACK
     if config.strict_unknown:
         flag |= classes == UNKNOWN
     intrusion_alerts = [AnomalyAlert(
-        timestamp=log.stamp(emitted[i]), kind="Intrusion",
+        timestamp=intake.stamp(emitted[i]), kind="Intrusion",
         observed=1.0, expected=0.0, band=None,
         severity="Critical" if classes[i] == ATTACK else "Warning",
-        source=log.names[log.ranks[emitted[i]]], packet_class=PACKET_CLASSES[classes[i]],
+        source=intake.names[ranks[emitted[i]]], packet_class=PACKET_CLASSES[classes[i]],
         ambiguous=bool(ambiguous[i])) for i in np.flatnonzero(flag).tolist()]
 
     rate_alerts: list[AnomalyAlert] = []
     if len(accepted):
-        micros = log.micros[accepted]
+        micros = stamps[accepted]
         rate_slots = slots((micros - micros[0]) / 1e6, config.interval_seconds)
-        rate_alerts = _rate_alerts(log.ranks[accepted[matched]], log.names,
-                                   rate_slots[matched], config, log.stamp(accepted[0]),
-                                   int(rate_slots[-1]) + 1)
+        rate_alerts = _rate_alerts(ranks[emitted], intake.names,
+                                   rate_slots[matched[accepted]], config,
+                                   intake.stamp(accepted[0]), int(rate_slots[-1]) + 1)
 
     counts = StreamCounts(records_in=intake.records_in,
                           emitted_classifications=len(emitted),

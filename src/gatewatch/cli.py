@@ -130,9 +130,10 @@ def _config_argv(parser: _Parser, args) -> list[str]:
     """The --config file as flags of args.command. Its keys are the long flag
     names of any subcommand, `config` aside; keys the command lacks are
     skipped, and a repeatable flag given on the command line drops the file's."""
+    text = Path(args.config).read_text(encoding="utf-8-sig")
     try:
-        overrides = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
+        overrides = json.loads(text)
+    except ValueError as exc:   # not JSON, or a number past int's digit limit
         raise UsageError(f"--config: {exc}") from None
     if not isinstance(overrides, dict):
         raise UsageError("--config must hold a JSON object")
@@ -258,12 +259,11 @@ def cmd_detect(args) -> dict:
     else:
         data = _series_from_csv(args, DETECT_AGGREGATOR)[0]
     train, test = ts.split(data, args.train_frac)
-    train = ts.impute_short_gaps(train)
     source = args.source_ip or ""
     if args.mode == "residual":
-        alerts = detect.detect_surges(
-            test, fit(_forecaster_config(args, args.model), train), args.confidence,
-            mode="residual", source=source)
+        model = fit(_forecaster_config(args, args.model), ts.impute_short_gaps(train))
+        alerts = detect.detect_surges(test, model, args.confidence,
+                                      mode="residual", source=source)
     else:
         # The band needs only the observed training points: nothing is fitted.
         alerts = detect.mean_shift_alerts(

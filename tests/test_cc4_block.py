@@ -9,8 +9,9 @@ the new-identity count skips the records `cc4.intake_key` drops, and the
 reference stream builds its own (source, stamp, sorted fields) dedupe key.
 The reference stream counts a record whose field holds a list or object as
 malformed, the rule that replaced the duplicate filter's TypeError on it, and
-reference training skips such a record. The packed-row dedupe is pinned
-against the `np.unique(axis=0)` it replaced.
+reference training skips such a record. The block encoder reads the stream's
+intake, so it is compared with the reference on the records the intake keeps.
+The packed-row dedupe is pinned against the `np.unique(axis=0)` it replaced.
 """
 import contextlib
 import io
@@ -349,10 +350,14 @@ def networks(draw, width):
 
 
 def block_and_reference(records, schema, network):
-    vectors, unknown, matched = cc4.symbolize_block(records, schema)
+    """Block and reference results, one per record that cc4.intake_key
+    keeps, in input order."""
+    intake = cc4._intake(records, schema)
+    vectors, unknown = cc4.symbolize_block(intake, schema)
     classes, ambiguous = cc4.classify_block(network, vectors)
+    kept = [rec for rec in records if cc4.intake_key(rec) is not None]
     got, want = [], []
-    for k, rec in enumerate(records):
+    for k, rec in enumerate(kept):
         try:
             vector, flag = ref_symbolize(rec, schema)
         except SchemaMismatch:
@@ -360,7 +365,7 @@ def block_and_reference(records, schema, network):
         else:
             want.append((ref_classify(network, vector), flag, vector.tolist()))
         got.append(((cc4.PACKET_CLASSES[classes[k]], bool(ambiguous[k])),
-                    bool(unknown[k]), vectors[k].tolist()) if matched[k] else None)
+                    bool(unknown[k]), vectors[k].tolist()) if intake.matched[k] else None)
     return got, want
 
 
@@ -378,7 +383,12 @@ def test_block_path_matches_per_record_reference(data):
                               strict_unknown=data.draw(st.booleans()))
     got, want = block_and_reference(records, schema, network)
     assert got == want
-    for rec, expected in zip(records, want):
+    for rec in records:
+        if cc4.intake_key(rec) is None:
+            with pytest.raises(SchemaMismatch, match="the intake drops"):
+                cc4.symbolize(rec, schema)
+    kept = [rec for rec in records if cc4.intake_key(rec) is not None]
+    for rec, expected in zip(kept, want, strict=True):
         if expected is None:
             with pytest.raises(SchemaMismatch):
                 cc4.symbolize(rec, schema)
@@ -692,7 +702,7 @@ def test_non_numeric_thermometer_value_raises_value_error():
                                   fields={"packets": value})
                for value in (3.0, "many")]
     with pytest.raises(ValueError):
-        cc4.symbolize_block(records, schema)
+        cc4.symbolize_block(cc4._intake(records, schema), schema)
     network = cc4.CC4Network(radius=0, vectors=np.array([[1, 0]]), classes=["Known"])
     with pytest.raises(ValueError):
         cc4.stream_pipeline(records, schema, network, cc4.StreamConfig())

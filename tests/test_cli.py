@@ -1,13 +1,19 @@
 import json
+import sys
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from gatewatch import cc4, cli, lstm
+from gatewatch import cc4, cli, detect, lstm
+from gatewatch import series as ts
 from gatewatch.errors import NonFiniteLoss
 from gatewatch.series import TimeSeries
+
+
+# Python's limit on the digits of an int read from text; 0 where there is none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def run(*argv):
@@ -146,7 +152,11 @@ class TestUsageErrors:
         ("detect", '{"window": "24"}'),                      # a string for an int
         ("detect", '{"model": "bogus", "mode": "residual"}'),  # not a choice
         ("detect", '[12]'),                                  # not an object
-    ], ids=["truncated", "interval_abc", "window_string", "bogus_model", "list"])
+        pytest.param("detect", '{"window": ' + "1" * (DIGIT_LIMIT + 1) + "}",
+                     marks=pytest.mark.skipif(not DIGIT_LIMIT,
+                                              reason="integers have no digit limit")),
+    ], ids=["truncated", "interval_abc", "window_string", "bogus_model", "list",
+            "past_the_digit_limit"])
     def test_bad_config_value_is_a_usage_error(self, trace_dir, tmp_path, capsys,
                                                command, text):
         config = tmp_path / "c.json"
@@ -528,6 +538,41 @@ class TestDataErrors:
         assert err.count("\n") == 1
         assert err.startswith("error: data: MalformedNetwork: ")
 
+    def test_stream_checks_a_late_records_values(self, tmp_path, capsys):
+        # the stream encodes every record its intake keeps, so a value that
+        # is not a number stops it whether the record is on time or late
+        lines = [json.dumps({"ts": (datetime(2021, 1, 1, 10, tzinfo=timezone.utc)
+                                    + timedelta(minutes=k)).isoformat(),
+                             "src": "a", "proto": "udp", "packets": 3.0,
+                             "status": "ok"}) for k in range(12)]
+        lines.append('{"ts": "2021-01-01T00:00:00+00:00", "src": "a", '
+                     '"proto": "udp", "packets": "many", "status": "ok"}')
+        events = tmp_path / "events.jsonl"
+        events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(self.NETWORK), encoding="utf-8")
+        assert run("stream", "--input", str(events), "--network", str(network),
+                   "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == \
+            "error: data: NonNumericValue: field 'packets' holds 'many', not a number\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="integers have no digit limit")
+    def test_stream_number_past_the_digit_limit(self, tmp_path, capsys):
+        digits = "1" * (DIGIT_LIMIT + 1)
+        events = tmp_path / "events.jsonl"
+        events.write_text('{"ts": "2021-01-01T00:00:00+00:00", "src": "a", '
+                          f'"proto": "udp", "packets": {digits}, "status": "ok"}}\n',
+                          encoding="utf-8")
+        network = tmp_path / "network.json"
+        network.write_text(json.dumps(self.NETWORK), encoding="utf-8")
+        assert run("stream", "--input", str(events), "--network", str(network),
+                   "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data: SchemaMismatch: line 1: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("src, source", [
         ("0", "0"), ("1", "1"), ("-12", "-12"), ('"camera-1"', "camera-1"),
         ("false", None), ("true", None), ("1.5", None), ("[1]", None), ('{"a": 1}', None),
@@ -844,6 +889,25 @@ class TestDetectAndStream:
         assert run("detect", "--input", str(path), "--out", str(tmp_path / "o"),
                    "--window", "5") == 0
         assert (tmp_path / "o" / "alerts.jsonl").exists()
+
+    def test_detect_mean_shift_band_takes_the_observed_points(self, tmp_path):
+        # gaps in the training split are left out of the band, not imputed
+        # into it: the alerts are the mean-shift core's on the unimputed split
+        t = np.arange(96)
+        values = (20.0 + 10 * np.sin(2 * np.pi * t / 24)).tolist()
+        for k in (10, 11, 30):
+            values[k] = float("nan")
+        path = series_file(tmp_path, values)
+        assert run("detect", "--input", str(path), "--out", str(tmp_path / "o"),
+                   "--train-frac", "0.5", "--window", "4") == 0
+        data = TimeSeries.from_values(values, interval_seconds=3600.0)
+        train, test = ts.split(data, 0.5)
+        want = detect.merge_alerts(
+            detect.mean_shift_alerts(test, 0, train.clean_values(),
+                                     detect.z_score(0.95), 4, "Surge", ""),
+            detect.detect_dropout(data, 3, source=""))
+        assert (tmp_path / "o" / "alerts.jsonl").read_text(encoding="utf-8") == \
+            detect.alert_lines(want)
 
     def test_detect_residual_rejects_unimputable_training_gap(self, tmp_path,
                                                               capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import examples
 from gatewatch import forecast as fc
 from gatewatch.errors import MissingValuesPresent, SeriesTooShort
 from gatewatch.series import TimeSeries
@@ -141,7 +142,7 @@ def test_one_step_on_continues_the_recurrence():
     assert np.max(np.abs(preds - test_vals)) < 1e-9
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(period=st.integers(2, 8), extra=st.integers(0, 20),
        k=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
        constants=st.tuples(*[st.sampled_from(fc.HW_GRID)] * 3))
