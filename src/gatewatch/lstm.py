@@ -12,6 +12,10 @@ a step is one matmul M @ [h; x_t; 1] (the fused-gate layout of Appleyard et
 al., arXiv:1604.01946). Inside the loop M's rows run i, f, o, g, which puts
 the three sigmoid gates in one contiguous block; the stored W, U and b, and
 so `model.json`, keep the GATES order.
+
+Training holds one step cache per fit, made for its largest batch: a cache
+made for at least n windows of T steps serves every batch of n windows, full
+or short, as C-contiguous views over the start of its buffers.
 """
 from __future__ import annotations
 
@@ -127,23 +131,39 @@ def _new_cache(units: int, T: int, N: int) -> dict:
             "tanh_c": np.empty((T, units, N))}
 
 
+def _cache_views(cache: dict, T: int, N: int) -> dict:
+    """The step arrays of N windows of T steps in a cache made for at least N
+    windows of T steps: each a C-contiguous (steps, rows, N) view over the
+    first elements of its buffer, so every call sees the layout, and so the
+    bits, of a fresh cache of exactly N windows."""
+    steps, _, windows = cache["gates"].shape
+    if steps != T or windows < N:
+        raise ValueError(f"a cache of {steps} steps of {windows} windows cannot "
+                         f"serve {T} steps of {N} windows")
+    views = {}
+    for name in ("inputs", "gates", "c", "tanh_c"):
+        buf = cache[name]
+        shape = (buf.shape[0], buf.shape[1], N)
+        views[name] = buf.reshape(-1)[:shape[0] * shape[1] * N].reshape(shape)
+    return views
+
+
 def forward(params: LstmParams, X: np.ndarray, drop_mask: np.ndarray | None = None,
             keep_cache: bool | dict = False):
     """Run the network over a batch of windows X (N, T).
 
     drop_mask, when given, is the (N, units) inverted-dropout multiplier for
     the final hidden vector (train time only). keep_cache=True keeps every
-    step for `backward`; a cache returned by an earlier call on windows of the
-    same shape is refilled in place instead of allocated again. Without a
-    cache the state runs in two-slot rings. Returns (predictions (N,), cache).
+    step for `backward` in a fresh cache of exactly N windows. A cache made
+    for at least N windows of T steps, such as one an earlier call returned,
+    is refilled in place instead, and the cache returned holds views of its
+    buffers. Without a cache the state runs in two-slot rings. Returns
+    (predictions (N,), cache).
     """
     N, T = X.shape
     u = params.units
     if isinstance(keep_cache, dict):
-        cache = keep_cache
-        if cache["gates"].shape != (T, 4 * u, N):
-            raise ValueError(f"cache holds {cache['gates'].shape[0]} steps of "
-                             f"{cache['gates'].shape[2]} windows, not {T} of {N}")
+        cache = _cache_views(keep_cache, T, N)
     else:
         cache = _new_cache(u, T if keep_cache else 1, N)
     inputs, gates, cells, tanh_cs = (cache["inputs"], cache["gates"], cache["c"],
@@ -261,16 +281,26 @@ def train_chunked(X: np.ndarray, y: np.ndarray, units: int, *,
     Each epoch walks the chunks in their current order; chunk order is
     reshuffled (seeded) between epochs. Dropout applies to the final hidden
     vector only, with inverted scaling so inference needs no correction.
+    Every batch, full or short, runs in one step cache made for the largest.
     """
     if len(X) == 0:
         raise ValueError("no training windows")
+    for name, value in (("num_chunks", num_chunks), ("batch_size", batch_size),
+                        ("epochs", epochs)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, not {value!r}")
+    if not 0.0 <= dropout < 1.0:
+        raise ValueError(f"dropout must be in [0, 1), not {dropout!r}")
+    if not 0.0 <= learning_rate < np.inf:
+        raise ValueError(f"learning_rate must be finite and >= 0, not {learning_rate!r}")
     rng = np.random.default_rng(seed)
     params = LstmParams.init(units, 1, rng)
     chunk_ids = list(range(num_chunks))
     chunks = np.array_split(np.arange(len(X)), num_chunks)
+    # array_split puts the longest chunk first, so it holds the largest batch.
+    steps = _new_cache(units, X.shape[1], min(batch_size, len(chunks[0])))
     chunk_losses = []
     keep = 1.0 - dropout
-    full_cache = None  # the first full batch's cache, refilled by every later one
     for _epoch in range(epochs):
         for cid in chunk_ids:
             idx = chunks[cid]
@@ -282,11 +312,7 @@ def train_chunked(X: np.ndarray, y: np.ndarray, units: int, *,
                     mask = (rng.random((len(batch), units)) < keep) / keep
                 else:
                     mask = None
-                full = len(batch) == batch_size
-                reuse = full_cache if full and full_cache is not None else True
-                pred, cache = forward(params, Xb, drop_mask=mask, keep_cache=reuse)
-                if full:
-                    full_cache = cache
+                pred, cache = forward(params, Xb, drop_mask=mask, keep_cache=steps)
                 loss = mse_loss(pred, yb)
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(f"loss diverged to {loss}")

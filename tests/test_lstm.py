@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from gatewatch import lstm
 from gatewatch.errors import NonFiniteLoss
 
@@ -109,6 +110,18 @@ def test_divergence_raises_non_finite_loss():
                            seed=5)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("batch_size", 0), ("batch_size", -1), ("num_chunks", 0), ("epochs", 0),
+    ("dropout", -0.5), ("dropout", 1.0), ("dropout", float("nan")),
+    ("learning_rate", -0.01), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
+])
+def test_arguments_that_leave_training_untrained_or_nan_are_refused(name, value):
+    X, y = toy_data(n=20, t=6, seed=7)
+    with pytest.raises(ValueError, match=name):
+        lstm.train_chunked(X, y, 3, seed=7, **{name: value})
+
+
 def test_chunk_trace_length():
     X, y = toy_data(n=90, t=4, seed=6)
     _, chunk_losses = lstm.train_chunked(X, y, 4, num_chunks=6, epochs=3, seed=6)
@@ -124,7 +137,7 @@ def test_params_json_round_trip():
     assert back.dense_b == params.dense_b
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_predictions_are_bounded_by_dense_head(seed):
     # |h| <= 1 per unit, so |pred - b| <= sum |dense_w| regardless of input.

@@ -1,10 +1,15 @@
 """The stacked-gate, batch-last LSTM loop against the per-step reference it
-replaced: the same predictions and gradients up to the order of float sums."""
+replaced: the same predictions and gradients up to the order of float sums;
+and training's one step cache per fit, against fresh caches bit for bit and
+against its own size in memory."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import examples
 from gatewatch import lstm
 
 RTOL = 1e-10
@@ -77,8 +82,9 @@ def ref_backward(params, cache, pred, target):
 
 
 def ref_train(X, y, units, *, num_chunks, batch_size, epochs, learning_rate,
-              dropout, seed):
-    """train_chunked's schedule (chunks, batches, masks, SGD) on the reference."""
+              dropout, seed, forward=ref_forward, backward=ref_backward):
+    """train_chunked's schedule (chunks, batches, masks, SGD) on the reference,
+    or on another forward and backward pair, with a fresh cache every batch."""
     rng = np.random.default_rng(seed)
     params = lstm.LstmParams.init(units, 1, rng)
     chunk_ids = list(range(num_chunks))
@@ -93,9 +99,9 @@ def ref_train(X, y, units, *, num_chunks, batch_size, epochs, learning_rate,
                 batch = idx[lo:lo + batch_size]
                 mask = ((rng.random((len(batch), units)) < keep) / keep
                         if dropout > 0 else None)
-                pred, cache = ref_forward(params, X[batch], mask, keep_cache=True)
+                pred, cache = forward(params, X[batch], mask, keep_cache=True)
                 loss = lstm.mse_loss(pred, y[batch])
-                grads = ref_backward(params, cache, pred, y[batch])
+                grads = backward(params, cache, pred, y[batch])
                 for name in ("W", "U", "b", "dense_w"):
                     getattr(params, name).__isub__(learning_rate * getattr(grads, name))
                 params.dense_b -= learning_rate * grads.dense_b
@@ -122,7 +128,7 @@ def case(n, t, units, seed, dropout):
     return params, X, y, mask
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(n=st.integers(1, 24), t=st.integers(1, 30), units=st.integers(1, 7),
        seed=st.integers(0, 2 ** 32 - 1), dropout=st.booleans())
 def test_forward_and_backward_match_per_step_reference(n, t, units, seed, dropout):
@@ -136,7 +142,7 @@ def test_forward_and_backward_match_per_step_reference(n, t, units, seed, dropou
                         ref_backward(params, want_cache, want_pred, y))
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 @given(n=st.integers(2, 40), batch_size=st.integers(1, 9), num_chunks=st.integers(2, 4),
        units=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
        dropout=st.sampled_from([0.0, 0.25]))
@@ -156,7 +162,7 @@ def test_train_chunked_matches_reference_training(n, batch_size, num_chunks, uni
 
 def test_short_last_batch_and_several_chunks_match_reference():
     # 23 windows in 3 chunks of 8, 8 and 7, batches of 3: every chunk ends in
-    # a short batch, between full batches that share one cache.
+    # a short batch, and full and short batches all run in one cache.
     rng = np.random.default_rng(8)
     X = rng.normal(0, 1, (23, 6))
     y = X[:, -1] * 0.3
@@ -172,26 +178,75 @@ def test_reused_cache_carries_no_state_between_batches():
     rng = np.random.default_rng(4)
     params = lstm.LstmParams.init(3, 1, rng)
     X_a, X_b, X_c = (rng.normal(0, 1, (n, 7)) for n in (5, 2, 5))
-    y_c = rng.normal(0, 1, 5)
+    y_b, y_c = rng.normal(0, 1, 2), rng.normal(0, 1, 5)
     mask = (rng.random((5, 3)) < 0.8) / 0.8
     _, shared = lstm.forward(params, X_a, mask, keep_cache=True)
-    lstm.forward(params, X_b, keep_cache=True)  # a short batch between two full ones
-    for name in ("inputs", "gates", "c", "tanh_c"):
-        shared[name].fill(np.nan)  # whatever the buffers hold is overwritten
-    pred, cache = lstm.forward(params, X_c, keep_cache=shared)
-    assert cache is shared
-    fresh_pred, fresh = lstm.forward(params, X_c, keep_cache=True)
-    assert np.array_equal(pred, fresh_pred)
-    got = lstm.backward(params, cache, pred, y_c)
-    want = lstm.backward(params, fresh, fresh_pred, y_c)
-    for name in ("W", "U", "b", "dense_w"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert got.dense_b == want.dense_b
+    # A full batch, a short one and a full one again, each in the shared
+    # cache after it is filled with NaN: whatever the buffers hold is overwritten.
+    for X, y in ((X_a, y_c), (X_b, y_b), (X_c, y_c)):
+        for name in ("inputs", "gates", "c", "tanh_c"):
+            shared[name].fill(np.nan)
+        pred, cache = lstm.forward(params, X, keep_cache=shared)
+        assert np.shares_memory(cache["gates"], shared["gates"])
+        fresh_pred, fresh = lstm.forward(params, X, keep_cache=True)
+        assert np.array_equal(pred, fresh_pred)
+        got = lstm.backward(params, cache, pred, y)
+        want = lstm.backward(params, fresh, fresh_pred, y)
+        for name in ("W", "U", "b", "dense_w"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.dense_b == want.dense_b
 
 
 def test_cache_of_another_shape_is_refused():
+    # A cache made for 4 windows of 6 steps serves 3 windows, not 5 or 7 steps.
     params = lstm.LstmParams.init(2, 1, np.random.default_rng(0))
     _, cache = lstm.forward(params, np.zeros((4, 6)), keep_cache=True)
-    with pytest.raises(ValueError, match="6 steps of 4 windows"):
-        lstm.forward(params, np.zeros((3, 6)), keep_cache=cache)
+    _, short = lstm.forward(params, np.ones((3, 6)), keep_cache=cache)
+    for name in ("inputs", "gates", "c", "tanh_c"):
+        assert short[name].shape[2] == 3 and short[name].flags.c_contiguous, name
+    for X in (np.zeros((5, 6)), np.zeros((4, 7))):
+        with pytest.raises(ValueError, match="6 steps of 4 windows cannot serve"):
+            lstm.forward(params, X, keep_cache=cache)
 
+
+def test_one_cache_per_fit_is_bit_identical_to_fresh_caches():
+    # 53 windows in 3 chunks of 18, 18 and 17, batches of 5: every chunk ends
+    # in a short batch (3 or 2 windows) after full ones, over two epochs.
+    rng = np.random.default_rng(12)
+    X = rng.normal(0, 1, (53, 9))
+    y = 0.4 * X[:, -1] + rng.normal(0, 0.1, 53)
+    kwargs = dict(num_chunks=3, batch_size=5, epochs=2, learning_rate=0.05,
+                  dropout=0.3, seed=12)
+    params, chunk_losses = lstm.train_chunked(X, y, 4, **kwargs)
+    want, losses = ref_train(X, y, 4, forward=lstm.forward, backward=lstm.backward,
+                             **kwargs)
+    for name in ("W", "U", "b", "dense_w"):
+        assert np.array_equal(getattr(params, name), getattr(want, name)), name
+    assert params.dense_b == want.dense_b
+    assert np.array_equal(chunk_losses, losses)
+
+
+def _cache_bytes(units, T, N):
+    """8 N [(T + 1)(u + 2) + 4uT + (T + 1)u + uT]: one step cache of N windows."""
+    return 8 * N * ((T + 1) * (units + 2) + 4 * units * T + (T + 1) * units + units * T)
+
+
+@pytest.mark.parametrize("n, num_chunks", [(47, 1), (63, 3)])
+def test_training_peaks_near_one_step_cache(n, num_chunks):
+    # Batches of 16: 47 windows end in a short batch of 15, and 63 windows in
+    # 3 chunks of 21 end each chunk in a short batch of 5. A short batch with
+    # a cache of its own beside the full one would peak at 2.04x and 1.41x.
+    units, T, batch_size = 4, 200, 16
+    rng = np.random.default_rng(3)
+    X = rng.normal(0, 1, (n, T))
+    y = rng.normal(0, 1, n)
+    assert _cache_bytes(units, T, batch_size) == sum(
+        a.nbytes for a in lstm._new_cache(units, T, batch_size).values())
+    tracemalloc.start()
+    try:
+        lstm.train_chunked(X, y, units, num_chunks=num_chunks, batch_size=batch_size,
+                           seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * _cache_bytes(units, T, batch_size)
