@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import compress
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -42,6 +42,10 @@ BLOCK_SIZE = 4096
 # the memory of rate scoring whatever the number of sources. A group holds at
 # least one source.
 RATE_BLOCK_CELLS = 2 ** 16
+# Intervals from the first accepted record that make each source's surge
+# baseline: a count, not a share of the run, so no later record moves a band
+# or a window. Every stock trace is 480 intervals long; 240 is its half.
+BASELINE_INTERVALS = 240
 # Stream stamps run as int64 microseconds since the epoch of their clock.
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 NAIVE_EPOCH = datetime(1970, 1, 1)
@@ -181,16 +185,13 @@ class SymbolSchema:
         return sum(e.width for e in self.encoders)
 
 
-def symbolize_block(log: EventColumns, schema: SymbolSchema,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Symbolize the intake `log`, read for `schema`, one encoder's column
-    block at a time: the (n, total_bits) int8 code matrix and the (n,)
+def symbolize_block(log: EventColumns) -> tuple[np.ndarray, np.ndarray]:
+    """Symbolize the intake `log` for its schema, one encoder's column block
+    at a time: the (n, total_bits) int8 code matrix and the (n,)
     unknown-value flag, one row per intake row. A record whose field set is
     not the schema's (see `log.matched`) is not encoded: its row stays zero
     and unflagged."""
-    if log.schema != schema:
-        raise ValueError("the event columns were read for another schema")
-    matched = log.matched
+    schema, matched = log.schema, log.matched
     keep = matched.tolist()
     vectors = np.zeros((len(matched), schema.total_bits), dtype=np.int8)
     unknown = np.zeros(len(matched), dtype=bool)
@@ -218,7 +219,7 @@ def symbolize(record: EventLogRecord, schema: SymbolSchema) -> tuple[np.ndarray,
                              "or a field that holds a JSON list or object")
     if not log.matched[0]:
         raise _mismatch(record.fields, schema)
-    vectors, unknown = symbolize_block(log, schema)
+    vectors, unknown = symbolize_block(log)
     return vectors[0], bool(unknown[0])
 
 
@@ -377,7 +378,8 @@ class StreamConfig:
 class StreamCounts:
     records_in: int = 0
     emitted_classifications: int = 0
-    dropped_malformed: int = 0       # includes duplicates
+    # records_in - emitted - late: intake drops, schema mismatches, duplicates
+    dropped_malformed: int = 0
     dropped_duplicate: int = 0
     dropped_late: int = 0
 
@@ -401,7 +403,7 @@ def _decode(line: str):
     return obj if end == len(line) else json.loads(line)
 
 
-def _read_events(path):
+def read_events(path):
     """Each event of a JSON-lines log, blank lines skipped. A line that is not
     an event record raises SchemaMismatch naming its line number."""
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -421,7 +423,7 @@ def _read_events(path):
 def read_events_jsonl(path) -> list[EventLogRecord]:
     """Every event of a JSON-lines log; blank lines are skipped. A line that is
     not an event record raises SchemaMismatch naming its line number."""
-    return list(_read_events(path))
+    return list(read_events(path))
 
 
 @dataclass(eq=False)
@@ -491,13 +493,6 @@ def _intake(events, schema: SymbolSchema) -> EventColumns:
         sorted_sources, values, matched, unmatched)
 
 
-def read_event_columns(path, schema: SymbolSchema) -> EventColumns:
-    """read_events_jsonl's events as the stream's intake columns for
-    `schema`, read without a record per event; stream_pipeline takes them in
-    place of the records."""
-    return _intake(_read_events(path), schema)
-
-
 def new_id_counts(records: list[EventLogRecord], start: datetime,
                   interval_seconds: float, duration: int) -> TimeSeries:
     """Count distinct never-before-seen source ids per interval: each source
@@ -519,11 +514,11 @@ def _rate_alerts(ranks: np.ndarray, names: list[str], slots: np.ndarray,
                  config: StreamConfig, start: datetime, duration: int) -> list[AnomalyAlert]:
     """Dropout and surge alerts on each source's record count per interval,
     from each record's rank in the sorted source ids `names` and slot in
-    [0, duration), scored a group of sources at a time, in source order."""
+    [0, duration), scored a group of sources at a time, in source order.
+    Surges are scored after the first BASELINE_INTERVALS slots, against their
+    band; a run no longer than that gets none."""
     z = z_score(config.confidence)
-    # Surge scoring takes the first half of the run as each source's baseline
-    # and scores the rest; runs shorter than four intervals get none.
-    n_train = math.ceil(0.5 * duration)
+    n_train = BASELINE_INTERVALS
     present, rows = np.unique(ranks, return_inverse=True)
     # Cells of the (sources x duration) count matrix, sorted so that each
     # group of sources is one slice. The whole matrix is never built:
@@ -540,7 +535,7 @@ def _rate_alerts(ranks: np.ndarray, names: list[str], slots: np.ndarray,
         counts = counts.astype(float).reshape(len(sources), duration)
         alerts.extend(dropout_block(counts == 0, config.gap_threshold, start,
                                     config.interval_seconds, sources))
-        if duration >= 4:
+        if duration > n_train:
             alerts.extend(mean_shift_block(counts, n_train,
                                            *band_stats(counts[:, :n_train]), z,
                                            config.surge_window, "Surge", start,
@@ -571,7 +566,7 @@ def _duplicates(intake: EventColumns, by_key: np.ndarray, on_time: np.ndarray) -
     return duplicate
 
 
-def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: SymbolSchema,
+def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
                     network: CC4Network | None, config: StreamConfig,
                     labels: list[tuple[int, str, str]] | None = None, radius: int = 1,
                     ) -> tuple[list[AnomalyAlert], StreamCounts, CC4Network]:
@@ -584,16 +579,18 @@ def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: Symbol
     `dropped_malformed` and excluded before it can move the skew window. A
     given network whose width is not the schema's raises WidthMismatch, a
     negative skew window (`skew_intervals * interval_seconds`) or an interval
-    that is not a positive finite number ValueError, and naive and aware
-    stamps among the records intake keeps TypeError.
+    that is not a positive finite number ValueError, before any record is
+    read, and naive and aware stamps among the records intake keeps TypeError.
 
     Give a network or label rows, not both. Label rows train a network of
     `radius` on the records the intake accepts or finds late, duplicates
     aside, in (timestamp, source id) order, so the interval grid starts at the
     earliest of them. Returns the alerts, the counts and the network used.
+    The surge baseline is the first BASELINE_INTERVALS intervals from the
+    first accepted record: a log that spans no more gets no surge scoring.
 
-    The intake runs on columns, from the records in one pass or as
-    read_event_columns read them from a log: a record is late when its stamp
+    `records` is any iterable in arrival order, a list or read_events(path),
+    taken in one pass into intake columns: a record is late when its stamp
     is below the running maximum of the stamps before it less the skew (a
     late record never raises that maximum, and a duplicate does). The whole
     intake is symbolized in one call, in arrival order, so a late record's
@@ -615,7 +612,7 @@ def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: Symbol
         raise ValueError(f"the skew window of {skew_seconds} s is negative")
     check_interval(config.interval_seconds)
     skew = timedelta(seconds=skew_seconds)
-    intake = records if isinstance(records, EventColumns) else _intake(records, schema)
+    intake = _intake(records, schema)
     stamps, ranks = intake.micros, intake.ranks
     late = np.zeros(len(stamps), dtype=bool)
     late[1:] = stamps[1:] < np.maximum.accumulate(stamps)[:-1] - skew // MICROSECOND
@@ -623,7 +620,7 @@ def stream_pipeline(records: list[EventLogRecord] | EventColumns, schema: Symbol
     duplicate = _duplicates(intake, by_key, ~late)
     dropped = duplicate if labels is not None else duplicate | late
     rows = by_key[~dropped[by_key]]
-    vectors, unknown_value = symbolize_block(intake, schema)
+    vectors, unknown_value = symbolize_block(intake)
     matched = intake.matched
     if labels is not None:
         if not len(rows):

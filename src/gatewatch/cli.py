@@ -289,8 +289,6 @@ def cmd_simulate(args) -> dict:
 def cmd_stream(args) -> dict:
     if not (args.network or args.labels):
         raise UsageError("stream requires --network or --labels")
-    schema = simulate.event_schema()
-    events = cc4.read_event_columns(args.input, schema)
     network = labels = None
     if args.network:
         network = cc4.CC4Network.from_json(
@@ -302,8 +300,9 @@ def cmd_stream(args) -> dict:
                               confidence=args.confidence,
                               surge_window=args.window,
                               gap_threshold=args.gap_threshold)
-    alerts, stats, network = cc4.stream_pipeline(events, schema, network, config, labels,
-                                                 args.radius)
+    alerts, stats, network = cc4.stream_pipeline(cc4.read_events(args.input),
+                                                 simulate.event_schema(), network, config,
+                                                 labels, args.radius)
     return {"alerts.jsonl": alerts,
             "stream_counts.json": stats.to_json_obj(),
             "network.json": network.to_json_obj()}

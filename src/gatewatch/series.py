@@ -104,10 +104,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def end(self) -> datetime:
-        return self.timestamp_at(len(self) - 1)
-
     def timestamp_at(self, index: int) -> datetime:
         return slot_time(self.start, self.interval_seconds, index)
 

@@ -16,7 +16,6 @@ The packed-row dedupe is pinned against the `np.unique(axis=0)` it replaced.
 import contextlib
 import io
 import json
-import math
 import re
 import tempfile
 from datetime import datetime, timedelta, timezone
@@ -124,7 +123,7 @@ def ref_train_from_labels(events, labels, schema, interval_seconds, radius):
 
 def ref_rate_alerts(per_source, config, start, duration):
     z = z_score(config.confidence)
-    n_train = math.ceil(0.5 * duration)
+    n_train = cc4.BASELINE_INTERVALS
     alerts = []
     for source, stamps in sorted(per_source.items()):
         counts = np.zeros(duration)
@@ -138,7 +137,7 @@ def ref_rate_alerts(per_source, config, start, duration):
         silence = TimeSeries(start=start, interval_seconds=config.interval_seconds,
                              values=np.where(counts == 0, np.nan, counts))
         alerts.extend(detect_dropout(silence, config.gap_threshold, source=source))
-        if duration >= 4:
+        if duration > n_train:
             alerts.extend(mean_shift_alerts(rates, n_train, counts[:n_train], z,
                                             config.surge_window, "Surge", source))
     return alerts
@@ -353,7 +352,7 @@ def block_and_reference(records, schema, network):
     """Block and reference results, one per record that cc4.intake_key
     keeps, in input order."""
     intake = cc4._intake(records, schema)
-    vectors, unknown = cc4.symbolize_block(intake, schema)
+    vectors, unknown = cc4.symbolize_block(intake)
     classes, ambiguous = cc4.classify_block(network, vectors)
     kept = [rec for rec in records if cc4.intake_key(rec) is not None]
     got, want = [], []
@@ -650,8 +649,8 @@ RATE_NETWORK = cc4.CC4Network(radius=0, vectors=np.array([[1, 1, 0]]),
 @settings(max_examples=examples(200), deadline=None)
 @given(st.data())
 def test_rate_scoring_in_groups_matches_the_per_source_reference(data):
-    # Runs of 1-6 intervals straddle the 4-interval surge floor; windows may
-    # be wider than the scored half and gap thresholds longer than the run.
+    # Runs of 1-6 intervals straddle a baseline of 1-6 intervals; windows may
+    # be wider than the scored part and gap thresholds longer than the run.
     records = data.draw(st.lists(st.builds(
         lambda second, src, packets: cc4.EventLogRecord(
             timestamp=T0 + timedelta(seconds=second), source_id=src,
@@ -668,9 +667,10 @@ def test_rate_scoring_in_groups_matches_the_per_source_reference(data):
     duration = int((max(stamps) - min(stamps)).total_seconds() // 60) + 1
     group = data.draw(st.sampled_from([1, 2, 3, None]))
     cells = cc4.RATE_BLOCK_CELLS if group is None else group * duration
-    with mock.patch.object(cc4, "RATE_BLOCK_CELLS", cells):
+    with mock.patch.object(cc4, "RATE_BLOCK_CELLS", cells), \
+            mock.patch.object(cc4, "BASELINE_INTERVALS", data.draw(st.integers(1, 6))):
         got = cc4.stream_pipeline(records, RATE_SCHEMA, RATE_NETWORK, config)[:2]
-    assert got == ref_stream_pipeline(records, RATE_SCHEMA, RATE_NETWORK, config)
+        assert got == ref_stream_pipeline(records, RATE_SCHEMA, RATE_NETWORK, config)
 
 
 @settings(max_examples=examples(200), deadline=None)
@@ -702,7 +702,7 @@ def test_non_numeric_thermometer_value_raises_value_error():
                                   fields={"packets": value})
                for value in (3.0, "many")]
     with pytest.raises(ValueError):
-        cc4.symbolize_block(cc4._intake(records, schema), schema)
+        cc4.symbolize_block(cc4._intake(records, schema))
     network = cc4.CC4Network(radius=0, vectors=np.array([[1, 0]]), classes=["Known"])
     with pytest.raises(ValueError):
         cc4.stream_pipeline(records, schema, network, cc4.StreamConfig())

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from gatewatch import cc4, cli, detect, lstm
+from gatewatch import cc4, cli, detect, lstm, simulate
 from gatewatch import series as ts
 from gatewatch.errors import NonFiniteLoss
 from gatewatch.series import TimeSeries
@@ -282,12 +282,15 @@ class TestConfigKeys:
 
 class TestDataErrors:
     def test_missing_input_file(self, tmp_path, capsys):
-        # a series JSON, a flow CSV and an events log: one line, one format
+        # a series JSON, a flow CSV and an events log: one line, one format.
+        # The stream reads its labels first, so they exist.
+        labels = tmp_path / "labels.csv"
+        labels.write_text(",".join(simulate.LABEL_COLUMNS) + "\n", encoding="utf-8")
         for command, name, extra in [
                 ("inspect", "nope.json", []),
                 ("ingest", "nope.csv", []),
                 ("detect", "nope.csv", []),
-                ("stream", "nope.jsonl", ["--labels", str(tmp_path / "labels.csv")])]:
+                ("stream", "nope.jsonl", ["--labels", str(labels)])]:
             path = tmp_path / name
             assert run(command, "--input", str(path), *extra,
                        "--out", str(tmp_path / "o")) == 2, command

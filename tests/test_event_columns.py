@@ -88,7 +88,7 @@ def test_a_line_decodes_to_the_object_json_loads_gives(tmp_path, line):
     records = [cc4.parse_event_obj(json.loads(text)) for text in (GOOD, line, GOOD)]
     assert repr(cc4.read_events_jsonl(path)) == repr(records)
     schema = simulate.event_schema()
-    assert repr(plain(cc4.read_event_columns(path, schema))) == \
+    assert repr(plain(cc4._intake(cc4.read_events(path), schema))) == \
         repr(plain(cc4._intake(records, schema)))
 
 
@@ -96,7 +96,7 @@ def test_a_line_decodes_to_the_object_json_loads_gives(tmp_path, line):
 def test_a_bad_line_raises_the_parse_error_of_json_loads(tmp_path, line, message):
     path = write_log(tmp_path / "events.jsonl", [GOOD, "", line, GOOD])
     for read in (cc4.read_events_jsonl,
-                 lambda p: cc4.read_event_columns(p, simulate.event_schema())):
+                 lambda p: cc4._intake(cc4.read_events(p), simulate.event_schema())):
         with pytest.raises(SchemaMismatch) as info:
             read(path)
         assert str(info.value) == message
@@ -128,10 +128,10 @@ def test_the_stream_reads_its_log_into_columns_once(trace_dir, tmp_path):
     # no EventLogRecord alive once the log is read, on either path, and one
     # intake pass per run
     before = alive_records()
-    read, alive = cc4.read_event_columns, []
+    intake, alive = cc4._intake, []
 
-    def read_and_count(*args):
-        columns = read(*args)
+    def intake_and_count(*args):
+        columns = intake(*args)
         alive.append(alive_records() - before)
         return columns
 
@@ -139,10 +139,9 @@ def test_the_stream_reads_its_log_into_columns_once(trace_dir, tmp_path):
     runs = [["--labels", str(trace_dir / "labels.csv"), "--out", str(tmp_path / "a")],
             ["--network", str(tmp_path / "a" / "network.json"), "--out", str(tmp_path / "b")]]
     for flags in runs:
-        with mock.patch.object(cc4, "_intake", wraps=cc4._intake) as intake, \
-                mock.patch.object(cc4, "read_event_columns", read_and_count):
+        with mock.patch.object(cc4, "_intake", intake_and_count):
             assert cli.main(["stream", "--input", events, *flags]) == 0
-        assert (alive, intake.call_count) == ([0], 1)
+        assert alive == [0]
         alive.clear()
     # the count sees the records the library reader makes
     records = cc4.read_events_jsonl(events)

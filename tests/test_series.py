@@ -36,7 +36,7 @@ class TestSplit:
     def test_contiguous_timestamps(self):
         series = make(list(range(10)), interval=30.0)
         train, test = ts.split(series, 0.7)
-        assert (test.start - train.end).total_seconds() == 30.0
+        assert (test.start - train.timestamp_at(len(train) - 1)).total_seconds() == 30.0
 
 
 class TestSlidingWindows:
