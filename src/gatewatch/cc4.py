@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import compress
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -188,19 +187,19 @@ class SymbolSchema:
 def symbolize_block(log: EventColumns) -> tuple[np.ndarray, np.ndarray]:
     """Symbolize the intake `log` for its schema, one encoder's column block
     at a time: the (n, total_bits) int8 code matrix and the (n,)
-    unknown-value flag, one row per intake row. A record whose field set is
-    not the schema's (see `log.matched`) is not encoded: its row stays zero
-    and unflagged."""
-    schema, matched = log.schema, log.matched
-    keep = matched.tolist()
-    vectors = np.zeros((len(matched), schema.total_bits), dtype=np.int8)
-    unknown = np.zeros(len(matched), dtype=bool)
+    unknown-value flag, one row per intake row. Each column is encoded whole,
+    so the row of a record whose field set is not the schema's (see
+    `log.unmatched`) encodes its NaNs; that row is then cleared, unflagged."""
+    vectors = np.empty((len(log.matched), log.schema.total_bits), dtype=np.int8)
+    unknown = np.zeros(len(log.matched), dtype=bool)
     col = 0
-    for enc, column in zip(schema.encoders, log.values):
-        bits, flag = enc.encode_column(list(compress(column, keep)))
-        vectors[matched, col:col + enc.width] = bits
-        unknown[matched] |= flag
+    for enc, column in zip(log.schema.encoders, log.values):
+        bits, flag = enc.encode_column(column)
+        vectors[:, col:col + enc.width] = bits
+        unknown |= flag
         col += enc.width
+    other = list(log.unmatched)
+    vectors[other], unknown[other] = 0, False
     return vectors, unknown
 
 
@@ -436,7 +435,7 @@ class EventColumns:
     micros: np.ndarray           # int64 µs since `epoch`
     ranks: np.ndarray            # int64 rank of the source id in `names`
     names: list[str]             # the sorted source ids
-    values: list[list]           # per schema encoder; None where not matched
+    values: list[list]           # per schema encoder; NaN where not matched
     matched: np.ndarray          # the field set is the schema's
     unmatched: dict[int, dict]   # the fields of each record not matched
 
@@ -478,7 +477,7 @@ def _intake(events, schema: SymbolSchema) -> EventColumns:
         else:
             unmatched[len(stamps)] = fields
             for append, _ in fill:
-                append(None)
+                append(math.nan)
         sources.append(key[0])
         stamps.append(key[1])
     epoch = NAIVE_EPOCH if stamps and stamps[0].utcoffset() is None else EPOCH
@@ -593,14 +592,16 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
     taken in one pass into intake columns: a record is late when its stamp
     is below the running maximum of the stamps before it less the skew (a
     late record never raises that maximum, and a duplicate does). The whole
-    intake is symbolized in one call, in arrival order, so a late record's
-    values are checked too, and every index after it is an intake row. One
-    stable sort on (stamp, source rank) serves dedupe, training and
-    acceptance; a record after a late one of its stamp is late too, so
-    accepted ones come first. A record's interval slot is series.slots of
-    its offset from the grid start, (µs - µs0) / 1e6 s: the offset's
-    total_seconds(), rounded once. So a grid too fine to count raises OverflowError, as does a skew
-    window past timedelta's range. Every alert is stamped on the intake's
+    intake is symbolized in one call, each column whole, in arrival order, so
+    a late record's values are checked too, and every index after it is an
+    intake row. One stable sort on (stamp, source rank) gives the one row
+    set, its records that are not duplicates, on both paths: training reads
+    it all, classification and rate scoring its on-time part (a record after
+    a late one of its stamp is late too, so those come first). A record's
+    interval slot is series.slots of its offset from the grid start,
+    (µs - µs0) / 1e6 s: the offset's total_seconds(), rounded once. So a
+    grid too fine to count raises OverflowError, as does a skew window past
+    timedelta's range. Every alert is stamped on the intake's
     clock: UTC, or naive for naive records.
     """
     if (network is None) == (labels is None):
@@ -618,8 +619,7 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
     late[1:] = stamps[1:] < np.maximum.accumulate(stamps)[:-1] - skew // MICROSECOND
     by_key = np.lexsort((ranks, stamps))
     duplicate = _duplicates(intake, by_key, ~late)
-    dropped = duplicate if labels is not None else duplicate | late
-    rows = by_key[~dropped[by_key]]
+    rows = by_key[~duplicate[by_key]]
     vectors, unknown_value = symbolize_block(intake)
     matched = intake.matched
     if labels is not None:
@@ -652,9 +652,8 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
                                    rate_slots[matched[accepted]], config,
                                    intake.stamp(accepted[0]), int(rate_slots[-1]) + 1)
 
-    counts = StreamCounts(records_in=intake.records_in,
-                          emitted_classifications=len(emitted),
-                          dropped_duplicate=int(duplicate.sum()),
-                          dropped_late=int(late.sum()))
-    counts.dropped_malformed = counts.records_in - len(emitted) - counts.dropped_late
+    dropped_late = int(late.sum())
+    counts = StreamCounts(records_in=intake.records_in, emitted_classifications=len(emitted),
+                          dropped_malformed=intake.records_in - len(emitted) - dropped_late,
+                          dropped_duplicate=int(duplicate.sum()), dropped_late=dropped_late)
     return merge_alerts(intrusion_alerts, rate_alerts), counts, network
