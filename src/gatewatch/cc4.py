@@ -577,9 +577,11 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
     stamp, or with a field that holds a JSON list or object, is counted in
     `dropped_malformed` and excluded before it can move the skew window. A
     given network whose width is not the schema's raises WidthMismatch, a
-    negative skew window (`skew_intervals * interval_seconds`) or an interval
-    that is not a positive finite number ValueError, before any record is
-    read, and naive and aware stamps among the records intake keeps TypeError.
+    confidence off the Z table UnsupportedConfidence, and a negative skew
+    window (`skew_intervals * interval_seconds`), an interval that is not a
+    positive finite number, or a surge window or gap threshold that is not
+    an int >= 1 ValueError, all before any record is read; naive and aware stamps among
+    the records intake keeps raise TypeError.
 
     Give a network or label rows, not both. Label rows train a network of
     `radius` on the records the intake accepts or finds late, duplicates
@@ -612,6 +614,11 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
     if skew_seconds < 0:
         raise ValueError(f"the skew window of {skew_seconds} s is negative")
     check_interval(config.interval_seconds)
+    z_score(config.confidence)
+    for name in ("surge_window", "gap_threshold"):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be an int >= 1, not {value!r}")
     skew = timedelta(seconds=skew_seconds)
     intake = _intake(records, schema)
     stamps, ranks = intake.micros, intake.ranks

@@ -248,7 +248,9 @@ def _model(config: ForecasterConfig, y: np.ndarray, fitted: np.ndarray,
 
 
 def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
-    """Fit one forecaster variant; deterministic given (config, train)."""
+    """Fit one forecaster variant; deterministic given (config, train).
+    Holt-Winters constants given in part, or outside [0, 1], and an LSTM
+    size (units, timesteps) that is not an int >= 1 raise ValueError."""
     if train.has_missing():
         raise MissingValuesPresent("training series must not contain missing values")
     y = train.values
@@ -269,10 +271,15 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
             raise ValueError("hw_period must be >= 2")
         if n < 2 * m:
             raise SeriesTooShort(f"length {n} < 2 x period {m}")
-        # Given constants are a one-member grid; otherwise search {0.1..0.9}^3
-        # for the least one-step training MSE, in one pass over the grid.
+        # Given constants, all three in [0, 1], are a one-member grid; with
+        # none given, search {0.1..0.9}^3 for the least one-step training MSE,
+        # in one pass over the grid.
         given = (config.hw_alpha, config.hw_beta, config.hw_gamma)
-        if all(c is not None for c in given):
+        if given.count(None) not in (0, 3):
+            raise ValueError(f"give hw_alpha, hw_beta and hw_gamma all or none, not {given}")
+        if given.count(None) == 0:
+            if not all(0.0 <= c <= 1.0 for c in given):    # NaN is refused too
+                raise ValueError(f"Holt-Winters constants must be in [0, 1], not {given}")
             grid = [given]
             alpha, beta, gamma = (np.array([c], dtype=float) for c in given)
         else:
@@ -300,6 +307,10 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
         return _model(config, y, _lt_line(config, coefs, np.arange(n)), lt_coefs=coefs)
 
     # lstm
+    for name in ("lstm_units", "lstm_num_timesteps"):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be an int >= 1, not {value!r}")
     T = config.lstm_num_timesteps
     if n <= T:
         raise SeriesTooShort(f"length {n} <= num_timesteps {T}")

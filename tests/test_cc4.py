@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import examples
 from gatewatch import cc4, cli, simulate
-from gatewatch.errors import EmptyTrainingSet, SchemaMismatch, WidthMismatch
+from gatewatch.errors import (EmptyTrainingSet, SchemaMismatch, UnsupportedConfidence,
+                              WidthMismatch)
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
 
@@ -502,6 +503,38 @@ def test_an_interval_that_is_not_a_positive_number_is_refused(labels, skew_inter
                               skew_intervals=skew_intervals)
     with pytest.raises(ValueError, match=r"the interval of \S+ s is not a positive finite"):
         cc4.stream_pipeline([_event(1, "a")], schema(), network, config, labels)
+
+
+def unread_log():
+    """A log that fails the test if the stream reads a record of it."""
+    raise AssertionError("the stream read the log before checking its config")
+    yield
+
+
+@pytest.mark.parametrize("labels", [None, []], ids=["network", "labels"])
+@pytest.mark.parametrize("setting, error, message", [
+    ({"confidence": 0.5}, UnsupportedConfidence, "0.5 not tabulated"),
+    ({"surge_window": 0}, ValueError, "surge_window must be an int >= 1, not 0"),
+    ({"surge_window": -3}, ValueError, "surge_window must be an int >= 1, not -3"),
+    ({"surge_window": 2.5}, ValueError, "surge_window must be an int >= 1, not 2.5"),
+    ({"surge_window": True}, ValueError, "surge_window must be an int >= 1, not True"),
+    ({"gap_threshold": 0}, ValueError, "gap_threshold must be an int >= 1, not 0"),
+    ({"gap_threshold": 2.5}, ValueError, "gap_threshold must be an int >= 1, not 2.5")],
+    ids=["confidence", "window-0", "window-neg", "window-float", "window-bool", "gap-0",
+         "gap-float"])
+@pytest.mark.parametrize("log", ["unread", "empty", "short"])
+def test_the_scoring_config_is_refused_before_any_record_is_read(labels, setting, error,
+                                                                 message, log):
+    # An empty log, or one no longer than the surge baseline, never reaches
+    # the code that scores with these settings, so they are checked on entry;
+    # a window of 2.5 failed inside numpy after the whole log was read, and
+    # a gap threshold of 2.5 was taken.
+    network = None if labels is not None else _network()
+    records = {"unread": unread_log(), "empty": [],
+               "short": [_event(minute, "a") for minute in range(5)]}[log]
+    with pytest.raises(error, match=message):
+        cc4.stream_pipeline(records, schema(), network,
+                            cc4.StreamConfig(**setting), labels)
 
 
 def test_parse_event_requires_ts_and_src():

@@ -99,6 +99,41 @@ def test_length_requirements():
                make(list(range(40))))
 
 
+@pytest.mark.parametrize("constants, message", [
+    ((0.9, None, None), "all or none"), ((None, 0.2, 0.3), "all or none"),
+    ((5.0, 0.1, 0.1), r"in \[0, 1\]"), ((0.5, -0.1, 0.3), r"in \[0, 1\]"),
+    ((0.5, 0.2, math.nan), r"in \[0, 1\]"), ((math.inf, 0.2, 0.3), r"in \[0, 1\]")],
+    ids=["alpha-only", "alpha-missing", "above-one", "negative", "nan", "inf"])
+def test_holt_winters_constants_it_would_misuse_are_refused(constants, message):
+    # A part given used to be searched over silently, alpha = 5 gave a
+    # residual_std of 6.8e136, and a NaN constant NaN forecasts.
+    alpha, beta, gamma = constants
+    config = fc.ForecasterConfig(variant="holt_winters", hw_period=4,
+                                 hw_alpha=alpha, hw_beta=beta, hw_gamma=gamma)
+    with pytest.raises(ValueError, match=message):
+        fc.fit(config, sine(cycles=4, period=4, noise=0.1))
+
+
+def test_holt_winters_constants_at_the_ends_of_zero_one_are_taken():
+    config = fc.ForecasterConfig(variant="holt_winters", hw_period=4,
+                                 hw_alpha=1.0, hw_beta=0.0, hw_gamma=1.0)
+    model = fc.fit(config, sine(cycles=4, period=4, noise=0.1))
+    assert model.hw_constants == (1.0, 0.0, 1.0)
+    assert np.isfinite(model.forecast(4)).all()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lstm_units", 0), ("lstm_units", -2), ("lstm_units", 2.5),
+    ("lstm_num_timesteps", 0), ("lstm_num_timesteps", -1)])
+def test_lstm_sizes_below_one_are_refused(field, value):
+    # Zero units divided by zero, zero timesteps trained on empty windows,
+    # and a negative size failed inside numpy.
+    config = replace(fc.ForecasterConfig(variant="lstm", lstm_num_timesteps=4),
+                     **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be an int >= 1, not {value}"):
+        fc.fit(config, sine(cycles=2, period=12))
+
+
 def test_fit_is_deterministic():
     series = sine(cycles=3, period=24, noise=0.1)
     config = fc.ForecasterConfig(variant="lstm", lstm_num_timesteps=8, rng_seed=5)

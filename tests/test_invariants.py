@@ -12,20 +12,39 @@ of rule (metamorphic testing: Chen, Cheung & Yiu, HKUST-CS98-01, 1998).
 - A log followed by itself: the same alerts and network; the second copy is
   late or dropped as duplicates, so only `records_in` and the late, duplicate
   and malformed counts grow. This pins the intake's skew and dedupe rules.
+- Source ids renamed by an order-reversing injective map: the same alerts
+  (as multisets, names mapped back), counts and network (as a multiset of
+  (vector, class) pairs), but for the one rule that reads source order; see
+  the test.
+- Records reordered within each contiguous run of one stamp: the same bytes.
+  Only contiguous runs: grouping equal stamps across the whole log moves
+  late records back on time, which rightly changes the alerts.
+- Every stamp a week later: the same alerts a week later, the same counts
+  and network.
+- A series scaled by 2**k through `gatewatch detect`, in both modes: the
+  same alerts, every Surge number scaled exactly.
 
 The traces are the simulator's, longer than the surge baseline, with
 adjacent copies of some records and others delivered more than the skew
 window late, as the benchmark's stream inputs have them.
 """
 import json
+import random
+import tempfile
+from collections import Counter
+from dataclasses import replace
 from datetime import timedelta
+from itertools import groupby
+from operator import attrgetter
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import examples
-from gatewatch import cc4, cli, simulate
+from gatewatch import cc4, cli, detect, simulate
 from gatewatch.simulate import AttackScript, SimConfig
 
 SCHEMA = simulate.event_schema()
@@ -56,19 +75,25 @@ def disorder(records, interval, duplicated, delayed, skew_intervals):
 
 
 @st.composite
-def disordered_traces(draw):
-    """(records, labels, config): the stock fleet for 300-400 intervals, past
-    the surge baseline of 240, with one attack in the second half,
-    duplicates and late records."""
+def attack_traces(draw):
+    """The stock fleet for 300-400 intervals, past the surge baseline of 240,
+    with one attack in the second half."""
     duration = draw(st.integers(300, 400))
     kind = draw(st.sampled_from(sorted(TARGETS)))
     first = draw(st.integers(duration // 2, duration - 1))
     attack = AttackScript(kind=kind, target_id=TARGETS[kind], start=first,
                           end=draw(st.integers(first + 1, min(duration, first + 40))),
                           fake_id_count=3)
-    trace = simulate.generate_trace(SimConfig(
+    return simulate.generate_trace(SimConfig(
         seed=draw(st.integers(0, 2 ** 16)), duration=duration,
         fleet=simulate.default_fleet(), attacks=[attack]))
+
+
+@st.composite
+def disordered_traces(draw):
+    """(records, labels, config): an attack trace with duplicates and late
+    records."""
+    trace = draw(attack_traces())
     config = cc4.StreamConfig(interval_seconds=trace.config.interval_seconds,
                               skew_intervals=draw(st.integers(0, 5)),
                               surge_window=draw(st.sampled_from([1, 2, 3, 6, 24])),
@@ -179,3 +204,164 @@ def test_a_stock_log_streamed_twice_writes_its_alerts_and_network(tmp_path, scen
     grows_only_by_the_second_copy(
         *(cc4.StreamCounts(**json.loads(run["stream_counts.json"]))
           for run in (once, twice)))
+
+
+def alert_bag(alerts, source=None):
+    """The alerts as a multiset of lines, each source mapped by `source`."""
+    return Counter(replace(a, source=source[a.source] if source else a.source).to_json()
+                   for a in alerts)
+
+
+def held(network):
+    """The network as {vector: class}: its vectors are distinct, so this is
+    the multiset of its (vector, class) pairs."""
+    pairs = network.to_json_obj()
+    assert len(set(pairs["vectors"])) == len(pairs["vectors"])
+    return dict(zip(pairs["vectors"], pairs["classes"]))
+
+
+def renamed(records, labels):
+    """The records and label rows with every source id mapped by an
+    order-reversing injective map, and the map back."""
+    names = sorted({rec.source_id for rec in records} | {d for _, d, _ in labels})
+    new = {name: f"s{len(names) - i:05d}" for i, name in enumerate(names)}
+    return ([rec._replace(source_id=new[rec.source_id]) for rec in records],
+            [(i, new[d], kind) for i, d, kind in labels],
+            {v: k for k, v in new.items()})
+
+
+def contested(records, labels, config):
+    """The vectors (as network.json writes them) that, at the first stamp that
+    holds them, records of an attacked (interval, source) cell and of another
+    cell share. Training keeps the label of whichever comes first in
+    (stamp, source id) order, so a map that reorders source ids can keep the
+    other one."""
+    intake = cc4._intake(records, SCHEMA)
+    vectors = cc4.symbolize_block(intake)[0]
+    start, step = intake.micros.min(), round(config.interval_seconds * 1e6)
+    attacked = {(i, d) for i, d, _ in labels}
+    first, seen = {}, {}
+    for k in np.argsort(intake.micros, kind="stable").tolist():
+        vector, stamp = "".join(map(str, vectors[k].tolist())), intake.micros[k]
+        if first.setdefault(vector, stamp) == stamp:
+            cell = ((stamp - start) // step, intake.names[intake.ranks[k]])
+            seen.setdefault(vector, set()).add(cell in attacked)
+    return {vector for vector, classes in seen.items() if len(classes) == 2}
+
+
+@settings(max_examples=examples(30), deadline=None)
+@given(disordered_traces())
+def test_renamed_sources_give_the_same_alerts_counts_and_network(trace):
+    # The network's vectors come in (stamp, source id) order, so it is
+    # compared as a multiset of (vector, class) pairs. A vector that two
+    # records with different labels share at the first stamp that holds it
+    # keeps the label of the one whose source id sorts first: there, and only
+    # there, the renamed network may hold the other class, and then the
+    # labelled path's Intrusion alerts may differ too; the network path
+    # below, with one network for both logs, still pins them.
+    records, labels, config = trace
+    other, other_labels, back = renamed(records, labels)
+    alerts, counts, network = cc4.stream_pipeline(records, SCHEMA, None, config, labels)
+    again, recounts, renetwork = cc4.stream_pipeline(other, SCHEMA, None, config,
+                                                     other_labels)
+    assert recounts == counts
+    classes, reclasses = held(network), held(renetwork)
+    assert reclasses.keys() == classes.keys()
+    moved = {vector for vector in classes if reclasses[vector] != classes[vector]}
+    assert moved <= contested(records, labels, config)
+    if moved:
+        event("a vector held with two labels at its first stamp takes the other")
+    else:
+        assert alert_bag(again, back) == alert_bag(alerts)
+    alerts, counts, _ = cc4.stream_pipeline(records, SCHEMA, network, config)
+    again, recounts, _ = cc4.stream_pipeline(other, SCHEMA, network, config)
+    assert (alert_bag(again, back), recounts) == (alert_bag(alerts), counts)
+
+
+def permuted_runs(records, rng):
+    """`records` with each contiguous run of one stamp shuffled by `rng`."""
+    out = []
+    for _, run in groupby(records, key=attrgetter("timestamp")):
+        run = list(run)
+        rng.shuffle(run)
+        out.extend(run)
+    return out
+
+
+def artifacts(alerts, counts, network):
+    """The bytes `gatewatch stream` writes for one run."""
+    return (detect.alert_lines(alerts), json.dumps(counts.to_json_obj()),
+            network.to_json())
+
+
+@settings(max_examples=examples(30), deadline=None)
+@given(disordered_traces(), st.integers(0, 2 ** 32 - 1))
+def test_records_reordered_within_a_stamp_give_the_same_bytes(trace, seed):
+    records, labels, config = trace
+    shuffled = permuted_runs(records, random.Random(seed))
+    assert shuffled != records
+    once = cc4.stream_pipeline(records, SCHEMA, None, config, labels)
+    assert artifacts(*cc4.stream_pipeline(shuffled, SCHEMA, None, config,
+                                          labels)) == artifacts(*once)
+    network = once[2]
+    assert artifacts(*cc4.stream_pipeline(shuffled, SCHEMA, network, config)) == \
+        artifacts(*cc4.stream_pipeline(records, SCHEMA, network, config))
+
+
+WEEK = timedelta(days=7)
+
+
+def week_earlier(alerts):
+    return [replace(a, timestamp=a.timestamp - WEEK) for a in alerts]
+
+
+@settings(max_examples=examples(30), deadline=None)
+@given(disordered_traces())
+def test_a_log_a_week_later_gives_the_same_alerts_a_week_later(trace):
+    records, labels, config = trace
+    later = [rec._replace(timestamp=rec.timestamp + WEEK) for rec in records]
+    alerts, counts, network = cc4.stream_pipeline(records, SCHEMA, None, config, labels)
+    again, recounts, renetwork = cc4.stream_pipeline(later, SCHEMA, None, config, labels)
+    assert (week_earlier(again), recounts, renetwork.to_json()) == \
+        (alerts, counts, network.to_json())
+    alerts, counts, _ = cc4.stream_pipeline(records, SCHEMA, network, config)
+    again, recounts, _ = cc4.stream_pipeline(later, SCHEMA, network, config)
+    assert (week_earlier(again), recounts) == (alerts, counts)
+
+
+def detect_lines(series, mode, window, confidence):
+    """The alert objects `gatewatch detect` writes for `series`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.json"
+        path.write_text(series.to_json(), encoding="utf-8")
+        assert cli.main(["detect", "--input", str(path), "--mode", mode,
+                         "--window", str(window), "--confidence", str(confidence),
+                         "--out", tmp]) == 0
+        text = (Path(tmp) / "alerts.jsonl").read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.splitlines()]
+
+
+SCALED = ("observed", "expected", "lower", "upper")
+
+
+@settings(max_examples=examples(30), deadline=None)
+@given(attack_traces(), st.sampled_from(sorted(TARGETS.values())),
+       st.one_of(st.integers(-200, -1), st.integers(1, 200)), st.sampled_from(["mean_shift", "residual"]),
+       st.sampled_from([1, 3, 24]), st.sampled_from(sorted(detect.Z_TABLE)))
+def test_a_series_scaled_by_a_power_of_two_gives_its_alerts_scaled(
+        trace, device, k, mode, window, confidence):
+    # Floating point multiplies by 2**k without rounding, so every band,
+    # mean, forecast and residual scales exactly and every comparison keeps
+    # its side: the same alerts, each Surge number scaled. A Dropout's
+    # numbers are run lengths and stay. For |k| <= 200 no intermediate, a
+    # squared residual included, overflows or turns subnormal, and an
+    # absolute epsilon of any size in a band is seen.
+    series = trace.device_series[device]
+    scaled = replace(series, values=series.values * 2.0 ** k)
+    alerts = detect_lines(series, mode, window, confidence)
+    again = detect_lines(scaled, mode, window, confidence)
+    assert len(again) == len(alerts)
+    for got, want in zip(again, alerts):
+        if want["kind"] == "Surge":
+            want.update({key: want[key] * 2.0 ** k for key in SCALED})
+        assert got == want
