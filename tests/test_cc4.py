@@ -527,8 +527,8 @@ def test_the_scoring_config_is_refused_before_any_record_is_read(labels, setting
                                                                  message, log):
     # An empty log, or one no longer than the surge baseline, never reaches
     # the code that scores with these settings, so they are checked on entry;
-    # a window of 2.5 failed inside numpy after the whole log was read, and
-    # a gap threshold of 2.5 was taken.
+    # past the baseline a window of 2.5 would fail inside numpy after the
+    # whole log is read, and a gap threshold of 2.5 be taken.
     network = None if labels is not None else _network()
     records = {"unread": unread_log(), "empty": [],
                "short": [_event(minute, "a") for minute in range(5)]}[log]

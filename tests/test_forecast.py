@@ -105,8 +105,8 @@ def test_length_requirements():
     ((0.5, 0.2, math.nan), r"in \[0, 1\]"), ((math.inf, 0.2, 0.3), r"in \[0, 1\]")],
     ids=["alpha-only", "alpha-missing", "above-one", "negative", "nan", "inf"])
 def test_holt_winters_constants_it_would_misuse_are_refused(constants, message):
-    # A part given used to be searched over silently, alpha = 5 gave a
-    # residual_std of 6.8e136, and a NaN constant NaN forecasts.
+    # Each would be misused: a part given searched over silently, alpha = 5
+    # a residual_std of 6.8e136, and a NaN constant NaN forecasts.
     alpha, beta, gamma = constants
     config = fc.ForecasterConfig(variant="holt_winters", hw_period=4,
                                  hw_alpha=alpha, hw_beta=beta, hw_gamma=gamma)
@@ -125,9 +125,9 @@ def test_holt_winters_constants_at_the_ends_of_zero_one_are_taken():
 @pytest.mark.parametrize("field, value", [
     ("lstm_units", 0), ("lstm_units", -2), ("lstm_units", 2.5),
     ("lstm_num_timesteps", 0), ("lstm_num_timesteps", -1)])
-def test_lstm_sizes_below_one_are_refused(field, value):
-    # Zero units divided by zero, zero timesteps trained on empty windows,
-    # and a negative size failed inside numpy.
+def test_lstm_sizes_that_are_not_positive_ints_are_refused(field, value):
+    # Zero units would divide by zero, zero timesteps train on empty
+    # windows, and a negative size fail inside numpy.
     config = replace(fc.ForecasterConfig(variant="lstm", lstm_num_timesteps=4),
                      **{field: value})
     with pytest.raises(ValueError, match=f"{field} must be an int >= 1, not {value}"):
