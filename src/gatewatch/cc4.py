@@ -29,7 +29,7 @@ from .errors import (
     SchemaMismatch,
     WidthMismatch,
 )
-from .series import TimeSeries, band_stats, check_interval, slots, to_utc
+from .series import TimeSeries, band_stats, check_count, check_interval, slots, to_utc
 
 PACKET_CLASSES = ("Known", "Unknown", "Attack")
 UNKNOWN, ATTACK = PACKET_CLASSES.index("Unknown"), PACKET_CLASSES.index("Attack")
@@ -289,8 +289,7 @@ def cc4_train(samples: list[tuple[np.ndarray, str]], radius: int) -> CC4Network:
     """One-shot construction; no iterative optimization."""
     if not samples:
         raise EmptyTrainingSet("no training samples")
-    if isinstance(radius, bool) or not isinstance(radius, int) or radius < 0:
-        raise ValueError(f"radius must be an int >= 0, not {radius!r}")
+    check_count("radius", radius, least=0)
     width = len(samples[0][0])
     for vec, cls in samples:
         if len(vec) != width:
@@ -579,9 +578,9 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
     given network whose width is not the schema's raises WidthMismatch, a
     confidence off the Z table UnsupportedConfidence, and a negative skew
     window (`skew_intervals * interval_seconds`), an interval that is not a
-    positive finite number, or a surge window or gap threshold that is not
-    an int >= 1 ValueError, all before any record is read; naive and aware stamps among
-    the records intake keeps raise TypeError.
+    positive finite number, or a surge window or gap threshold that
+    `series.check_count` refuses ValueError, all before any record is read;
+    naive and aware stamps among the records intake keeps raise TypeError.
 
     Give a network or label rows, not both. Label rows train a network of
     `radius` on the records the intake accepts or finds late, duplicates
@@ -616,9 +615,7 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
     check_interval(config.interval_seconds)
     z_score(config.confidence)
     for name in ("surge_window", "gap_threshold"):
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be an int >= 1, not {value!r}")
+        check_count(name, getattr(config, name))
     skew = timedelta(seconds=skew_seconds)
     intake = _intake(records, schema)
     stamps, ranks = intake.micros, intake.ranks

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UnsupportedConfidence
 from .forecast import FittedForecaster
-from .series import TimeSeries, band_stats, runs, slot_time
+from .series import TimeSeries, band_stats, check_count, runs, slot_time
 
 Z_TABLE = {
     0.80: 1.282,
@@ -155,8 +155,7 @@ def mean_shift_block(values: np.ndarray, first: int, X, s, z: float,
     centre X[r], or X[r, w] for window w when X is (k, windows); a NaN centre
     flags nothing. Alerts are stamped on the grid at `start`, carry sources[r]
     and come row by row, windows in order."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    check_count("window", window)
     k = len(values)
     s = np.asarray(s, dtype=float)
     threshold = z * s / math.sqrt(window)
@@ -232,8 +231,7 @@ def dropout_block(silent: np.ndarray, gap_threshold: int, start: datetime,
     """detect_dropout for every row of a (k, n) silence mask at once: row r's
     alerts are stamped on the grid at `start` and carry sources[r]. Alerts
     come row by row, runs in order."""
-    if gap_threshold < 1:
-        raise ValueError("gap_threshold must be >= 1")
+    check_count("gap_threshold", gap_threshold)
     k, n = silent.shape
     # a quiet column after each row keeps runs from joining across rows
     padded = np.zeros((k, n + 1), dtype=bool)

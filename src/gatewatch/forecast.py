@@ -16,7 +16,7 @@ import numpy as np
 
 from . import lstm
 from .errors import MissingValuesPresent, SeriesTooShort
-from .series import Scaler, TimeSeries, band_stats, fit_scaler, windows
+from .series import Scaler, TimeSeries, band_stats, check_count, fit_scaler, windows
 
 VARIANTS = ("moving_average", "holt_winters", "linear_trend", "lstm")
 
@@ -142,8 +142,7 @@ class FittedForecaster:
     # -- forecasting --------------------------------------------------------
 
     def forecast(self, horizon: int) -> list[float]:
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        check_count("horizon", horizon)
         v = self.config.variant
         n = self.n_train
         if v == "moving_average":
@@ -249,8 +248,9 @@ def _model(config: ForecasterConfig, y: np.ndarray, fitted: np.ndarray,
 
 def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
     """Fit one forecaster variant; deterministic given (config, train).
-    Holt-Winters constants given in part, or outside [0, 1], and an LSTM
-    size (units, timesteps) that is not an int >= 1 raise ValueError."""
+    Holt-Winters constants given in part, or outside [0, 1], raise
+    ValueError, as does each size the variant reads (ma_window, hw_period,
+    lstm_units, lstm_num_timesteps) that `series.check_count` refuses."""
     if train.has_missing():
         raise MissingValuesPresent("training series must not contain missing values")
     y = train.values
@@ -259,16 +259,14 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
 
     if v == "moving_average":
         w = config.ma_window
-        if w < 1:
-            raise ValueError("ma_window must be >= 1")
+        check_count("ma_window", w)
         if n < w + 1:
             raise SeriesTooShort(f"length {n} too short for window {w}")
         return _model(config, y, _window_means(y, w), keep=w)
 
     if v == "holt_winters":
         m = config.hw_period
-        if m < 2:
-            raise ValueError("hw_period must be >= 2")
+        check_count("hw_period", m, least=2)
         if n < 2 * m:
             raise SeriesTooShort(f"length {n} < 2 x period {m}")
         # Given constants, all three in [0, 1], are a one-member grid; with
@@ -302,15 +300,15 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
     if v == "linear_trend":
         if n < 2:
             raise SeriesTooShort("linear trend needs at least 2 points")
+        if config.lt_seasonal_dummies:
+            check_count("hw_period", config.hw_period, least=2)
         X = _lt_design(np.arange(n), config.hw_period, config.lt_seasonal_dummies)
         coefs, *_ = np.linalg.lstsq(X, y, rcond=None)
         return _model(config, y, _lt_line(config, coefs, np.arange(n)), lt_coefs=coefs)
 
     # lstm
     for name in ("lstm_units", "lstm_num_timesteps"):
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be an int >= 1, not {value!r}")
+        check_count(name, getattr(config, name))
     T = config.lstm_num_timesteps
     if n <= T:
         raise SeriesTooShort(f"length {n} <= num_timesteps {T}")

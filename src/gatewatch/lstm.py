@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteLoss
+from .series import check_count
 
 # Gate order inside stacked weight matrices: input, forget, candidate, output.
 GATES = ("i", "f", "g", "o")
@@ -31,8 +32,8 @@ GATES = ("i", "f", "g", "o")
 
 def lstm_param_count(units: int, input_dim: int = 1) -> int:
     """Trainable parameters of the LSTM layer alone (no dense head)."""
-    if units < 1 or input_dim < 1:
-        raise ValueError("units and input_dim must be >= 1")
+    check_count("units", units)
+    check_count("input_dim", input_dim)
     return 4 * units * (units + input_dim + 1)
 
 
@@ -89,8 +90,7 @@ class LstmParams:
         raises ValueError naming it; input_dim must be 1, since every window
         is one feature per step."""
         units = obj["units"]
-        if isinstance(units, bool) or not isinstance(units, int) or units < 1:
-            raise ValueError(f"lstm units must be an integer >= 1, not {units!r}")
+        check_count("units", units)
         if obj["input_dim"] != 1:
             raise ValueError(f"lstm input_dim must be 1, not {obj['input_dim']!r}")
         arrays = {}
@@ -287,8 +287,7 @@ def train_chunked(X: np.ndarray, y: np.ndarray, units: int, *,
         raise ValueError("no training windows")
     for name, value in (("num_chunks", num_chunks), ("batch_size", batch_size),
                         ("epochs", epochs)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, not {value!r}")
+        check_count(name, value)
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout must be in [0, 1), not {dropout!r}")
     if not 0.0 <= learning_rate < np.inf:

@@ -1,14 +1,15 @@
 """Uniform time-series container and preparation utilities.
 
 The interval grid (which interval an offset falls in, where an interval
-starts, maximal runs of flagged points), the mean-shift band statistics,
-scaling, chronological splitting, sliding windows for sequence models, and
-seasonality / stationarity diagnostics.
+starts, maximal runs of flagged points), the count rule, the mean-shift band
+statistics, scaling, chronological splitting, sliding windows for sequence
+models, and seasonality / stationarity diagnostics.
 """
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta, timezone
 
@@ -39,6 +40,13 @@ def check_interval(interval_seconds: float) -> None:
     if not (math.isfinite(interval_seconds) and interval_seconds > 0):
         raise ValueError(f"the interval of {interval_seconds} s is not a positive "
                          "finite number")
+
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """Refuse, with ValueError naming `name`, a size, window or threshold that
+    is not an integer >= least. numpy integers are integers; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
 
 
 def slots(offsets_seconds, interval_seconds: float) -> np.ndarray:
@@ -196,8 +204,7 @@ def split(series: TimeSeries, train_fraction: float) -> tuple[TimeSeries, TimeSe
 
 def sliding_windows(series: TimeSeries, num_timesteps: int) -> tuple[np.ndarray, np.ndarray]:
     """All (window, next-value target) pairs; returns (X of shape (N, T), y of shape (N,))."""
-    if num_timesteps < 1:
-        raise ValueError("num_timesteps must be >= 1")
+    check_count("num_timesteps", num_timesteps)
     n = len(series)
     if n <= num_timesteps:
         raise SeriesTooShort(f"series length {n} yields no targets for {num_timesteps} timesteps")
@@ -266,8 +273,8 @@ def diagnose(series: TimeSeries, candidate_periods: list[int]) -> DiagnosticsRep
     """Seasonality via ACF at candidate periods; stationarity via segment drift."""
     if not candidate_periods:
         raise ValueError("at least one candidate period required")
-    if any(p < 2 for p in candidate_periods):
-        raise ValueError("candidate periods must be >= 2")
+    for p in candidate_periods:
+        check_count("candidate period", p, least=2)
     n = len(series)
     if n < 3 * max(candidate_periods):
         raise SeriesTooShort(

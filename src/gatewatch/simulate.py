@@ -22,7 +22,7 @@ from .cc4 import EventLogRecord, FieldEncoder, SymbolSchema, event_lines
 from .detect import AnomalyAlert
 from .errors import InvalidScript, MalformedLabels, TimeBaseMismatch
 from .ingest import format_timestamp
-from .series import TimeSeries, check_interval, slot_time, slots, to_utc
+from .series import TimeSeries, check_count, check_interval, slot_time, slots, to_utc
 
 DEVICE_KINDS = ("streetlight", "camera", "water_sensor")
 ATTACK_KINDS = ("UdpFlood", "SilenceAfterOverflow", "Sybil")
@@ -85,8 +85,7 @@ class SimConfig:
     attacks: list[AttackScript] = field(default_factory=list)
 
     def validate(self) -> None:
-        if self.duration < 1:
-            raise ValueError("duration must be >= 1")
+        check_count("duration", self.duration)
         check_interval(self.interval_seconds)
         if len(self.fleet) > 64536:  # flow ports 1000 + index stay <= 65535
             raise ValueError(f"a fleet holds at most 64536 devices, not {len(self.fleet)}")

@@ -151,7 +151,7 @@ def test_predictions_are_bounded_by_dense_head(seed):
 
 @pytest.mark.parametrize("field, value, message", [
     ("input_dim", 2, "input_dim must be 1"),
-    ("units", 0, "units must be an integer >= 1"),
+    ("units", 0, "units must be an int >= 1, not 0"),
     ("W", [[0.1, 0.2]] * 16, r"W has shape \(16, 2\), want \(16, 1\)"),
     ("U", [[0.1] * 3] * 16, r"U has shape \(16, 3\), want \(16, 4\)"),
     ("b", [0.0] * 15, r"b has shape \(15,\), want \(16,\)"),

@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -6,6 +8,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gatewatch import cc4, detect, lstm, simulate
+from gatewatch import forecast as fc
 from gatewatch import series as ts
 from gatewatch.errors import (
     AllMissing,
@@ -164,6 +168,92 @@ def test_a_grid_interval_must_be_positive_and_finite(interval):
         ts.check_interval(interval)
     with pytest.raises(ValueError, match="is not a positive finite number"):
         make([1.0, 2.0], interval)
+
+
+def _alert_text(alerts):
+    return [a.to_json() for a in alerts]
+
+
+def _fit(**setting):
+    return fc.fit(fc.ForecasterConfig(**setting), make([float(i % 5) for i in range(24)]))
+
+
+def _train(name, value):
+    X = np.arange(60, dtype=float).reshape(12, 5) / 60
+    return lstm.train_chunked(X, X[:, -1], 2, seed=3, **{name: value})[1]
+
+
+def _stream(name, value):
+    # The Sybil trace gives both surge and dropout alerts at a window and
+    # threshold of 3; a refused setting is refused before the log is read.
+    trace = simulate.generate_trace(simulate.default_sybil_config())
+    config = cc4.StreamConfig(interval_seconds=trace.interval_seconds,
+                              **{"surge_window": 3, "gap_threshold": 3, name: value})
+    return _alert_text(cc4.stream_pipeline(trace.events, simulate.event_schema(), None,
+                                           config, trace.labels, 0)[0])
+
+
+_PARAMS = lstm.LstmParams.init(3, 1, np.random.default_rng(9)).to_json_obj()
+
+# Each size, window and threshold argument, as (name in the refusal, least,
+# a value it takes, its public entry point as a function of the argument).
+COUNT_ARGUMENTS = {
+    "sliding_windows": ("num_timesteps", 1, 3,
+                        lambda v: [a.tolist() for a in ts.sliding_windows(make(range(8)), v)]),
+    "diagnose": ("candidate period", 2, 4,
+                 lambda v: ts.diagnose(make([i % 4 for i in range(24)]), [v]).to_json_obj()),
+    "mean_shift_alerts": ("window", 1, 2, lambda v: _alert_text(detect.mean_shift_alerts(
+        make([1, 2, 1, 2, 9, 9, 9, 9, 1, 2]), 4, [1, 2, 1, 2], 1.96, v, "Surge"))),
+    "detect_dropout": ("gap_threshold", 1, 3, lambda v: _alert_text(detect.detect_dropout(
+        make([1, None, None, None, 1, None, 1, None, None, 2]), v))),
+    "forecast": ("horizon", 1, 3,
+                 lambda v: _fit(variant="linear_trend").forecast(v)),
+    "fit-ma": ("ma_window", 1, 3,
+               lambda v: _fit(variant="moving_average", ma_window=v).forecast(2)),
+    "fit-hw": ("hw_period", 2, 5,
+               lambda v: _fit(variant="holt_winters", hw_period=v).forecast(2)),
+    "fit-lt": ("hw_period", 2, 5, lambda v: _fit(
+        variant="linear_trend", lt_seasonal_dummies=True, hw_period=v).forecast(6)),
+    "fit-lstm-units": ("lstm_units", 1, 2, lambda v: _fit(
+        variant="lstm", lstm_units=v, lstm_num_timesteps=4).forecast(2)),
+    "fit-lstm-steps": ("lstm_num_timesteps", 1, 4, lambda v: _fit(
+        variant="lstm", lstm_units=2, lstm_num_timesteps=v).forecast(2)),
+    "lstm_param_count": ("units", 1, 10, lstm.lstm_param_count),
+    "lstm_param_count-input": ("input_dim", 1, 2, lambda v: lstm.lstm_param_count(3, v)),
+    "params_json": ("units", 1, 3, lambda v: lstm.LstmParams.from_json_obj(
+        {**_PARAMS, "units": v}).to_json_obj()),
+    "train-chunks": ("num_chunks", 1, 3, lambda v: _train("num_chunks", v)),
+    "train-batch": ("batch_size", 1, 5, lambda v: _train("batch_size", v)),
+    "train-epochs": ("epochs", 1, 2, lambda v: _train("epochs", v)),
+    "cc4_train": ("radius", 0, 1, lambda v: [cc4.cc4_classify(cc4.cc4_train(
+        [([0, 1, 1], "Known"), ([1, 0, 0], "Attack")], v), probe)
+        for probe in ([0, 1, 0], [1, 1, 1], [0, 0, 0])]),
+    "stream-window": ("surge_window", 1, 3, lambda v: _stream("surge_window", v)),
+    "stream-gap": ("gap_threshold", 1, 3, lambda v: _stream("gap_threshold", v)),
+    "simulate": ("duration", 1, 360, lambda v: simulate.generate_trace(replace(
+        simulate.default_sybil_config(), duration=v)).events),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ARGUMENTS)
+@pytest.mark.parametrize("bad", ["float", "bool", "below"])
+def test_every_count_argument_refuses_what_check_count_refuses(entry, bad):
+    # A float or a bool was taken where only `< least` was checked: a gap
+    # threshold of 2.5 flagged runs of 3, True epochs trained one.
+    name, least, _, call = COUNT_ARGUMENTS[entry]
+    value = {"float": 2.5, "bool": True, "below": least - 1}[bad]
+    message = f"{name} must be an int >= {least}, not {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ts.check_count(name, value, least)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", COUNT_ARGUMENTS)
+def test_a_numpy_integer_count_is_taken_as_its_int(entry):
+    name, least, good, call = COUNT_ARGUMENTS[entry]
+    ts.check_count(name, np.int64(least), least)
+    assert call(np.int64(good)) == call(good)
 
 
 def naive_runs(mask):
