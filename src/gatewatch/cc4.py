@@ -45,9 +45,8 @@ RATE_BLOCK_CELLS = 2 ** 16
 # baseline: a count, not a share of the run, so no later record moves a band
 # or a window. Every stock trace is 480 intervals long; 240 is its half.
 BASELINE_INTERVALS = 240
-# Stream stamps run as int64 microseconds since the epoch of their clock.
+# Stream stamps run as int64 microseconds since the UTC epoch.
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-NAIVE_EPOCH = datetime(1970, 1, 1)
 MICROSECOND = timedelta(microseconds=1)
 
 
@@ -430,8 +429,7 @@ class EventColumns:
     keeps, in input order, one entry per record in each column."""
     schema: SymbolSchema
     records_in: int              # records read, the malformed ones included
-    epoch: datetime              # the stamps' clock: EPOCH, or NAIVE_EPOCH if naive
-    micros: np.ndarray           # int64 µs since `epoch`
+    micros: np.ndarray           # int64 µs since EPOCH
     ranks: np.ndarray            # int64 rank of the source id in `names`
     names: list[str]             # the sorted source ids
     values: list[list]           # per schema encoder; NaN where not matched
@@ -445,18 +443,16 @@ class EventColumns:
         return {enc.name: column[i] for enc, column in zip(self.schema.encoders, self.values)}
 
     def stamp(self, i: int) -> datetime:
-        """Record i's stamp on the intake's clock."""
-        return self.epoch + int(self.micros[i]) * MICROSECOND
+        """Record i's stamp, in UTC."""
+        return EPOCH + int(self.micros[i]) * MICROSECOND
 
 
 def _intake(events, schema: SymbolSchema) -> EventColumns:
     """The intake's one pass over the records (in memory, or as read from a
     log): intake_key drops the malformed, and each kept record gives its
     stamp, its source id and, when its field set is the schema's, its value
-    of each field. Stamps become µs on the first kept stamp's clock; a stamp
-    on the other clock, naive among aware or aware among naive, raises
-    TypeError ("can't subtract offset-naive and offset-aware datetimes"): the
-    two have no order."""
+    of each field. Stamps become µs since EPOCH; a naive stamp is UTC, as
+    series.to_utc takes it."""
     encoders = [enc.name for enc in schema.encoders]
     names = set(encoders)
     values = [[] for _ in encoders]
@@ -479,14 +475,14 @@ def _intake(events, schema: SymbolSchema) -> EventColumns:
                 append(math.nan)
         sources.append(key[0])
         stamps.append(key[1])
-    epoch = NAIVE_EPOCH if stamps and stamps[0].utcoffset() is None else EPOCH
     sorted_sources = sorted(set(sources))
     rank_of = {source: r for r, source in enumerate(sorted_sources)}
     matched = np.ones(len(stamps), dtype=bool)
     matched[list(unmatched)] = False
     return EventColumns(
-        schema, records_in, epoch,
-        np.fromiter(((stamp - epoch) // MICROSECOND for stamp in stamps), np.int64, len(stamps)),
+        schema, records_in,
+        np.fromiter((((to_utc(stamp) if stamp.tzinfo is None else stamp) - EPOCH)
+                     // MICROSECOND for stamp in stamps), np.int64, len(stamps)),
         np.fromiter(map(rank_of.__getitem__, sources), np.int64, len(stamps)),
         sorted_sources, values, matched, unmatched)
 
@@ -500,9 +496,7 @@ def new_id_counts(records: list[EventLogRecord], start: datetime,
     log = _intake(records, SymbolSchema(()))
     first = np.full(len(log.names), np.iinfo(np.int64).max)
     np.minimum.at(first, log.ranks, log.micros)
-    # an empty log has no clock to put `start` on
-    index = slots((first - (start - log.epoch) // MICROSECOND) / 1e6,
-                  interval_seconds) if len(first) else first
+    index = slots((first - (to_utc(start) - EPOCH) // MICROSECOND) / 1e6, interval_seconds)
     counts = np.bincount(index[(index >= 0) & (index < duration)],
                          minlength=duration).astype(float)
     return TimeSeries(start=start, interval_seconds=interval_seconds, values=counts)
@@ -579,8 +573,7 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
     confidence off the Z table UnsupportedConfidence, and a negative skew
     window (`skew_intervals * interval_seconds`), an interval that is not a
     positive finite number, or a surge window or gap threshold that
-    `series.check_count` refuses ValueError, all before any record is read;
-    naive and aware stamps among the records intake keeps raise TypeError.
+    `series.check_count` refuses ValueError, all before any record is read.
 
     Give a network or label rows, not both. Label rows train a network of
     `radius` on the records the intake accepts or finds late, duplicates
@@ -602,8 +595,8 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
     interval slot is series.slots of its offset from the grid start,
     (µs - µs0) / 1e6 s: the offset's total_seconds(), rounded once. So a
     grid too fine to count raises OverflowError, as does a skew window past
-    timedelta's range. Every alert is stamped on the intake's
-    clock: UTC, or naive for naive records.
+    timedelta's range. A naive stamp is UTC, and every alert is stamped in
+    UTC.
     """
     if (network is None) == (labels is None):
         raise ValueError("stream_pipeline takes a network or label rows, not both or neither")

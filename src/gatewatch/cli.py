@@ -221,7 +221,7 @@ def cmd_forecast(args) -> dict:
     preds = model.forecast(args.horizon)
     z = detect.z_score(args.confidence)
     sigma = model.residual_std
-    warm = model.warmup
+    warm = len(data) - len(model.fitted)
     lines = ["t,actual,predicted,lower,upper"]
     for i, fitted in enumerate(model.fitted.tolist()):
         t = warm + i

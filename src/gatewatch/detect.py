@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UnsupportedConfidence
 from .forecast import FittedForecaster
-from .series import TimeSeries, band_stats, check_count, runs, slot_time
+from .series import TimeSeries, band_stats, check_count, check_fraction, runs, slot_time
 
 Z_TABLE = {
     0.80: 1.282,
@@ -266,9 +266,11 @@ def detect_identity_flood(per_interval_new_ids: TimeSeries, confidence: float,
                           source: str = "") -> list[AnomalyAlert]:
     """Mean-shift surge logic applied to the count of never-before-seen
     source ids per interval; alerts carry kind=IdentityFlood. No alerts when
-    the training prefix has no observed point."""
+    the training prefix has no observed point. A train_fraction outside
+    (0, 1) raises ValueError, as in series.split."""
     z = z_score(confidence)
-    n_train = max(1, math.ceil(train_fraction * len(per_interval_new_ids)))
+    check_fraction("train_fraction", train_fraction)
+    n_train = math.ceil(train_fraction * len(per_interval_new_ids))
     observed = ~per_interval_new_ids.missing[:n_train]
     if not observed.any():
         return []

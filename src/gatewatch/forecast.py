@@ -48,6 +48,10 @@ class ForecasterConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        # a numpy integer is taken as its int, so to_json writes the same bytes
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.integer):
+                setattr(self, name, int(value))
 
     def label(self) -> str:
         if self.variant == "moving_average":
@@ -134,10 +138,6 @@ class FittedForecaster:
     lstm_params: lstm.LstmParams | None = None
     scaler: Scaler | None = None
     fitted: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
-
-    @property
-    def warmup(self) -> int:
-        return self.n_train - len(self.fitted)
 
     # -- forecasting --------------------------------------------------------
 

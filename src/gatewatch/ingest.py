@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 
 import numpy as np
 
@@ -19,14 +19,14 @@ from .errors import (
     MissingColumn,
     TimestampParseError,
 )
-from .series import TimeSeries, check_interval, slots
+from .series import TimeSeries, check_interval, slots, to_utc
 
 TIMESTAMP_FORMAT = "%d/%m/%Y %I:%M:%S %p"
 
 
 def parse_timestamp(text: str) -> datetime:
     try:
-        return datetime.strptime(text.strip(), TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+        return to_utc(datetime.strptime(text.strip(), TIMESTAMP_FORMAT))
     except ValueError as exc:
         raise TimestampParseError(f"bad timestamp {text!r}") from exc
 

@@ -1,9 +1,9 @@
 """Uniform time-series container and preparation utilities.
 
 The interval grid (which interval an offset falls in, where an interval
-starts, maximal runs of flagged points), the count rule, the mean-shift band
-statistics, scaling, chronological splitting, sliding windows for sequence
-models, and seasonality / stationarity diagnostics.
+starts, maximal runs of flagged points), the clock, count and fraction rules,
+the mean-shift band statistics, scaling, chronological splitting, sliding
+windows for sequence models, and seasonality / stationarity diagnostics.
 """
 from __future__ import annotations
 
@@ -47,6 +47,12 @@ def check_count(name: str, value, least: int = 1) -> None:
     is not an integer >= least. numpy integers are integers; a bool is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
+
+
+def check_fraction(name: str, value: float) -> None:
+    """Refuse, with ValueError naming `name`, a share that is not in (0, 1)."""
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must lie in (0, 1)")
 
 
 def slots(offsets_seconds, interval_seconds: float) -> np.ndarray:
@@ -186,8 +192,7 @@ class DiagnosticsReport:
 
 def split(series: TimeSeries, train_fraction: float) -> tuple[TimeSeries, TimeSeries]:
     """Chronological split; train receives ceil(fraction * len) points."""
-    if not 0 < train_fraction < 1:
-        raise ValueError("train_fraction must lie in (0, 1)")
+    check_fraction("train_fraction", train_fraction)
     n = len(series)
     if n < 2:
         raise SeriesTooShort(f"cannot split a series of length {n}")

@@ -118,7 +118,8 @@ class LabeledTrace:
 
     @property
     def start(self) -> datetime:
-        return self.config.start
+        """The grid's start in UTC, as on the device series and every alert."""
+        return to_utc(self.config.start)
 
     @property
     def interval_seconds(self) -> float:
@@ -202,14 +203,13 @@ def trace_files(trace: LabeledTrace) -> dict[str, str]:
     """The text of flow.csv (ingestion schema), events.jsonl and labels.csv. No
     flow row holds a comma, quote or line break, so they are joined without csv."""
     config = trace.config
-    utc = to_utc(config.start)      # flow stamps run on the series' UTC grid
     flows = sorted((f"{trace.device_ips[dev.id]}-{GATEWAY_IP}-{1000 + index}-80-17",
                     [f"{rate:.6f}" if rate == rate else None    # NaN where silenced
                      for rate in trace.device_series[dev.id].values.tolist()])
                    for index, dev in enumerate(config.fleet))
     rows = [",".join(FLOW_COLUMNS) + "\r\n"]
     for i in range(config.duration):
-        stamp = format_timestamp(slot_time(utc, config.interval_seconds, i))
+        stamp = format_timestamp(slot_time(trace.start, config.interval_seconds, i))
         rows.extend([f"{flow_id},{stamp},{cells[i]},{cells[i]},-1,8192,0\r\n"
                      for flow_id, cells in flows if cells[i] is not None])
     labels = io.StringIO()

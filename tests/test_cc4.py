@@ -272,10 +272,10 @@ class TestStreamPipeline:
         assert obj["class"] == "Attack"
         assert obj["ambiguous"] is False
 
-    def test_naive_stamps_stream_on_their_own_clock(self):
-        # A trace without offsets streams to the UTC trace's alerts and
-        # counts, each alert on the records' own (naive) clock. One device
-        # also goes quiet, so rate alerts are stamped too.
+    def test_naive_stamps_stream_as_utc(self):
+        # A stamp without an offset is UTC: a trace without offsets streams
+        # to the UTC trace's alerts and counts, each alert stamped in UTC.
+        # One device also goes quiet, so rate alerts are stamped too.
         quiet = simulate.default_silence_config().attacks
 
         def stream(start):
@@ -290,9 +290,8 @@ class TestStreamPipeline:
         aware, aware_counts = stream(T0)
         naive, naive_counts = stream(T0.replace(tzinfo=None))
         assert {a.kind for a in aware} == {"Intrusion", "Dropout"}
-        assert naive_counts == aware_counts
-        assert naive == [replace(a, timestamp=a.timestamp.replace(tzinfo=None))
-                         for a in aware]
+        assert (naive, naive_counts) == (aware, aware_counts)
+        assert all(a.timestamp.tzinfo is timezone.utc for a in naive)
 
     def test_every_alert_runs_on_one_clock(self, tmp_path):
         # The same log at UTC and at +01:00 streams to the same alert lines,
@@ -464,22 +463,27 @@ def test_one_instant_spelled_three_ways_reads_and_dedupes_as_one(tmp_path, bom):
 
 
 @pytest.mark.parametrize("labels", [None, []], ids=["network", "labels"])
-def test_naive_and_aware_stamps_in_one_stream_raise_type_error(labels):
-    # Only well-formed records count: a naive record with a list field is
-    # skipped before any stamp is compared.
+def test_naive_and_aware_stamps_in_one_stream_give_the_utc_alerts(labels):
+    # A naive stamp is UTC, so a log that mixes naive and aware records
+    # streams to its all-UTC copy's alerts, counts and network, each alert
+    # stamped in UTC. Only well-formed records count: a naive record with a
+    # list field is dropped as malformed.
     naive = T0.replace(tzinfo=None)
     odd = cc4.EventLogRecord(timestamp=naive, source_id="b",
                              fields={"proto": ["udp"], "packets": 3.0})
-    aware = [_event(1, "a"), _event(2, "b")]
+    aware = [_event(1, "a"), _event(2, "b", proto="udp", packets=500.0), _event(5, "a")]
     network = None if labels is not None else _network()
     config = cc4.StreamConfig()
     assert cc4.stream_pipeline([odd] + aware, schema(), network, config, labels)[1] \
         .dropped_malformed == 1
-    mixed = aware[0]._replace(timestamp=naive)
-    for events in ([mixed] + aware, aware + [mixed]):
-        with pytest.raises(TypeError) as info:
-            cc4.stream_pipeline(events, schema(), network, config, labels)
-        assert "naive" in str(info.value) and "aware" in str(info.value)
+    utc = aware[0]._replace(timestamp=T0)
+    mixed = utc._replace(timestamp=naive)
+    for events, twin in (([mixed] + aware, [utc] + aware), (aware + [mixed], aware + [utc])):
+        alerts, counts, net = cc4.stream_pipeline(events, schema(), network, config, labels)
+        want, want_counts, want_net = cc4.stream_pipeline(twin, schema(), network, config,
+                                                          labels)
+        assert (alerts, counts, net.to_json()) == (want, want_counts, want_net.to_json())
+        assert alerts and all(a.timestamp.tzinfo is timezone.utc for a in alerts)
 
 
 @pytest.mark.parametrize("labels", [None, []], ids=["network", "labels"])

@@ -171,6 +171,16 @@ class TestIdentityFlood:
         series = make([1.0, 2.0, 1.0, 2.0] * 6)
         assert detect.detect_identity_flood(series, 0.999) == []
 
+    @pytest.mark.parametrize("fraction", [0.0, -1, 1.0, 1.5, math.nan])
+    def test_a_train_fraction_split_refuses_is_refused(self, fraction):
+        # 0 and below scored against a one-point baseline; 1 and above scored
+        # nothing, so gave no alert.
+        series = make([1.0, 0.0, 2.0, 1.0, 1.0, 0.0, 9.0, 9.0, 9.0, 9.0])
+        for call in (lambda: split(series, fraction),
+                     lambda: detect.detect_identity_flood(series, 0.95, fraction)):
+            with pytest.raises(ValueError, match=r"^train_fraction must lie in \(0, 1\)$"):
+                call()
+
 
 class TestMeanShiftCore:
     def test_scores_after_first_against_the_baseline(self):

@@ -70,8 +70,8 @@ BAD_LINES = {
 
 def plain(columns):
     """Every column as plain Python values, for comparison by repr (which
-    tells NaN, -0.0 and a naive clock from UTC apart)."""
-    return (columns.schema, columns.records_in, columns.epoch, columns.micros.tolist(),
+    tells NaN and -0.0 apart)."""
+    return (columns.schema, columns.records_in, columns.micros.tolist(),
             columns.ranks.tolist(), columns.names, [list(v) for v in columns.values],
             columns.matched.tolist(), columns.unmatched)
 

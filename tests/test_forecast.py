@@ -47,7 +47,8 @@ def test_constant_series_is_a_fixed_point(config):
 def test_holt_winters_nails_exact_periodicity():
     series = sine(cycles=10, period=24)
     model = fc.fit(fc.ForecasterConfig(variant="holt_winters", hw_period=24), series)
-    post_warmup_mse = float(np.mean((series.values[model.warmup:] - model.fitted) ** 2))
+    post_warmup = series.values[len(series) - len(model.fitted):]
+    post_warmup_mse = float(np.mean((post_warmup - model.fitted) ** 2))
     assert post_warmup_mse < 1e-6 * series.values.var()
 
 
@@ -224,13 +225,34 @@ def test_in_sample_fit_is_the_one_step_predictor(config):
     # history it had there) predicts, bit for bit, its own `fitted`.
     y = sine(cycles=6, period=8, amp=40.0, noise=3.0, seed=4).values
     model = fc.fit(config, make(y))
-    warm = model.warmup
+    warm = len(y) - len(model.fitted)
     state = {}
     if model.hw_state is not None:
         state["hw_state"] = fc._hw_initial_state(y, config.hw_period)
     rewound = replace(model, n_train=warm,
                       history=y[warm - len(model.history):warm], **state)
     assert rewound.one_step_on(y[warm:]).tolist() == model.fitted.tolist()
+
+
+LSTM_SIZES = {"variant": "lstm", "lstm_units": 2, "lstm_num_timesteps": 4,
+              "lstm_batch_size": 8, "lstm_epochs": 2, "lstm_num_chunks": 2, "rng_seed": 5}
+# Each int field of ForecasterConfig that a fit reads, with a config that reads it.
+INT_FIELDS = [
+    ("ma_window", {"variant": "moving_average", "ma_window": 3}),
+    ("hw_period", {"variant": "holt_winters", "hw_period": 4}),
+    ("hw_period", {"variant": "linear_trend", "lt_seasonal_dummies": True, "hw_period": 4}),
+    *((name, LSTM_SIZES) for name in LSTM_SIZES if name != "variant"),
+]
+
+
+@pytest.mark.parametrize("name, kwargs", INT_FIELDS,
+                         ids=[f"{kw['variant']}-{name}" for name, kw in INT_FIELDS])
+def test_a_numpy_integer_size_writes_the_model_json_of_its_int(name, kwargs):
+    # A numpy integer used to stay in the config, and json.dumps refused it.
+    series = sine(cycles=3, period=8, amp=5.0, noise=0.5, seed=2)
+    as_int = fc.fit(fc.ForecasterConfig(**kwargs), series).to_json()
+    numpy_kwargs = {**kwargs, name: np.int64(kwargs[name])}
+    assert fc.fit(fc.ForecasterConfig(**numpy_kwargs), series).to_json() == as_int
 
 
 def test_persistence_fit_is_the_previous_value():

@@ -21,6 +21,9 @@ of rule (metamorphic testing: Chen, Cheung & Yiu, HKUST-CS98-01, 1998).
   late records back on time, which rightly changes the alerts.
 - Every stamp a week later: the same alerts a week later, the same counts
   and network.
+- Every stamp restamped as the same instant naive (a stamp with no offset is
+  UTC), at one fixed offset, or on either clock or UTC record by record: the
+  same bytes.
 - A series scaled by 2**k through `gatewatch detect`, in both modes: the
   same alerts, every Surge number scaled exactly.
 
@@ -33,7 +36,7 @@ import random
 import tempfile
 from collections import Counter
 from dataclasses import replace
-from datetime import timedelta
+from datetime import timedelta, timezone
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -327,6 +330,33 @@ def test_a_log_a_week_later_gives_the_same_alerts_a_week_later(trace):
     alerts, counts, _ = cc4.stream_pipeline(records, SCHEMA, network, config)
     again, recounts, _ = cc4.stream_pipeline(later, SCHEMA, network, config)
     assert (week_earlier(again), recounts) == (alerts, counts)
+
+
+def restamped(records, clocks):
+    """`records` with record k's stamp the same instant on clocks[k]: naive
+    (its UTC wall time), or in the zone clocks[k]."""
+    return [rec._replace(timestamp=rec.timestamp.replace(tzinfo=None) if clock is None
+                         else rec.timestamp.astimezone(clock))
+            for rec, clock in zip(records, clocks)]
+
+
+@settings(max_examples=examples(30), deadline=None)
+@given(disordered_traces(), st.integers(-1439, 1439), st.integers(0, 2 ** 32 - 1))
+def test_a_log_restamped_naive_or_at_an_offset_gives_the_same_bytes(trace, minutes, seed):
+    records, labels, config = trace
+    offset = timezone(timedelta(minutes=minutes))
+    rng = random.Random(seed)
+    logs = {"naive": restamped(records, [None] * len(records)),
+            "offset": restamped(records, [offset] * len(records)),
+            "mixed": restamped(records, [rng.choice([None, offset, timezone.utc])
+                                         for _ in records])}
+    once = cc4.stream_pipeline(records, SCHEMA, None, config, labels)
+    network = once[2]
+    for name, log in logs.items():
+        assert artifacts(*cc4.stream_pipeline(log, SCHEMA, None, config, labels)) == \
+            artifacts(*once), name
+        assert artifacts(*cc4.stream_pipeline(log, SCHEMA, network, config)) == \
+            artifacts(*cc4.stream_pipeline(records, SCHEMA, network, config)), name
 
 
 def detect_lines(series, mode, window, confidence):

@@ -3,6 +3,7 @@ import ipaddress
 import json
 import re
 import tempfile
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from conftest import examples
 from gatewatch import simulate as sim
 from gatewatch.cc4 import (EventLogRecord, StreamConfig, cc4_classify, parse_event_obj,
                            stream_pipeline)
-from gatewatch.detect import AnomalyAlert
+from gatewatch.detect import AnomalyAlert, detect_dropout
 from gatewatch.errors import InvalidScript, TimeBaseMismatch
 from gatewatch.ingest import format_timestamp, parse_flow_csv
 from gatewatch.series import TimeSeries
@@ -289,6 +290,22 @@ class TestScoring:
         trace = sim.generate_trace(small_config())
         score = sim.score_detections([], trace)
         assert score.precision is None and score.recall == 1.0
+
+    def test_a_naive_start_trace_scores_its_own_alerts(self):
+        # A naive start is UTC: the trace's start, its series and the alerts
+        # made from them run on one clock, so they score as the UTC trace's.
+        scores = []
+        for start in (datetime(2021, 1, 1), datetime(2021, 1, 1, tzinfo=timezone.utc)):
+            trace = sim.generate_trace(replace(sim.default_silence_config(), start=start))
+            assert trace.start == datetime(2021, 1, 1, tzinfo=timezone.utc)
+            dropouts = detect_dropout(trace.device_series["streetlight-1"], 3, "streetlight-1")
+            streamed = stream_pipeline(trace.events, sim.event_schema(), None,
+                                       StreamConfig(interval_seconds=trace.interval_seconds),
+                                       trace.labels, 0)[0]
+            scores.append([sim.score_detections(alerts, trace).to_json_obj()
+                           for alerts in (dropouts, streamed)])
+        assert scores[0] == scores[1]
+        assert scores[0][0]["precision"] == 1.0
 
 
 # --- the rewrite against the per-kind generator it replaced ------------------
