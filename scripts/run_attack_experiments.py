@@ -28,7 +28,7 @@ def flood(seed: int):
     trace = generate_trace(default_flood_config(seed=seed))
     series = trace.device_series["camera-1"]
     train, test = split(series, 0.5)
-    alerts = mean_shift_alerts(test, 0, train.clean_values(), z_score(0.95), 24,
+    alerts = mean_shift_alerts(test, train.clean_values(), z_score(0.95), 24,
                                "Surge", "camera-1")
     return score_detections(alerts, trace, coverage=24), len(alerts)
 

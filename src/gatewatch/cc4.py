@@ -493,6 +493,8 @@ def new_id_counts(records: list[EventLogRecord], start: datetime,
     counts once, in the interval of its earliest record. The records go
     through the stream's intake, so a record intake_key drops is never seen,
     and a slot is series.slots of the µs offset from `start`, as in the stream."""
+    check_interval(interval_seconds)
+    check_count("duration", duration)
     log = _intake(records, SymbolSchema(()))
     first = np.full(len(log.names), np.iinfo(np.int64).max)
     np.minimum.at(first, log.ranks, log.micros)

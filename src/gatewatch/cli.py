@@ -267,7 +267,7 @@ def cmd_detect(args) -> dict:
     else:
         # The band needs only the observed training points: nothing is fitted.
         alerts = detect.mean_shift_alerts(
-            test, 0, train.clean_values(), detect.z_score(args.confidence),
+            test, train.clean_values(), detect.z_score(args.confidence),
             args.window, "Surge", source)
     alerts.extend(detect.detect_dropout(data, args.gap_threshold, source=source))
     return {"alerts.jsonl": detect.merge_alerts(alerts)}

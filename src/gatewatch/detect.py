@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import UnsupportedConfidence
 from .forecast import FittedForecaster
-from .series import TimeSeries, band_stats, check_count, check_fraction, runs, slot_time
+from .series import TimeSeries, band_stats, check_count, runs, slot_time, split
 
 Z_TABLE = {
     0.80: 1.282,
@@ -188,15 +188,15 @@ def mean_shift_block(values: np.ndarray, first: int, X, s, z: float,
     return alerts
 
 
-def mean_shift_alerts(series: TimeSeries, first: int, baseline, z: float,
-                      window: int, kind: str, source: str = "") -> list[AnomalyAlert]:
-    """Score series[first:] in consecutive windows of n points against the
+def mean_shift_alerts(series: TimeSeries, baseline, z: float, window: int,
+                      kind: str, source: str = "") -> list[AnomalyAlert]:
+    """Score the series in consecutive windows of n points against the
     X +/- z * s / sqrt(n) band, with X and s taken over the observed training
     points in `baseline`, so the band brackets where an n-point window mean
     should land. A window whose mean of observed points falls outside is
     flagged; a window with no observed point is skipped."""
     X, s = band_stats(baseline)
-    return mean_shift_block(series.values[None], first, [X], [s], z, window, kind,
+    return mean_shift_block(series.values[None], 0, [X], [s], z, window, kind,
                             series.start, series.interval_seconds, [source])
 
 
@@ -262,21 +262,15 @@ def detect_dropout(series: TimeSeries, gap_threshold: int,
 
 
 def detect_identity_flood(per_interval_new_ids: TimeSeries, confidence: float,
-                          train_fraction: float = 0.5, window: int = 1,
-                          source: str = "") -> list[AnomalyAlert]:
-    """Mean-shift surge logic applied to the count of never-before-seen
-    source ids per interval; alerts carry kind=IdentityFlood. No alerts when
-    the training prefix has no observed point. A train_fraction outside
-    (0, 1) raises ValueError, as in series.split."""
+                          train_fraction: float = 0.5,
+                          window: int = 1) -> list[AnomalyAlert]:
+    """Mean-shift surge logic on the count of never-before-seen source ids per
+    interval: series.split cuts it, and the test part is scored against the
+    band of the training part's observed points (AllMissing if it has none).
+    Alerts carry kind=IdentityFlood and no source."""
     z = z_score(confidence)
-    check_fraction("train_fraction", train_fraction)
-    n_train = math.ceil(train_fraction * len(per_interval_new_ids))
-    observed = ~per_interval_new_ids.missing[:n_train]
-    if not observed.any():
-        return []
-    return mean_shift_alerts(per_interval_new_ids, n_train,
-                             per_interval_new_ids.values[:n_train][observed], z,
-                             window, "IdentityFlood", source)
+    train, test = split(per_interval_new_ids, train_fraction)
+    return mean_shift_alerts(test, train.clean_values(), z, window, "IdentityFlood")
 
 
 def merge_alerts(*alert_lists: list[AnomalyAlert]) -> list[AnomalyAlert]:

@@ -54,6 +54,9 @@ class DeviceSpec:
     def __post_init__(self):
         if self.kind not in DEVICE_KINDS:
             raise ValueError(f"unknown device kind {self.kind!r}")
+        for name in ("base_rate", "diurnal_amplitude", "noise_std"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
         if self.base_rate <= 0 or self.noise_std < 0:
             raise ValueError("base_rate must be > 0 and noise_std >= 0")
 
@@ -70,6 +73,10 @@ class AttackScript:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
+        check_count("start", self.start, least=0)
+        check_count("end", self.end)
+        # only a Sybil window injects fake ids, and at least one
+        check_count("fake_id_count", self.fake_id_count, least=1 if self.kind == "Sybil" else 0)
         if not self.magnitude > 0:
             raise ValueError("magnitude must be > 0")
 
@@ -136,7 +143,7 @@ def generate_trace(config: SimConfig) -> LabeledTrace:
     rng = np.random.default_rng(config.seed)
     period = 86400.0 / config.interval_seconds     # intervals per day
     t = np.arange(config.duration)
-    stamps = [slot_time(config.start, config.interval_seconds, i)
+    stamps = [slot_time(to_utc(config.start), config.interval_seconds, i)
               for i in range(config.duration)]
     labels = sorted((i, s.target_id, s.kind)
                     for s in config.attacks for i in range(s.start, s.end))
@@ -272,6 +279,7 @@ def score_detections(alerts: list[AnomalyAlert], trace: LabeledTrace,
     covers at least one kind-compatible label for its source; a label is
     recalled when some compatible alert covers it.
     """
+    check_count("coverage", coverage)
     span = trace.interval_seconds * trace.duration
     label_set = set(trace.labels)
     by_interval: dict[int, list[tuple[int, str, str]]] = {}

@@ -138,7 +138,10 @@ def ref_rate_alerts(per_source, config, start, duration):
                              values=np.where(counts == 0, np.nan, counts))
         alerts.extend(detect_dropout(silence, config.gap_threshold, source=source))
         if duration > n_train:
-            alerts.extend(mean_shift_alerts(rates, n_train, counts[:n_train], z,
+            scored = TimeSeries(start=rates.timestamp_at(n_train),
+                                interval_seconds=config.interval_seconds,
+                                values=counts[n_train:])
+            alerts.extend(mean_shift_alerts(scored, counts[:n_train], z,
                                             config.surge_window, "Surge", source))
     return alerts
 

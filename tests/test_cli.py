@@ -906,7 +906,7 @@ class TestDetectAndStream:
         data = TimeSeries.from_values(values, interval_seconds=3600.0)
         train, test = ts.split(data, 0.5)
         want = detect.merge_alerts(
-            detect.mean_shift_alerts(test, 0, train.clean_values(),
+            detect.mean_shift_alerts(test, train.clean_values(),
                                      detect.z_score(0.95), 4, "Surge", ""),
             detect.detect_dropout(data, 3, source=""))
         assert (tmp_path / "o" / "alerts.jsonl").read_text(encoding="utf-8") == \

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import examples
 from gatewatch import detect
-from gatewatch.errors import AllMissing, UnsupportedConfidence
+from gatewatch.errors import AllMissing, GatewatchError, UnsupportedConfidence
 from gatewatch.forecast import FittedForecaster, ForecasterConfig, fit
 from gatewatch.series import TimeSeries, band_stats, split
 
@@ -182,10 +183,63 @@ class TestIdentityFlood:
                 call()
 
 
+# Counts of new ids per interval, some missing.
+COUNTS = st.one_of(st.none(), st.integers(min_value=0, max_value=50).map(float),
+                   st.floats(min_value=0, max_value=50, allow_nan=False))
+# Fractions inside (0, 1), near 1 (a short series gets no test part), and
+# the ones split refuses.
+FRACTIONS = st.one_of(
+    st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True),
+    st.floats(min_value=0.9, max_value=1, exclude_max=True),
+    st.sampled_from([0.0, 1.0, -0.5, 1.5, math.nan]))
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(st.data())
+def test_identity_flood_is_split_and_the_mean_shift_band(data):
+    # The identity flood cuts its series where series.split does and refuses
+    # what split refuses; it once kept its own cut and gave no alert, with no
+    # error, for a cut that left no test part, a 1-point series or a
+    # training part with no observed point.
+    n = data.draw(st.integers(min_value=1, max_value=30))
+    values = data.draw(st.lists(COUNTS, min_size=n, max_size=n))
+    blank = data.draw(st.integers(min_value=0, max_value=n))
+    values[:blank] = [None] * blank    # may leave the training part all missing
+    series = make(values, interval=float(data.draw(st.integers(1, 86400))))
+    fraction = data.draw(FRACTIONS)
+    confidence = data.draw(st.sampled_from(sorted(detect.Z_TABLE)))
+    window = data.draw(st.integers(min_value=1, max_value=4))
+
+    def flood():
+        return detect.detect_identity_flood(series, confidence, fraction, window)
+
+    try:
+        split(series, fraction)
+    except (ValueError, GatewatchError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$") as info:
+            flood()
+        assert type(info.value) is type(exc)
+        return
+    n_train = math.ceil(fraction * n)
+    train = series.values[:n_train][~series.missing[:n_train]]
+    if len(train) == 0:
+        with pytest.raises(AllMissing):
+            flood()
+        return
+    want = detect.mean_shift_block(
+        series.values[None], n_train, *band_stats(train[None]),
+        detect.z_score(confidence), window, "IdentityFlood", series.start,
+        series.interval_seconds, [""])
+    assert lines(flood()) == lines(want)
+
+
 class TestMeanShiftCore:
     def test_scores_after_first_against_the_baseline(self):
         series = make([1.0, 2.0, 1.0, 2.0, 1.5, 1.5, 9.0, 9.0])
-        alerts = detect.mean_shift_alerts(series, 4, [1.0, 2.0, 1.0, 2.0],
+        scored = TimeSeries(start=series.timestamp_at(4),
+                            interval_seconds=series.interval_seconds,
+                            values=series.values[4:])
+        alerts = detect.mean_shift_alerts(scored, [1.0, 2.0, 1.0, 2.0],
                                           1.960, 2, "Surge", "s")
         assert [a.timestamp for a in alerts] == [series.timestamp_at(6)]
         assert alerts[0].observed == 9.0 and alerts[0].expected == 1.5
@@ -193,9 +247,9 @@ class TestMeanShiftCore:
     def test_rejects_empty_baseline_and_window_below_one(self):
         series = make([1.0, 2.0, 3.0])
         with pytest.raises(AllMissing):
-            detect.mean_shift_alerts(series, 0, [], 1.960, 1, "Surge")
+            detect.mean_shift_alerts(series, [], 1.960, 1, "Surge")
         with pytest.raises(ValueError):
-            detect.mean_shift_alerts(series, 0, [1.0], 1.960, 0, "Surge")
+            detect.mean_shift_alerts(series, [1.0], 1.960, 0, "Surge")
 
 
 # The model's stored band statistics: (config, series length, window); the
@@ -225,7 +279,7 @@ def test_mean_shift_scores_from_the_stored_band_statistics(config, n, window, se
     fresh = fit(config, train)
     loaded = FittedForecaster.from_json(fresh.to_json())
     want = "".join(a.to_json() + "\n" for a in detect.mean_shift_alerts(
-        test, 0, train.clean_values(), detect.z_score(0.95), window, "Surge", "s"))
+        test, train.clean_values(), detect.z_score(0.95), window, "Surge", "s"))
     assert want
     for model in (fresh, loaded):
         got = detect.detect_surges(test, model, 0.95, window=window, source="s")
@@ -338,11 +392,10 @@ def test_one_row_cores_match_the_one_series_loops(data):
     series = make(data.draw(st.lists(POINTS, min_size=n, max_size=n)))
     baseline = data.draw(BASELINES)
     window = data.draw(WINDOWS)
-    first = data.draw(st.integers(min_value=0, max_value=n + 1))
     z = data.draw(st.sampled_from(sorted(detect.Z_TABLE.values())))
     gap_threshold = data.draw(st.integers(min_value=1, max_value=6))
-    got = detect.mean_shift_alerts(series, first, baseline, z, window, "Surge", "s")
-    want = ref_mean_shift_alerts(series, first, baseline, z, window, "Surge", "s")
+    got = detect.mean_shift_alerts(series, baseline, z, window, "Surge", "s")
+    want = ref_mean_shift_alerts(series, 0, baseline, z, window, "Surge", "s")
     assert got == want
     assert lines(got) == lines(want)
     got = detect.detect_dropout(series, gap_threshold, "s")

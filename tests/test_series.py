@@ -168,6 +168,10 @@ def test_a_grid_interval_must_be_positive_and_finite(interval):
         ts.check_interval(interval)
     with pytest.raises(ValueError, match="is not a positive finite number"):
         make([1.0, 2.0], interval)
+    # 0 and NaN raised OverflowError from the slot rule
+    start = datetime(2021, 1, 1, tzinfo=timezone.utc)
+    with pytest.raises(ValueError, match="is not a positive finite number"):
+        cc4.new_id_counts([cc4.EventLogRecord(start, "a", {})], start, interval, 4)
 
 
 def _alert_text(alerts):
@@ -193,6 +197,28 @@ def _stream(name, value):
                                            config, trace.labels, 0)[0])
 
 
+def _new_ids(duration):
+    trace = simulate.generate_trace(simulate.default_sybil_config())
+    return cc4.new_id_counts(trace.events, trace.start, trace.interval_seconds, duration)
+
+
+def _silence_score(coverage):
+    # a coverage of 0 scored every true Dropout alert false
+    trace = simulate.generate_trace(simulate.default_silence_config())
+    alerts = detect.detect_dropout(trace.device_series["streetlight-1"], 3, "streetlight-1")
+    return simulate.score_detections(alerts, trace, coverage).to_json_obj()
+
+
+def _attack(kind, **fields):
+    # The labels and event text of a short trace with one script: a Sybil
+    # script with no fake id labelled intervals that held no fake event.
+    script = simulate.AttackScript(**{"kind": kind, "target_id": "water-1",
+                                      "start": 2, "end": 4, **fields})
+    trace = simulate.generate_trace(simulate.SimConfig(
+        duration=8, fleet=simulate.default_fleet(), attacks=[script]))
+    return trace.labels, simulate.trace_files(trace)["events.jsonl"]
+
+
 _PARAMS = lstm.LstmParams.init(3, 1, np.random.default_rng(9)).to_json_obj()
 
 # Each size, window and threshold argument, as (name in the refusal, least,
@@ -203,7 +229,8 @@ COUNT_ARGUMENTS = {
     "diagnose": ("candidate period", 2, 4,
                  lambda v: ts.diagnose(make([i % 4 for i in range(24)]), [v]).to_json_obj()),
     "mean_shift_alerts": ("window", 1, 2, lambda v: _alert_text(detect.mean_shift_alerts(
-        make([1, 2, 1, 2, 9, 9, 9, 9, 1, 2]), 4, [1, 2, 1, 2], 1.96, v, "Surge"))),
+        ts.split(make([1, 2, 1, 2, 9, 9, 9, 9, 1, 2]), 0.4)[1], [1, 2, 1, 2], 1.96, v,
+        "Surge"))),
     "detect_dropout": ("gap_threshold", 1, 3, lambda v: _alert_text(detect.detect_dropout(
         make([1, None, None, None, 1, None, 1, None, None, 2]), v))),
     "forecast": ("horizon", 1, 3,
@@ -232,6 +259,14 @@ COUNT_ARGUMENTS = {
     "stream-gap": ("gap_threshold", 1, 3, lambda v: _stream("gap_threshold", v)),
     "simulate": ("duration", 1, 360, lambda v: simulate.generate_trace(replace(
         simulate.default_sybil_config(), duration=v)).events),
+    "new_id_counts": ("duration", 1, 360, lambda v: _new_ids(v).values.tolist()),
+    "score_detections": ("coverage", 1, 30, _silence_score),
+    "attack-start": ("start", 0, 2, lambda v: _attack("UdpFlood", start=v)),
+    "attack-end": ("end", 1, 4, lambda v: _attack("UdpFlood", start=0, end=v)),
+    "attack-sybil-ids": ("fake_id_count", 1, 3,
+                         lambda v: _attack("Sybil", fake_id_count=v)),
+    "attack-ids": ("fake_id_count", 0, 0,
+                   lambda v: _attack("SilenceAfterOverflow", fake_id_count=v)),
 }
 
 

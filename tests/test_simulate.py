@@ -19,7 +19,7 @@ from gatewatch.cc4 import (EventLogRecord, StreamConfig, cc4_classify, parse_eve
 from gatewatch.detect import AnomalyAlert, detect_dropout
 from gatewatch.errors import InvalidScript, TimeBaseMismatch
 from gatewatch.ingest import format_timestamp, parse_flow_csv
-from gatewatch.series import TimeSeries
+from gatewatch.series import TimeSeries, to_utc
 
 
 def small_config(seed=1, attacks=()):
@@ -88,6 +88,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="magnitude must be > 0"):
             sim.AttackScript(kind="UdpFlood", target_id="camera-1", start=0, end=5,
                              magnitude=magnitude)
+
+    # A NaN gave a device with no event and every point missing, unlabelled
+    # and with no error; an infinite amplitude failed later, naming no device.
+    @pytest.mark.parametrize("name", ["base_rate", "diurnal_amplitude", "noise_std"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_a_device_setting_must_be_finite(self, name, value):
+        settings = {"base_rate": 5.0, "diurnal_amplitude": 1.0, "noise_std": 0.1,
+                    name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, not {value!r}$"):
+            sim.DeviceSpec(id="d", kind="camera", **settings)
 
 
 class TestGeneration:
@@ -298,6 +308,7 @@ class TestScoring:
         for start in (datetime(2021, 1, 1), datetime(2021, 1, 1, tzinfo=timezone.utc)):
             trace = sim.generate_trace(replace(sim.default_silence_config(), start=start))
             assert trace.start == datetime(2021, 1, 1, tzinfo=timezone.utc)
+            assert trace.events[0].timestamp - trace.start == timedelta(0)
             dropouts = detect_dropout(trace.device_series["streetlight-1"], 3, "streetlight-1")
             streamed = stream_pipeline(trace.events, sim.event_schema(), None,
                                        StreamConfig(interval_seconds=trace.interval_seconds),
@@ -348,7 +359,7 @@ def ref_generate_trace(config):
         for i in range(config.duration):
             if series.missing[i]:
                 continue
-            stamp = config.start + timedelta(seconds=config.interval_seconds * i)
+            stamp = to_utc(config.start) + timedelta(seconds=config.interval_seconds * i)
             flooded = attacked.get((i, dev.id)) == "UdpFlood"
             events.append(EventLogRecord(
                 timestamp=stamp, source_id=dev.id,
@@ -357,7 +368,7 @@ def ref_generate_trace(config):
                         "status": "ok"}))
     for script in sybils:
         for i in range(script.start, script.end):
-            stamp = config.start + timedelta(seconds=config.interval_seconds * i)
+            stamp = to_utc(config.start) + timedelta(seconds=config.interval_seconds * i)
             labels.append((i, script.target_id, "Sybil"))
             for j in range(script.fake_id_count):
                 events.append(EventLogRecord(
@@ -435,10 +446,11 @@ def sim_configs(draw):
         if any(a < end and start < b for a, b in busy.get(target, [])):
             continue
         busy.setdefault(target, []).append((start, end))
+        kind = draw(st.sampled_from(sim.ATTACK_KINDS))
         attacks.append(sim.AttackScript(
-            kind=draw(st.sampled_from(sim.ATTACK_KINDS)), target_id=target,
+            kind=kind, target_id=target,
             start=start, end=end, magnitude=draw(st.floats(0.0, 50.0, exclude_min=True)),
-            fake_id_count=draw(st.integers(0, 4))))
+            fake_id_count=draw(st.integers(1 if kind == "Sybil" else 0, 4))))
     return sim.SimConfig(seed=draw(st.integers(0, 2 ** 32 - 1)), duration=duration,
                          interval_seconds=draw(st.sampled_from([60.0, 900.0, 3600.0, 7.0])),
                          start=draw(st.sampled_from(STARTS)), fleet=fleet,
@@ -592,7 +604,7 @@ def test_scoring_by_interval_matches_the_label_scan(data):
             observed=1.0, expected=0.0, band=None, severity="Warning", source=source),
         seconds, st.sampled_from([*sim.COMPATIBLE, "Other"]),
         st.sampled_from(["", "a", "b", "z"])), max_size=20))
-    for coverage in data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=3)):
+    for coverage in data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=3)):
         try:
             want = ref_score_detections(alerts, trace, coverage)
         except TimeBaseMismatch as exc:
