@@ -80,10 +80,11 @@ def disorder(records, interval, duplicated, delayed, skew_intervals):
 @st.composite
 def attack_traces(draw):
     """The stock fleet for 300-400 intervals, past the surge baseline of 240,
-    with one attack in the second half."""
+    with one attack in the second half: the test part of `gatewatch detect`'s
+    default split, which gives training ceil(duration / 2) points."""
     duration = draw(st.integers(300, 400))
     kind = draw(st.sampled_from(sorted(TARGETS)))
-    first = draw(st.integers(duration // 2, duration - 1))
+    first = draw(st.integers((duration + 1) // 2, duration - 1))
     attack = AttackScript(kind=kind, target_id=TARGETS[kind], start=first,
                           end=draw(st.integers(first + 1, min(duration, first + 40))),
                           fake_id_count=3)
