@@ -25,12 +25,14 @@ of rule (metamorphic testing: Chen, Cheung & Yiu, HKUST-CS98-01, 1998).
   UTC), at one fixed offset, or on either clock or UTC record by record: the
   same bytes.
 - A series scaled by 2**k through `gatewatch detect`, in both modes: the
-  same alerts, every Surge number scaled exactly.
+  same alerts, every Surge number scaled exactly, or the same refusal.
 
 The traces are the simulator's, longer than the surge baseline, with
 adjacent copies of some records and others delivered more than the skew
 window late, as the benchmark's stream inputs have them.
 """
+import contextlib
+import io
 import json
 import random
 import tempfile
@@ -43,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import examples
@@ -80,11 +82,10 @@ def disorder(records, interval, duplicated, delayed, skew_intervals):
 @st.composite
 def attack_traces(draw):
     """The stock fleet for 300-400 intervals, past the surge baseline of 240,
-    with one attack in the second half: the test part of `gatewatch detect`'s
-    default split, which gives training ceil(duration / 2) points."""
+    with one attack in the second half."""
     duration = draw(st.integers(300, 400))
     kind = draw(st.sampled_from(sorted(TARGETS)))
-    first = draw(st.integers((duration + 1) // 2, duration - 1))
+    first = draw(st.integers(duration // 2, duration - 1))
     attack = AttackScript(kind=kind, target_id=TARGETS[kind], start=first,
                           end=draw(st.integers(first + 1, min(duration, first + 40))),
                           fake_id_count=3)
@@ -360,22 +361,31 @@ def test_a_log_restamped_naive_or_at_an_offset_gives_the_same_bytes(trace, minut
             artifacts(*cc4.stream_pipeline(records, SCHEMA, network, config)), name
 
 
-def detect_lines(series, mode, window, confidence):
-    """The alert objects `gatewatch detect` writes for `series`."""
+def detect_run(series, mode, window, confidence):
+    """How `gatewatch detect` ends on `series`: its exit code, its stderr and
+    the alert objects it wrote (none when it refused)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "series.json"
         path.write_text(series.to_json(), encoding="utf-8")
-        assert cli.main(["detect", "--input", str(path), "--mode", mode,
-                         "--window", str(window), "--confidence", str(confidence),
-                         "--out", tmp]) == 0
-        text = (Path(tmp) / "alerts.jsonl").read_text(encoding="utf-8")
-    return [json.loads(line) for line in text.splitlines()]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["detect", "--input", str(path), "--mode", mode,
+                             "--window", str(window), "--confidence", str(confidence),
+                             "--out", tmp])
+        text = (Path(tmp) / "alerts.jsonl").read_text(encoding="utf-8") if code == 0 else ""
+    return code, err.getvalue(), [json.loads(line) for line in text.splitlines()]
 
 
 SCALED = ("observed", "expected", "lower", "upper")
+# a silence on the last training point of `gatewatch detect`'s default split
+SILENT_AT_THE_CUT = simulate.generate_trace(SimConfig(
+    seed=0, duration=327, fleet=simulate.default_fleet(),
+    attacks=[AttackScript(kind="SilenceAfterOverflow", target_id="streetlight-1",
+                          start=163, end=164, fake_id_count=3)]))
 
 
 @settings(max_examples=examples(30), deadline=None)
+@example(SILENT_AT_THE_CUT, "streetlight-1", 7, "residual", 1, 0.8)
 @given(attack_traces(), st.sampled_from(sorted(TARGETS.values())),
        st.one_of(st.integers(-200, -1), st.integers(1, 200)), st.sampled_from(["mean_shift", "residual"]),
        st.sampled_from([1, 3, 24]), st.sampled_from(sorted(detect.Z_TABLE)))
@@ -386,13 +396,18 @@ def test_a_series_scaled_by_a_power_of_two_gives_its_alerts_scaled(
     # its side: the same alerts, each Surge number scaled. A Dropout's
     # numbers are run lengths and stay. For |k| <= 200 no intermediate, a
     # squared residual included, overflows or turns subnormal, and an
-    # absolute epsilon of any size in a band is seen.
+    # absolute epsilon of any size in a band is seen. A refusal is the same
+    # refusal, line for line: residual mode refuses a training part that
+    # ends in a missing point, which a silence starting on the last training
+    # interval of an odd-length trace gives.
     series = trace.device_series[device]
     scaled = replace(series, values=series.values * 2.0 ** k)
-    alerts = detect_lines(series, mode, window, confidence)
-    again = detect_lines(scaled, mode, window, confidence)
-    assert len(again) == len(alerts)
-    for got, want in zip(again, alerts):
+    code, err, alerts = detect_run(series, mode, window, confidence)
+    again = detect_run(scaled, mode, window, confidence)
+    event(f"exit {code}")
+    assert again[:2] == (code, err)
+    assert len(again[2]) == len(alerts)
+    for got, want in zip(again[2], alerts):
         if want["kind"] == "Surge":
             want.update({key: want[key] * 2.0 ** k for key in SCALED})
         assert got == want
