@@ -15,7 +15,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import UnsupportedConfidence
+from .errors import SeriesTooShort, UnsupportedConfidence
 from .forecast import FittedForecaster
 from .series import TimeSeries, band_stats, check_count, runs, slot_time, split
 
@@ -194,9 +194,21 @@ def mean_shift_alerts(series: TimeSeries, baseline, z: float, window: int,
     X +/- z * s / sqrt(n) band, with X and s taken over the observed training
     points in `baseline`, so the band brackets where an n-point window mean
     should land. A window whose mean of observed points falls outside is
-    flagged; a window with no observed point is skipped."""
+    flagged; a window with no observed point is skipped. A window longer
+    than the series raises SeriesTooShort."""
     X, s = band_stats(baseline)
-    return mean_shift_block(series.values[None], 0, [X], [s], z, window, kind,
+    return _score_series(series, [X], [s], z, window, kind, source)
+
+
+def _score_series(series: TimeSeries, X, s, z: float, window: int, kind: str,
+                  source: str) -> list[AnomalyAlert]:
+    """mean_shift_block over the whole series as one row. A window longer
+    than the series would score nothing, so it raises SeriesTooShort."""
+    check_count("window", window)
+    if window > len(series):
+        raise SeriesTooShort(f"window {window} is longer than the {len(series)} "
+                             "points it scores")
+    return mean_shift_block(series.values[None], 0, X, s, z, window, kind,
                             series.start, series.interval_seconds, [source])
 
 
@@ -207,7 +219,8 @@ def detect_surges(series: TimeSeries, model: FittedForecaster, confidence: float
     training prefix.
 
     mean_shift: windows of the whole series against the mean-shift band,
-    with the X and s the model stored from its training points.
+    with the X and s the model stored from its training points; a window
+    longer than the series raises SeriesTooShort.
 
     residual: one-point windows around the teacher-forced one-step forecasts:
     point t is flagged when |observed - forecast| > z * sigma_r; a point with
@@ -222,8 +235,7 @@ def detect_surges(series: TimeSeries, model: FittedForecaster, confidence: float
         s, window = [model.residual_std], 1
     else:
         X, s = [model.train_mean], [model.train_std]
-    return mean_shift_block(series.values[None], 0, X, s, z, window, "Surge",
-                            series.start, series.interval_seconds, [source])
+    return _score_series(series, X, s, z, window, "Surge", source)
 
 
 def dropout_block(silent: np.ndarray, gap_threshold: int, start: datetime,

@@ -9,7 +9,9 @@ in-sample `fitted` and `one_step_on` are both that predictor.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -121,23 +123,43 @@ def _lt_line(config: ForecasterConfig, coefs: np.ndarray, t: np.ndarray):
 class FittedForecaster:
     """A fitted forecaster as its parameters: what `forecast`, `one_step_on`
     and mean-shift scoring read, in O(parameters) whatever the training
-    length. `fitted` holds the in-sample one-step fit for the last
-    len(fitted) training points; it is never serialized, so a loaded model
-    has none."""
+    length.
+
+    `fitted` (the in-sample one-step fit of the last len(fitted) training
+    points) and `residual_std` (the RMS of its residuals: their spread about
+    0) come from the variant's one-step predictor run over the training
+    values. A fit runs that in-sample pass once, on the first read of
+    either: `gatewatch forecast`, residual-mode `detect` and `model.json`
+    read them, `compare` never does, so its LSTM rows run no in-sample pass.
+    `fitted` is never serialized, so a loaded model has none and keeps its
+    stored `residual_std`."""
 
     config: ForecasterConfig
     n_train: int
     history: np.ndarray       # last ma_window / lstm_num_timesteps training values
     train_mean: float         # band X and s over the training points
     train_std: float
-    residual_std: float       # RMS of the in-sample residuals: their spread about 0
+    # (fitted, residual_std), or the fit's pending in-sample pass returning them
+    in_sample: tuple[np.ndarray, float] | Callable = field(repr=False, compare=False)
     # variant state
     hw_constants: tuple[float, float, float] | None = None
     hw_state: tuple[float, float, np.ndarray] | None = None  # level, trend, seasonals
     lt_coefs: np.ndarray | None = None
     lstm_params: lstm.LstmParams | None = None
     scaler: Scaler | None = None
-    fitted: np.ndarray = field(default_factory=lambda: np.empty(0), compare=False)
+
+    @property
+    def fitted(self) -> np.ndarray:
+        return self._in_sample()[0]
+
+    @property
+    def residual_std(self) -> float:
+        return self._in_sample()[1]
+
+    def _in_sample(self) -> tuple[np.ndarray, float]:
+        if callable(self.in_sample):
+            self.in_sample = self.in_sample()   # drops what the pending pass held
+        return self.in_sample
 
     # -- forecasting --------------------------------------------------------
 
@@ -213,7 +235,7 @@ class FittedForecaster:
                     n_train=params["n_train"],
                     history=np.array(params["history"], dtype=float),
                     train_mean=params["train_mean"], train_std=params["train_std"],
-                    residual_std=params["residual_std"])
+                    in_sample=(np.empty(0), params["residual_std"]))
         if "hw_constants" in params:
             model.hw_constants = tuple(params["hw_constants"])
             model.hw_state = (params["hw_level"], params["hw_trend"],
@@ -231,19 +253,31 @@ class FittedForecaster:
         return cls.from_json_obj(json.loads(text))
 
 
-def _model(config: ForecasterConfig, y: np.ndarray, fitted: np.ndarray,
-           keep: int = 0, **state) -> FittedForecaster:
-    """The model of a fit over training values y whose in-sample one-step fit
-    covers y[len(y) - len(fitted):], keeping the last `keep` values."""
+def _in_sample_fit(one_step: Callable[[np.ndarray], np.ndarray],
+                   y: np.ndarray) -> tuple[np.ndarray, float]:
+    """(fitted, residual_std) of the in-sample one-step fit `one_step(y)`,
+    which covers y[len(y) - len(fitted):]."""
+    fitted = one_step(y)
     r = y[len(y) - len(fitted):] - fitted
     # Taken about 0: the residual band is centred on the forecast, so a
     # forecaster's steady bias belongs in its sigma.
     sigma = np.sqrt(np.mean(r ** 2)) if len(r) else 0.0
+    return fitted, float(sigma)
+
+
+def _model(config: ForecasterConfig, y: np.ndarray,
+           one_step: Callable[[np.ndarray], np.ndarray], keep: int = 0,
+           **state) -> FittedForecaster:
+    """The model of a fit over training values y, keeping the last `keep`
+    values. Its in-sample pass, `one_step` over the fit's own copy of y,
+    waits for the first read of `fitted` or `residual_std`, so a caller that
+    overwrites y afterwards cannot change it."""
     X, s = band_stats(y)
+    y = y.copy()
     return FittedForecaster(config=config, n_train=len(y),
                             history=y[len(y) - keep:].copy(),
                             train_mean=float(X), train_std=float(s),
-                            residual_std=float(sigma), fitted=fitted, **state)
+                            in_sample=partial(_in_sample_fit, one_step, y), **state)
 
 
 def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
@@ -262,7 +296,7 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
         check_count("ma_window", w)
         if n < w + 1:
             raise SeriesTooShort(f"length {n} too short for window {w}")
-        return _model(config, y, _window_means(y, w), keep=w)
+        return _model(config, y, lambda y: _window_means(y, w), keep=w)
 
     if v == "holt_winters":
         m = config.hw_period
@@ -293,7 +327,8 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
         errors -= y[m:]
         mses = np.mean(np.square(errors, out=errors), axis=1)
         best = int(np.argmin(mses))  # argmin is first-hit, so ties are stable
-        return _model(config, y, preds[best].copy(), hw_constants=grid[best],
+        fitted = preds[best].copy()    # a copy, so the model holds no grid
+        return _model(config, y, lambda y: fitted, hw_constants=grid[best],
                       hw_state=(float(level[best]), float(trend[best]),
                                 S[:, best].copy()))
 
@@ -304,7 +339,8 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
             check_count("hw_period", config.hw_period, least=2)
         X = _lt_design(np.arange(n), config.hw_period, config.lt_seasonal_dummies)
         coefs, *_ = np.linalg.lstsq(X, y, rcond=None)
-        return _model(config, y, _lt_line(config, coefs, np.arange(n)), lt_coefs=coefs)
+        return _model(config, y, lambda y: _lt_line(config, coefs, np.arange(len(y))),
+                      lt_coefs=coefs)
 
     # lstm
     for name in ("lstm_units", "lstm_num_timesteps"):
@@ -319,5 +355,5 @@ def fit(config: ForecasterConfig, train: TimeSeries) -> FittedForecaster:
         num_chunks=config.lstm_num_chunks, batch_size=config.lstm_batch_size,
         epochs=config.lstm_epochs, learning_rate=config.lstm_learning_rate,
         dropout=config.lstm_dropout, seed=config.rng_seed)
-    return _model(config, y, _lstm_one_step(params, scaler, y, T), keep=T,
+    return _model(config, y, lambda y: _lstm_one_step(params, scaler, y, T), keep=T,
                   lstm_params=params, scaler=scaler)

@@ -137,7 +137,9 @@ def ref_rate_alerts(per_source, config, start, duration):
         silence = TimeSeries(start=start, interval_seconds=config.interval_seconds,
                              values=np.where(counts == 0, np.nan, counts))
         alerts.extend(detect_dropout(silence, config.gap_threshold, source=source))
-        if duration > n_train:
+        # The stream skips a scored part shorter than one window, where
+        # mean_shift_alerts refuses it.
+        if duration - n_train >= config.surge_window:
             scored = TimeSeries(start=rates.timestamp_at(n_train),
                                 interval_seconds=config.interval_seconds,
                                 values=counts[n_train:])

@@ -936,6 +936,21 @@ class TestDetectAndStream:
         spike = TimeSeries.from_values(values, interval_seconds=3600.0).timestamp_at(100)
         assert spike.isoformat() in {a["ts"] for a in alerts if a["kind"] == "Surge"}
 
+    def test_detect_mean_shift_refuses_a_window_longer_than_the_scored_part(
+            self, tmp_path, capsys):
+        # The seed-42 flood's camera-1 scores 240 points: a window of 240
+        # scores one, and one of 241 used to score none and exit 0, silently.
+        trace = tmp_path / "trace"
+        assert run("simulate", "--scenario", "flood", "--seed", "42",
+                   "--out", str(trace)) == 0
+        argv = ["detect", "--input", str(trace / "flow.csv"), "--source-ip", "10.0.0.2",
+                "--mode", "mean_shift", "--window"]
+        assert run(*argv, "240", "--out", str(tmp_path / "o")) == 0
+        assert run(*argv, "241", "--out", str(tmp_path / "refused")) == 2
+        assert capsys.readouterr().err == ("error: data: SeriesTooShort: window 241 "
+                                           "is longer than the 240 points it scores\n")
+        assert not (tmp_path / "refused").exists()
+
     def test_detect_mean_shift_needs_an_observed_training_point(self, tmp_path,
                                                                 capsys):
         path = series_file(tmp_path, [None] * 10 + [1.0] * 10)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import examples
 from gatewatch import detect
-from gatewatch.errors import AllMissing, GatewatchError, UnsupportedConfidence
+from gatewatch.errors import AllMissing, GatewatchError, SeriesTooShort, UnsupportedConfidence
 from gatewatch.forecast import FittedForecaster, ForecasterConfig, fit
 from gatewatch.series import TimeSeries, band_stats, split
 
@@ -130,6 +130,16 @@ class TestSurges:
         assert detect.detect_surges(make(values[60:]), model, 0.95,
                                     mode="residual") == []
 
+    def test_a_window_longer_than_the_scored_series_is_refused(self):
+        # It would score no window, so mean-shift mode refuses it; residual
+        # mode scores one-point windows whatever window it is handed.
+        model, scored, _ = _surge_setup(spike_windows=(0,), window=48)
+        assert len(detect.detect_surges(scored, model, 0.999, window=48)) == 1
+        with pytest.raises(SeriesTooShort,
+                           match="^window 49 is longer than the 48 points it scores$"):
+            detect.detect_surges(scored, model, 0.999, window=49)
+        assert detect.detect_surges(scored, model, 0.999, mode="residual", window=49)
+
     def test_unknown_mode_rejected(self):
         model, scored, window = _surge_setup()
         with pytest.raises(ValueError):
@@ -199,8 +209,8 @@ FRACTIONS = st.one_of(
 def test_identity_flood_is_split_and_the_mean_shift_band(data):
     # The identity flood cuts its series where series.split does and refuses
     # what split refuses; it once kept its own cut and gave no alert, with no
-    # error, for a cut that left no test part, a 1-point series or a
-    # training part with no observed point.
+    # error, for a cut that left no test part, a 1-point series, a training
+    # part with no observed point or a window longer than the test part.
     n = data.draw(st.integers(min_value=1, max_value=30))
     values = data.draw(st.lists(COUNTS, min_size=n, max_size=n))
     blank = data.draw(st.integers(min_value=0, max_value=n))
@@ -224,6 +234,11 @@ def test_identity_flood_is_split_and_the_mean_shift_band(data):
     train = series.values[:n_train][~series.missing[:n_train]]
     if len(train) == 0:
         with pytest.raises(AllMissing):
+            flood()
+        return
+    if window > n - n_train:
+        with pytest.raises(SeriesTooShort, match=f"^window {window} is longer than "
+                                                 f"the {n - n_train} points it scores$"):
             flood()
         return
     want = detect.mean_shift_block(
@@ -394,10 +409,15 @@ def test_one_row_cores_match_the_one_series_loops(data):
     window = data.draw(WINDOWS)
     z = data.draw(st.sampled_from(sorted(detect.Z_TABLE.values())))
     gap_threshold = data.draw(st.integers(min_value=1, max_value=6))
-    got = detect.mean_shift_alerts(series, baseline, z, window, "Surge", "s")
-    want = ref_mean_shift_alerts(series, 0, baseline, z, window, "Surge", "s")
-    assert got == want
-    assert lines(got) == lines(want)
+    if window > n:
+        with pytest.raises(SeriesTooShort, match=f"^window {window} is longer than "
+                                                 f"the {n} points it scores$"):
+            detect.mean_shift_alerts(series, baseline, z, window, "Surge", "s")
+    else:
+        got = detect.mean_shift_alerts(series, baseline, z, window, "Surge", "s")
+        want = ref_mean_shift_alerts(series, 0, baseline, z, window, "Surge", "s")
+        assert got == want
+        assert lines(got) == lines(want)
     got = detect.detect_dropout(series, gap_threshold, "s")
     want = ref_detect_dropout(series, gap_threshold, "s")
     assert got == want

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gatewatch import evaluate as ev
+from gatewatch import evaluate as ev, forecast as fc
 from gatewatch.errors import AllTargetsZero, EmptyInput, LengthMismatch, MissingValuesPresent
 from gatewatch.forecast import ForecasterConfig
-from gatewatch.series import TimeSeries
+from gatewatch.series import TimeSeries, split
 
 
 def make(values, interval=3600.0):
@@ -132,3 +132,25 @@ class TestCompareModels:
         assert report.row("holt_winters(m=24)").pattern_class == \
             "Seasonality and or Trend"
         assert report.row("persistence").pattern_class == "Stationary"
+
+
+def test_compare_runs_no_in_sample_pass(monkeypatch):
+    # compare reads neither fitted nor residual_std, so each LSTM row runs its
+    # one-step predictor once, over the test windows.
+    calls = []
+    one_step = fc._lstm_one_step
+
+    def counted(params, scaler, values, T):
+        calls.append((len(values), T))
+        return one_step(params, scaler, values, T)
+
+    monkeypatch.setattr(fc, "_lstm_one_step", counted)
+    t = np.arange(120)
+    series = TimeSeries.from_values(10.0 + 3.0 * np.sin(2 * np.pi * t / 24),
+                                    interval_seconds=3600.0)
+    configs = [ForecasterConfig(variant="lstm", lstm_num_timesteps=12, rng_seed=seed)
+               for seed in (1, 2)] + [ForecasterConfig(variant="holt_winters")]
+    report = ev.compare_models(configs, series, 0.8)
+    assert [row.error for row in report.rows] == [None] * 4
+    test = split(series, 0.8)[1]
+    assert calls == [(12 + len(test), 12)] * 2

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import examples
-from gatewatch import forecast as fc
+from gatewatch import cli, forecast as fc
 from gatewatch.errors import MissingValuesPresent, SeriesTooShort
-from gatewatch.series import TimeSeries
+from gatewatch.series import TimeSeries, band_stats
 
 
 def make(values, interval=3600.0):
@@ -313,8 +313,39 @@ def ref_hw_fit(config, y):
         alpha, beta, gamma = combos[int(np.argmin(mses))]
     level, trend, S = fc._hw_initial_state(y, m)
     preds, level, trend = ref_hw_run(y[m:], alpha, beta, gamma, m, level, trend, S, m)
-    return fc._model(config, y, preds, hw_constants=(alpha, beta, gamma),
+    return ref_model(config, y, preds, hw_constants=(alpha, beta, gamma),
                      hw_state=(float(level), float(trend), S))
+
+
+def ref_model(config, y, fitted, keep=0, **state):
+    """`forecast._model` when every fit ran its in-sample pass at once: the
+    model of a fit over y whose one-step fit `fitted` covers its last
+    len(fitted) values."""
+    r = y[len(y) - len(fitted):] - fitted
+    sigma = np.sqrt(np.mean(r ** 2)) if len(r) else 0.0
+    X, s = band_stats(y)
+    return fc.FittedForecaster(config=config, n_train=len(y),
+                               history=y[len(y) - keep:].copy(),
+                               train_mean=float(X), train_std=float(s),
+                               in_sample=(fitted, float(sigma)), **state)
+
+
+def ref_eager(model, y):
+    """The model of `model`'s fit over y with its in-sample pass run at once,
+    by the variant's one-step predictor on the fit's parameters."""
+    config = model.config
+    if config.variant == "moving_average":
+        w = config.ma_window
+        return ref_model(config, y, fc._window_means(y, w), keep=w)
+    if config.variant == "holt_winters":
+        return ref_hw_fit(config, y)
+    if config.variant == "linear_trend":
+        coefs = model.lt_coefs
+        return ref_model(config, y, fc._lt_line(config, coefs, np.arange(len(y))),
+                         lt_coefs=coefs)
+    T = config.lstm_num_timesteps
+    return ref_model(config, y, fc._lstm_one_step(model.lstm_params, model.scaler, y, T),
+                     keep=T, lstm_params=model.lstm_params, scaler=model.scaler)
 
 
 def test_the_grid_search_builds_no_grid(monkeypatch):
@@ -355,3 +386,41 @@ def test_hw_fit_equals_select_then_rerun(period, constants, seed):
     assert model.to_json() == want.to_json()
     new = np.r_[rng.normal(y.mean(), y.std(), 5), np.nan, rng.normal(y.mean(), 1, 3)]
     assert model.one_step_on(new).tobytes() == want.one_step_on(new).tobytes()
+
+
+@pytest.mark.parametrize("overwrite", [False, True], ids=["kept", "overwritten"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("config", REWIND_CONFIGS, ids=[c.label() for c in REWIND_CONFIGS])
+def test_the_deferred_in_sample_pass_equals_the_eager_one(config, seed, overwrite):
+    # The in-sample pass waits for the first read of fitted or residual_std,
+    # runs on the fit's own copy of the training values (so a caller that
+    # reuses its buffer first changes nothing) and is then dropped.
+    y = sine(cycles=6, period=8, amp=40.0, noise=3.0, seed=seed).values
+    train = make(y)
+    model = fc.fit(replace(config, rng_seed=seed), train)
+    want = ref_eager(model, y)
+    if overwrite:
+        train.values[:] = -1.0
+    assert callable(model.in_sample)
+    assert model.fitted.tobytes() == want.fitted.tobytes()
+    assert not callable(model.in_sample)
+    assert model.residual_std == want.residual_std
+    assert model.to_json() == want.to_json()
+
+
+def test_gatewatch_forecast_writes_the_bytes_of_the_eager_pass(tmp_path, monkeypatch):
+    # LSTM outputs depend on the BLAS build, so no golden pins them: the
+    # deferred pass is checked against the eager one in one process.
+    path = tmp_path / "s.json"
+    path.write_text(sine(cycles=4, period=24, amp=5.0, noise=0.5, seed=6).to_json(),
+                    encoding="utf-8")
+    argv = ["forecast", "--input", str(path), "--model", "lstm",
+            "--lstm-num-timesteps", "24", "--seed", "11", "--out"]
+    assert cli.main(argv + [str(tmp_path / "deferred")]) == 0
+    fit = cli.fit
+    monkeypatch.setattr(cli, "fit", lambda config, train: ref_eager(fit(config, train),
+                                                                    train.values))
+    assert cli.main(argv + [str(tmp_path / "eager")]) == 0
+    for name in ("forecast.json", "model.json", "forecast.csv"):
+        assert (tmp_path / "deferred" / name).read_bytes() == \
+            (tmp_path / "eager" / name).read_bytes(), name
