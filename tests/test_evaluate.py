@@ -133,24 +133,23 @@ class TestCompareModels:
             "Seasonality and or Trend"
         assert report.row("persistence").pattern_class == "Stationary"
 
+    def test_compare_runs_no_in_sample_pass(self, monkeypatch):
+        # compare reads neither fitted nor residual_std, so each LSTM row runs its
+        # one-step predictor once, over the test windows.
+        calls = []
+        one_step = fc._lstm_one_step
 
-def test_compare_runs_no_in_sample_pass(monkeypatch):
-    # compare reads neither fitted nor residual_std, so each LSTM row runs its
-    # one-step predictor once, over the test windows.
-    calls = []
-    one_step = fc._lstm_one_step
+        def counted(params, scaler, values, T):
+            calls.append((len(values), T))
+            return one_step(params, scaler, values, T)
 
-    def counted(params, scaler, values, T):
-        calls.append((len(values), T))
-        return one_step(params, scaler, values, T)
-
-    monkeypatch.setattr(fc, "_lstm_one_step", counted)
-    t = np.arange(120)
-    series = TimeSeries.from_values(10.0 + 3.0 * np.sin(2 * np.pi * t / 24),
-                                    interval_seconds=3600.0)
-    configs = [ForecasterConfig(variant="lstm", lstm_num_timesteps=12, rng_seed=seed)
-               for seed in (1, 2)] + [ForecasterConfig(variant="holt_winters")]
-    report = ev.compare_models(configs, series, 0.8)
-    assert [row.error for row in report.rows] == [None] * 4
-    test = split(series, 0.8)[1]
-    assert calls == [(12 + len(test), 12)] * 2
+        monkeypatch.setattr(fc, "_lstm_one_step", counted)
+        t = np.arange(120)
+        series = TimeSeries.from_values(10.0 + 3.0 * np.sin(2 * np.pi * t / 24),
+                                        interval_seconds=3600.0)
+        configs = [ForecasterConfig(variant="lstm", lstm_num_timesteps=12, rng_seed=seed)
+                   for seed in (1, 2)] + [ForecasterConfig(variant="holt_winters")]
+        report = ev.compare_models(configs, series, 0.8)
+        assert [row.error for row in report.rows] == [None] * 4
+        test = split(series, 0.8)[1]
+        assert calls == [(12 + len(test), 12)] * 2
