@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -29,7 +29,8 @@ from .errors import (
     SchemaMismatch,
     WidthMismatch,
 )
-from .series import TimeSeries, band_stats, check_count, check_interval, slots, to_utc
+from .series import (EPOCH, MICROSECOND, TimeSeries, band_stats, check_count, check_interval,
+                     slots, to_utc)
 
 PACKET_CLASSES = ("Known", "Unknown", "Attack")
 UNKNOWN, ATTACK = PACKET_CLASSES.index("Unknown"), PACKET_CLASSES.index("Attack")
@@ -45,9 +46,6 @@ RATE_BLOCK_CELLS = 2 ** 16
 # baseline: a count, not a share of the run, so no later record moves a band
 # or a window. Every stock trace is 480 intervals long; 240 is its half.
 BASELINE_INTERVALS = 240
-# Stream stamps run as int64 microseconds since the UTC epoch.
-EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-MICROSECOND = timedelta(microseconds=1)
 
 
 class EventLogRecord(NamedTuple):
@@ -340,7 +338,7 @@ def _training_samples(vectors: np.ndarray, intake: EventColumns, rows: np.ndarra
     on the grid that starts at the record of rows[0], is in `attack_cells`,
     else Known. Duplicate vectors keep their first label."""
     first = rows[_first_rows(vectors[rows])]
-    offsets = (intake.micros[first] - intake.micros[rows[0]]) / 1e6
+    offsets = intake.micros[first] - intake.micros[rows[0]]
     return [(vectors[i].copy(),
              "Attack" if (slot, intake.names[intake.ranks[i]]) in attack_cells else "Known")
             for i, slot in zip(first.tolist(), slots(offsets, interval_seconds).tolist())]
@@ -498,7 +496,7 @@ def new_id_counts(records: list[EventLogRecord], start: datetime,
     log = _intake(records, SymbolSchema(()))
     first = np.full(len(log.names), np.iinfo(np.int64).max)
     np.minimum.at(first, log.ranks, log.micros)
-    index = slots((first - (to_utc(start) - EPOCH) // MICROSECOND) / 1e6, interval_seconds)
+    index = slots(first - (to_utc(start) - EPOCH) // MICROSECOND, interval_seconds)
     counts = np.bincount(index[(index >= 0) & (index < duration)],
                          minlength=duration).astype(float)
     return TimeSeries(start=start, interval_seconds=interval_seconds, values=counts)
@@ -510,7 +508,7 @@ def _rate_alerts(ranks: np.ndarray, names: list[str], slots: np.ndarray,
     from each record's rank in the sorted source ids `names` and slot in
     [0, duration), scored a group of sources at a time, in source order.
     Surges are scored after the first BASELINE_INTERVALS slots, against their
-    band; a run no longer than that gets none."""
+    band; a run too short to hold a whole surge window after them gets none."""
     z = z_score(config.confidence)
     n_train = BASELINE_INTERVALS
     present, rows = np.unique(ranks, return_inverse=True)
@@ -529,7 +527,7 @@ def _rate_alerts(ranks: np.ndarray, names: list[str], slots: np.ndarray,
         counts = counts.astype(float).reshape(len(sources), duration)
         alerts.extend(dropout_block(counts == 0, config.gap_threshold, start,
                                     config.interval_seconds, sources))
-        if duration > n_train:
+        if duration - n_train >= config.surge_window:
             alerts.extend(mean_shift_block(counts, n_train,
                                            *band_stats(counts[:, :n_train]), z,
                                            config.surge_window, "Surge", start,
@@ -573,8 +571,8 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
     `dropped_malformed` and excluded before it can move the skew window. A
     given network whose width is not the schema's raises WidthMismatch, a
     confidence off the Z table UnsupportedConfidence, and a negative skew
-    window (`skew_intervals * interval_seconds`), an interval that is not a
-    positive finite number, or a surge window or gap threshold that
+    window (`skew_intervals * interval_seconds`), an interval that
+    `series.check_interval` refuses, or a surge window or gap threshold that
     `series.check_count` refuses ValueError, all before any record is read.
 
     Give a network or label rows, not both. Label rows train a network of
@@ -582,7 +580,7 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
     aside, in (timestamp, source id) order, so the interval grid starts at the
     earliest of them. Returns the alerts, the counts and the network used.
     The surge baseline is the first BASELINE_INTERVALS intervals from the
-    first accepted record: a log that spans no more gets no surge scoring.
+    first accepted record: a log with no whole surge window past it gets none.
 
     `records` is any iterable in arrival order, a list or read_events(path),
     taken in one pass into intake columns: a record is late when its stamp
@@ -594,11 +592,10 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
     set, its records that are not duplicates, on both paths: training reads
     it all, classification and rate scoring its on-time part (a record after
     a late one of its stamp is late too, so those come first). A record's
-    interval slot is series.slots of its offset from the grid start,
-    (µs - µs0) / 1e6 s: the offset's total_seconds(), rounded once. So a
-    grid too fine to count raises OverflowError, as does a skew window past
-    timedelta's range. A naive stamp is UTC, and every alert is stamped in
-    UTC.
+    interval slot is series.slots of its whole-µs offset from the grid start,
+    so series.slot_time of that slot is never after it. A skew window past
+    int64 µs raises OverflowError. A naive stamp is UTC, and every alert is
+    stamped in UTC.
     """
     if (network is None) == (labels is None):
         raise ValueError("stream_pipeline takes a network or label rows, not both or neither")
@@ -607,15 +604,14 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
     skew_seconds = config.skew_intervals * config.interval_seconds
     if skew_seconds < 0:
         raise ValueError(f"the skew window of {skew_seconds} s is negative")
-    check_interval(config.interval_seconds)
+    skew_us = config.skew_intervals * check_interval(config.interval_seconds)
     z_score(config.confidence)
     for name in ("surge_window", "gap_threshold"):
         check_count(name, getattr(config, name))
-    skew = timedelta(seconds=skew_seconds)
     intake = _intake(records, schema)
     stamps, ranks = intake.micros, intake.ranks
     late = np.zeros(len(stamps), dtype=bool)
-    late[1:] = stamps[1:] < np.maximum.accumulate(stamps)[:-1] - skew // MICROSECOND
+    late[1:] = stamps[1:] < np.maximum.accumulate(stamps)[:-1] - skew_us
     by_key = np.lexsort((ranks, stamps))
     duplicate = _duplicates(intake, by_key, ~late)
     rows = by_key[~duplicate[by_key]]
@@ -645,8 +641,7 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
 
     rate_alerts: list[AnomalyAlert] = []
     if len(accepted):
-        micros = stamps[accepted]
-        rate_slots = slots((micros - micros[0]) / 1e6, config.interval_seconds)
+        rate_slots = slots(stamps[accepted] - stamps[accepted[0]], config.interval_seconds)
         rate_alerts = _rate_alerts(ranks[emitted], intake.names,
                                    rate_slots[matched[accepted]], config,
                                    intake.stamp(accepted[0]), int(rate_slots[-1]) + 1)

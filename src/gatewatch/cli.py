@@ -47,6 +47,15 @@ def _between(kind, low, high=math.inf):
     return parse
 
 
+def _interval(text):
+    """An argparse type: seconds that series.check_interval takes."""
+    try:
+        ts.check_interval(float(text))
+    except ValueError as exc:   # float's own refusal too
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return float(text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="gatewatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -61,7 +70,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ingest", help="flow CSV -> series JSON + ingest report")
     common(p)
     p.add_argument("--value-col", default="Fwd Pkt Len Mean")
-    p.add_argument("--interval", type=_between(float, 0), default=3600.0,
+    p.add_argument("--interval", type=_interval, default=3600.0,
                    help="bucket width in seconds")
     p.add_argument("--aggregator", choices=["mean", "sum", "count"], default="mean")
     p.add_argument("--source-ip", default=None,
@@ -89,7 +98,7 @@ def build_parser() -> _Parser:
     common(p)
     _model_flags(p)
     p.add_argument("--value-col", default="Fwd Pkt Len Mean")
-    p.add_argument("--interval", type=_between(float, 0), default=3600.0)
+    p.add_argument("--interval", type=_interval, default=3600.0)
     p.add_argument("--source-ip", default=None)
     p.add_argument("--confidence", type=float, default=0.95)
     p.add_argument("--mode", choices=["mean_shift", "residual"], default="mean_shift")
@@ -107,7 +116,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--labels", help="labels.csv used to train the classifier")
     p.add_argument("--network", help="pre-trained network JSON")
-    p.add_argument("--interval", type=_between(float, 0), default=3600.0)
+    p.add_argument("--interval", type=_interval, default=3600.0)
     p.add_argument("--radius", type=_between(int, -1), default=1)
     p.add_argument("--confidence", type=float, default=0.95)
     p.add_argument("--window", type=_between(int, 0), default=24)

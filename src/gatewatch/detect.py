@@ -154,14 +154,15 @@ def mean_shift_block(values: np.ndarray, first: int, X, s, z: float,
     band with spread s[r] (`series.band_stats` of its training points) and
     centre X[r], or X[r, w] for window w when X is (k, windows); a NaN centre
     flags nothing. Alerts are stamped on the grid at `start`, carry sources[r]
-    and come row by row, windows in order."""
+    and come row by row, windows in order. No window fits: SeriesTooShort."""
     check_count("window", window)
+    scored = max(values.shape[1] - first, 0)
+    if window > scored:
+        raise SeriesTooShort(f"window {window} is longer than the {scored} points it scores")
     k = len(values)
     s = np.asarray(s, dtype=float)
     threshold = z * s / math.sqrt(window)
-    count = (values.shape[1] - first) // window
-    if count <= 0:
-        return []
+    count = scored // window
     X = np.broadcast_to(np.asarray(X, dtype=float).reshape(k, -1), (k, count))
     windows = values[:, first:first + count * window].reshape(k, count, window)
     means = windows.mean(axis=2)
@@ -197,18 +198,7 @@ def mean_shift_alerts(series: TimeSeries, baseline, z: float, window: int,
     flagged; a window with no observed point is skipped. A window longer
     than the series raises SeriesTooShort."""
     X, s = band_stats(baseline)
-    return _score_series(series, [X], [s], z, window, kind, source)
-
-
-def _score_series(series: TimeSeries, X, s, z: float, window: int, kind: str,
-                  source: str) -> list[AnomalyAlert]:
-    """mean_shift_block over the whole series as one row. A window longer
-    than the series would score nothing, so it raises SeriesTooShort."""
-    check_count("window", window)
-    if window > len(series):
-        raise SeriesTooShort(f"window {window} is longer than the {len(series)} "
-                             "points it scores")
-    return mean_shift_block(series.values[None], 0, X, s, z, window, kind,
+    return mean_shift_block(series.values[None], 0, [X], [s], z, window, kind,
                             series.start, series.interval_seconds, [source])
 
 
@@ -235,7 +225,8 @@ def detect_surges(series: TimeSeries, model: FittedForecaster, confidence: float
         s, window = [model.residual_std], 1
     else:
         X, s = [model.train_mean], [model.train_std]
-    return _score_series(series, X, s, z, window, "Surge", source)
+    return mean_shift_block(series.values[None], 0, X, s, z, window, "Surge",
+                            series.start, series.interval_seconds, [source])
 
 
 def dropout_block(silent: np.ndarray, gap_threshold: int, start: datetime,

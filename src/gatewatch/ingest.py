@@ -19,7 +19,7 @@ from .errors import (
     MissingColumn,
     TimestampParseError,
 )
-from .series import TimeSeries, check_interval, slots, to_utc
+from .series import MICROSECOND, TimeSeries, check_interval, slots, to_utc
 
 TIMESTAMP_FORMAT = "%d/%m/%Y %I:%M:%S %p"
 
@@ -164,7 +164,7 @@ def to_series(records: list[FlowRecord], interval_seconds: float,
     # left-to-right order as summing the bucket.
     usable.sort(key=lambda r: r.timestamp)
     first = usable[0].timestamp
-    index = slots([(r.timestamp - first).total_seconds() for r in usable], interval_seconds)
+    index = slots([(r.timestamp - first) // MICROSECOND for r in usable], interval_seconds)
     counts = np.bincount(index)
     if aggregator == "count":
         values = counts.astype(float)

@@ -1,8 +1,8 @@
 """Uniform time-series container and preparation utilities.
 
-The interval grid (which interval an offset falls in, where an interval
-starts, maximal runs of flagged points), the clock and count rules, the
-mean-shift band statistics, scaling, the chronological split (the one
+The interval grid in whole µs (which interval an offset falls in, where an
+interval starts, maximal runs of flagged points), the clock and count rules,
+the mean-shift band statistics, scaling, the chronological split (the one
 train/score cut), sliding windows and seasonality / stationarity diagnostics.
 """
 from __future__ import annotations
@@ -33,13 +33,20 @@ STATIONARITY_DRIFT_THRESHOLD = 0.5
 STATIONARITY_SEGMENTS = 4
 # Missing runs up to this length are interpolated; longer ones are dropouts.
 MAX_IMPUTED_RUN = 2
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+MICROSECOND = timedelta(microseconds=1)
 
 
-def check_interval(interval_seconds: float) -> None:
-    """Refuse, with ValueError, a grid interval that is not positive and finite."""
+def check_interval(interval_seconds: float) -> int:
+    """The interval in whole µs, the grid's one unit: round(interval_seconds * 1e6).
+    ValueError refuses one not positive and finite, or not a finite µs count >= 1."""
     if not (math.isfinite(interval_seconds) and interval_seconds > 0):
         raise ValueError(f"the interval of {interval_seconds} s is not a positive "
                          "finite number")
+    micros = interval_seconds * 1e6
+    if not (math.isfinite(micros) and round(micros) >= 1):
+        raise ValueError(f"the interval of {interval_seconds} s is not a finite µs count >= 1")
+    return round(micros)
 
 
 def check_count(name: str, value, least: int = 1) -> None:
@@ -49,16 +56,14 @@ def check_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be an int >= {least}, not {value!r}")
 
 
-def slots(offsets_seconds, interval_seconds: float) -> np.ndarray:
-    """Index of the interval each offset from the grid start falls in,
-    offset // interval_seconds as an int64 array (negative before the start).
-    A slot of 2**53 or more, where float64 no longer tells neighbouring
-    integers apart, raises OverflowError."""
-    with np.errstate(over="ignore", invalid="ignore"):  # past float64: refused below
-        quotients = np.asarray(offsets_seconds, dtype=np.float64) // interval_seconds
-    if quotients.size and not np.abs(quotients).max() < 2 ** 53:
-        raise OverflowError(f"an interval of {interval_seconds} s puts a slot past 2**53")
-    return quotients.astype(np.int64)
+def slots(offsets_us, interval_seconds: float) -> np.ndarray:
+    """Index of the interval each whole-µs offset from the grid start falls in,
+    offset // the interval's µs as an int64 array (negative before the start),
+    exact: slot_time's inverse. Offsets that are not integers raise TypeError."""
+    offsets = np.asarray(offsets_us)
+    if offsets.size and offsets.dtype.kind not in "iu":
+        raise TypeError(f"offsets must be whole microseconds, not {offsets.dtype}")
+    return offsets.astype(np.int64) // check_interval(interval_seconds)
 
 
 def runs(mask) -> tuple[np.ndarray, np.ndarray]:
@@ -70,8 +75,8 @@ def runs(mask) -> tuple[np.ndarray, np.ndarray]:
 
 
 def slot_time(start: datetime, interval_seconds: float, index: int) -> datetime:
-    """Start of interval `index` on the grid that starts at `start`."""
-    return start + timedelta(seconds=interval_seconds * index)
+    """Start of interval `index` on the grid at `start`, in whole µs from it."""
+    return start + index * check_interval(interval_seconds) * MICROSECOND
 
 
 def to_utc(dt: datetime) -> datetime:

@@ -22,7 +22,7 @@ from .cc4 import EventLogRecord, FieldEncoder, SymbolSchema, event_lines
 from .detect import AnomalyAlert
 from .errors import InvalidScript, MalformedLabels, TimeBaseMismatch
 from .ingest import format_timestamp
-from .series import TimeSeries, check_count, check_interval, slot_time, slots, to_utc
+from .series import MICROSECOND, TimeSeries, check_count, check_interval, slot_time, slots, to_utc
 
 DEVICE_KINDS = ("streetlight", "camera", "water_sensor")
 ATTACK_KINDS = ("UdpFlood", "SilenceAfterOverflow", "Sybil")
@@ -163,11 +163,11 @@ def generate_trace(config: SimConfig) -> LabeledTrace:
             if s.target_id != dev.id:
                 continue
             if s.kind == "UdpFlood":
-                with np.errstate(over="ignore", invalid="ignore"):
-                    rates[s.start:s.end] *= s.magnitude
-                if not np.isfinite(rates[s.start:s.end]).all():
+                # rates are >= 0, so the top one tells; a float product never warns
+                if not np.isfinite(float(rates[s.start:s.end].max()) * s.magnitude):
                     raise OverflowError(f"a flood of magnitude {s.magnitude} on "
                                         f"{dev.id!r} gives rates that are not finite")
+                rates[s.start:s.end] *= s.magnitude
                 udp[s.start:s.end] = True
             elif s.kind == "SilenceAfterOverflow":
                 rates[s.start:s.end] = np.nan
@@ -280,7 +280,7 @@ def score_detections(alerts: list[AnomalyAlert], trace: LabeledTrace,
     recalled when some compatible alert covers it.
     """
     check_count("coverage", coverage)
-    span = trace.interval_seconds * trace.duration
+    step = check_interval(trace.interval_seconds)   # µs
     label_set = set(trace.labels)
     by_interval: dict[int, list[tuple[int, str, str]]] = {}
     for label in label_set:
@@ -289,8 +289,8 @@ def score_detections(alerts: list[AnomalyAlert], trace: LabeledTrace,
     covered: set[tuple[int, str, str]] = set()
     tp = fp = 0
     per_kind: dict[str, int] = {}
-    offsets = np.array([(alert.timestamp - trace.start).total_seconds() for alert in alerts])
-    off_grid = (offsets < 0) | (offsets >= span) | (offsets % trace.interval_seconds != 0)
+    offsets = np.array([(alert.timestamp - trace.start) // MICROSECOND for alert in alerts])
+    off_grid = (offsets < 0) | (offsets >= step * trace.duration) | (offsets % step != 0)
     if off_grid.any():
         stamp = alerts[int(np.argmax(off_grid))].timestamp
         raise TimeBaseMismatch(f"alert at {stamp.isoformat()} is off the trace grid")

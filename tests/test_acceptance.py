@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import grid_step
 from gatewatch import cc4, cli, detect, evaluate, ingest, lstm, simulate
 from gatewatch.errors import UnsupportedConfidence
 from gatewatch.forecast import FittedForecaster, ForecasterConfig, fit
@@ -168,8 +169,7 @@ def test_c09_end_to_end_flood_silence_sybil():
                                    source="streetlight-1")
     assert len(alerts) >= 1
     for alert in alerts:
-        idx = int((alert.timestamp - trace.start).total_seconds()
-                  // trace.interval_seconds)
+        idx = (alert.timestamp - trace.start) // grid_step(trace.interval_seconds)
         assert 200 <= idx < 230
 
     # Sybil: identity-flood alerts only inside the scripted window
@@ -180,8 +180,7 @@ def test_c09_end_to_end_flood_silence_sybil():
                                           window=1)
     assert len(alerts) >= 1
     for alert in alerts:
-        idx = int((alert.timestamp - trace.start).total_seconds()
-                  // trace.interval_seconds)
+        idx = (alert.timestamp - trace.start) // grid_step(trace.interval_seconds)
         assert 300 <= idx < 360
 
 

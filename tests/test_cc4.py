@@ -293,6 +293,36 @@ class TestStreamPipeline:
         assert (naive, naive_counts) == (aware, aware_counts)
         assert all(a.timestamp.tzinfo is timezone.utc for a in naive)
 
+    @pytest.mark.parametrize("interval", [0.1, 1.1, 3600.0])
+    def test_the_flood_trains_and_scores_on_its_own_grid(self, interval):
+        # Training reads each record's (interval, device) label cell on the
+        # trace's own grid at any interval: the flood's 90 udp records, and
+        # only they, are Intrusion alerts. A float slot quotient put the
+        # training records in the wrong cells at 0.1 s and 1.1 s.
+        trace = simulate.generate_trace(replace(simulate.default_flood_config(seed=42),
+                                                interval_seconds=interval))
+        alerts = cc4.stream_pipeline(trace.events, simulate.event_schema(), None,
+                                     cc4.StreamConfig(interval_seconds=interval),
+                                     trace.labels)[0]
+        intrusions = [a for a in alerts if a.kind == "Intrusion"]
+        score = simulate.score_detections(intrusions, trace)
+        assert (len(intrusions), score.precision, score.recall) == (90, 1.0, 1.0)
+
+    @pytest.mark.parametrize("short", [True, False])
+    def test_surges_are_scored_once_a_whole_window_follows_the_baseline(self, short):
+        # One record a minute for the baseline, then five a minute: a whole
+        # surge window past the baseline is scored, and a log one interval
+        # shorter is skipped, with no error from the core's window rule.
+        baseline, window = 4, 3
+        log = [_event(m, "a") for m in range(baseline)]
+        log += [_event(m, "a", packets=float(j))
+                for m in range(baseline, baseline + window - short) for j in range(5)]
+        config = cc4.StreamConfig(interval_seconds=60.0, surge_window=window)
+        with mock.patch.object(cc4, "BASELINE_INTERVALS", baseline):
+            alerts = cc4.stream_pipeline(log, schema(), _network(), config)[0]
+        surges = [(a.timestamp, a.observed) for a in alerts if a.kind == "Surge"]
+        assert surges == ([] if short else [(T0 + timedelta(minutes=baseline), 5.0)])
+
     def test_every_alert_runs_on_one_clock(self, tmp_path):
         # The same log at UTC and at +01:00 streams to the same alert lines,
         # those `gatewatch stream` writes for it: each alert is stamped on the

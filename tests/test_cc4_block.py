@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import examples
+from conftest import examples, grid_step
 from gatewatch import cc4, cli, simulate
 from gatewatch.detect import (
     Z_TABLE,
@@ -38,7 +38,7 @@ from gatewatch.detect import (
     z_score,
 )
 from gatewatch.errors import EmptyTrainingSet, GatewatchError, SchemaMismatch
-from gatewatch.series import TimeSeries, slots
+from gatewatch.series import MICROSECOND, TimeSeries, slot_time, slots
 
 T0 = datetime(2021, 1, 1, tzinfo=timezone.utc)
 PLUS_ONE = timezone(timedelta(hours=1))
@@ -97,7 +97,7 @@ def ref_training_samples(events, schema, attack_cells, start, interval_seconds):
     samples = []
     seen = set()
     for event in events:
-        idx = int((event.timestamp - start).total_seconds() // interval_seconds)
+        idx = (event.timestamp - start) // grid_step(interval_seconds)
         vector, _ = ref_symbolize(event, schema)
         key = vector.tobytes()
         if key in seen:
@@ -128,7 +128,7 @@ def ref_rate_alerts(per_source, config, start, duration):
     for source, stamps in sorted(per_source.items()):
         counts = np.zeros(duration)
         for ts in stamps:
-            idx = int((ts - start).total_seconds() // config.interval_seconds)
+            idx = (ts - start) // grid_step(config.interval_seconds)
             if 0 <= idx < duration:
                 counts[idx] += 1
         rates = TimeSeries(start=start, interval_seconds=config.interval_seconds,
@@ -155,7 +155,7 @@ def ref_new_id_counts(records, start, interval_seconds, duration):
         if rec.source_id in seen or cc4.intake_key(rec) is None:
             continue
         seen.add(rec.source_id)
-        idx = int((rec.timestamp - start).total_seconds() // interval_seconds)
+        idx = (rec.timestamp - start) // grid_step(interval_seconds)
         if 0 <= idx < duration:
             counts[idx] += 1
     return counts
@@ -163,7 +163,7 @@ def ref_new_id_counts(records, start, interval_seconds, duration):
 
 def ref_stream_pipeline(records, schema, network, config):
     counts = cc4.StreamCounts()
-    skew = timedelta(seconds=config.skew_intervals * config.interval_seconds)
+    skew = config.skew_intervals * grid_step(config.interval_seconds)
     max_ts = None
     seen = set()
     accepted = []
@@ -215,8 +215,7 @@ def ref_stream_pipeline(records, schema, network, config):
     rate_alerts = []
     if accepted:
         start = accepted[0].timestamp
-        span = (accepted[-1].timestamp - start).total_seconds()
-        duration = int(span // config.interval_seconds) + 1
+        duration = (accepted[-1].timestamp - start) // grid_step(config.interval_seconds) + 1
         rate_alerts = ref_rate_alerts(per_source, config, start, duration)
     return merge_alerts(intrusion_alerts, rate_alerts), counts
 
@@ -487,7 +486,7 @@ def test_labelled_stream_trains_as_the_separate_training_intake(data):
                               skew_intervals=data.draw(st.integers(0, 3)),
                               strict_unknown=data.draw(st.booleans()))
     records = data.draw(labelled_logs(
-        schema, timedelta(seconds=config.skew_intervals * config.interval_seconds)))
+        schema, config.skew_intervals * grid_step(config.interval_seconds)))
     labels = data.draw(st.lists(st.tuples(st.integers(0, 40), st.sampled_from("abc"),
                                           st.sampled_from(["UdpFlood", "Sybil"]))))
     radius = data.draw(st.integers(0, 2))
@@ -669,7 +668,7 @@ def test_rate_scoring_in_groups_matches_the_per_source_reference(data):
         surge_window=data.draw(st.integers(min_value=1, max_value=8)),
         gap_threshold=data.draw(st.integers(min_value=1, max_value=8)))
     stamps = [rec.timestamp for rec in records]
-    duration = int((max(stamps) - min(stamps)).total_seconds() // 60) + 1
+    duration = (max(stamps) - min(stamps)) // grid_step(60.0) + 1
     group = data.draw(st.sampled_from([1, 2, 3, None]))
     cells = cc4.RATE_BLOCK_CELLS if group is None else group * duration
     with mock.patch.object(cc4, "RATE_BLOCK_CELLS", cells), \
@@ -681,23 +680,32 @@ def test_rate_scoring_in_groups_matches_the_per_source_reference(data):
 @settings(max_examples=examples(200), deadline=None)
 @given(st.data())
 def test_the_stream_slots_its_stamps_as_interval_index(data):
-    # The stream's slot rule on the intake's µs column gives each stamp the
-    # slot of its total_seconds() offset, as the flow buckets take it: at
-    # fractional intervals, before the grid start as well as after it, at
-    # +01:00 among UTC stamps.
+    # The slot rule on the intake's µs column, as the stream applies it,
+    # gives each stamp the slot that floor-divides its offset by the
+    # interval's whole µs, so slot_time of that slot is the grid line at or
+    # before the stamp: at intervals that are no dyadic fraction of a second,
+    # before the grid start as well as after it, at +01:00 among UTC stamps.
     records = data.draw(st.lists(st.builds(
         lambda micros, zone: cc4.EventLogRecord(
             timestamp=(T0 + timedelta(microseconds=micros)).astimezone(zone),
             source_id="a", fields={"packets": 1}),
         st.integers(-10 ** 12, 10 ** 12), st.sampled_from([timezone.utc, PLUS_ONE])),
         min_size=1, max_size=30))
-    interval = data.draw(st.one_of(st.sampled_from([45.5, 0.001, 60.0]),
+    interval = data.draw(st.one_of(st.sampled_from([45.5, 0.001, 60.0, 0.1, 0.7, 1.1]),
                                    st.floats(min_value=1e-3, max_value=1e6)))
     start = data.draw(st.integers(0, len(records) - 1))
+    # records one µs before a grid line, on it and one µs after it
+    k = data.draw(st.integers(-1000, 1000))
+    line = slot_time(records[start].timestamp, interval, k)
+    records += [records[0]._replace(timestamp=line + d * MICROSECOND) for d in (-1, 0, 1)]
     micros = cc4._intake(records, RATE_SCHEMA).micros
     stamps = [rec.timestamp for rec in records]
-    assert slots((micros - micros[start]) / 1e6, interval).tolist() == \
-        slots([(t - stamps[start]).total_seconds() for t in stamps], interval).tolist()
+    got = slots(micros - micros[start], interval).tolist()
+    assert got == [(t - stamps[start]) // grid_step(interval) for t in stamps]
+    assert got[-3:] == [k - 1, k, k]
+    for t, slot in zip(stamps, got):
+        assert slot_time(stamps[start], interval, slot) <= t \
+            < slot_time(stamps[start], interval, slot + 1)
 
 
 def test_non_numeric_thermometer_value_raises_value_error():

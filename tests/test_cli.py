@@ -359,28 +359,51 @@ class TestDataErrors:
         assert capsys.readouterr().err.startswith("error: data: AllMissing: ")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("interval, error", [
-        # 1 ns intervals over the trace's 20 days: np.bincount asks for
-        # 12.3 PiB, more than the address space, so it fails at once
-        ("1e-9", "MemoryError: Unable to allocate"),
-        # finer still, a slot passes 2**53, past float64's integers
-        ("1e-12", "OverflowError: an interval of 1e-12 s puts a slot past 2**53"),
-        ("1e-300", "OverflowError: an interval of 1e-300 s puts a slot past 2**53"),
-    ], ids=["1e-9", "1e-12", "1e-300"])
     @pytest.mark.parametrize("command, files, extra", [
         ("ingest", {"--input": "flow.csv"}, []),
         ("detect", {"--input": "flow.csv"}, ["--source-ip", "10.0.0.2"]),
         ("stream", {"--input": "events.jsonl", "--labels": "labels.csv"}, []),
     ])
     def test_an_interval_too_fine_to_count_is_a_data_error(self, trace_dir, tmp_path,
-                                                           capsys, command, files,
-                                                           extra, interval, error):
+                                                           capsys, command, files, extra):
+        # 1 µs intervals over the trace's 20 days: a count per interval asks
+        # for 12.6 TiB, more than any machine's memory, so it fails at once
         paths = [arg for flag, name in files.items() for arg in (flag, str(trace_dir / name))]
-        assert run(command, *paths, *extra, "--interval", interval,
+        assert run(command, *paths, *extra, "--interval", "1e-6",
                    "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: data: {error}")
+        assert err.startswith("error: data: MemoryError: Unable to allocate")
         assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    # half a µs or less rounds to no whole µs; 1e308 s has no finite µs count
+    @pytest.mark.parametrize("interval", [4e-7, 1e-9, 1e-12, 1e-300, 1e308])
+    @pytest.mark.parametrize("command", ["ingest", "detect", "stream"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_an_interval_of_no_whole_microsecond_is_a_usage_error(
+            self, tmp_path, capsys, command, interval, via):
+        argv = [command, "--input", str(tmp_path / "unread"), "--out", str(tmp_path / "o")]
+        if via == "flag":
+            argv += ["--interval", repr(interval)]
+        else:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"interval": interval}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: usage: argument --interval: the interval of {interval!r} s "
+                       "is not a finite µs count >= 1\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["inspect", "detect"])
+    @pytest.mark.parametrize("interval", [4e-7, 1e308])
+    def test_a_series_whose_interval_is_no_whole_microsecond(self, tmp_path, capsys,
+                                                             command, interval):
+        path = grid_series(tmp_path, interval_seconds=interval)
+        assert run(command, "--input", str(path), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: data: MalformedSeries: not a series JSON: ValueError: the "
+                       f"interval of {interval!r} s is not a finite µs count >= 1\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["inspect", "forecast", "detect", "compare"])
@@ -408,21 +431,23 @@ class TestDataErrors:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["detect", "compare"])
-    @pytest.mark.parametrize("changes", [{"interval_seconds": 1e308},
-                                         {"start": "9999-12-31T00:00:00+00:00"}],
-                             ids=["interval-1e308", "year-9999"])
-    def test_a_split_past_the_calendar_is_a_data_error(self, tmp_path, capsys, command,
-                                                       changes):
+    @pytest.mark.parametrize("changes, error", [
+        # an interval with no finite µs count is refused as the series loads
+        ({"interval_seconds": 1e308}, "MalformedSeries"),
         # the test half starts past datetime's range
+        ({"start": "9999-12-31T00:00:00+00:00"}, "OverflowError")],
+        ids=["interval-1e308", "year-9999"])
+    def test_a_split_past_the_calendar_is_a_data_error(self, tmp_path, capsys, command,
+                                                       changes, error):
         path = grid_series(tmp_path, **changes)
         assert run(command, "--input", str(path), "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: data: OverflowError: ") and err.count("\n") == 1
+        assert err.startswith(f"error: data: {error}: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_a_skew_window_past_timedelta_is_a_data_error(self, trace_dir, tmp_path,
                                                           capsys):
-        # five intervals of 1e17 s is past timedelta's range
+        # five intervals of 1e17 s is past int64 µs (and timedelta's range)
         assert run("stream", "--input", str(trace_dir / "events.jsonl"),
                    "--labels", str(trace_dir / "labels.csv"), "--interval", "1e17",
                    "--out", str(tmp_path / "o")) == 2

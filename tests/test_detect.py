@@ -2,6 +2,7 @@ import json
 import math
 import re
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -470,19 +471,37 @@ def test_row_wise_cores_match_the_one_series_loops_row_by_row(data):
     sources = [f"s{r}" for r in range(k)]
     values = np.array([np.where(r.missing, np.nan, r.values) for r in rows])
     start, interval = rows[0].start, rows[0].interval_seconds
-    got = detect.mean_shift_block(values, first, *band_stats(baselines), 1.960,
-                                  window, "Surge", start, interval, sources)
-    want = [a for r, src, base in zip(rows, sources, baselines)
-            for a in ref_mean_shift_alerts(r, first, base, 1.960, window,
-                                           "Surge", src)]
-    assert got == want
-    assert lines(got) == lines(want)
+    block = partial(detect.mean_shift_block, values, first, *band_stats(baselines), 1.960,
+                    window, "Surge", start, interval, sources)
+    if window > n - first:   # no whole window from `first` on: refused
+        with pytest.raises(SeriesTooShort, match=f"^window {window} is longer than "
+                                                 f"the {n - first} points it scores$"):
+            block()
+    else:
+        got = block()
+        want = [a for r, src, base in zip(rows, sources, baselines)
+                for a in ref_mean_shift_alerts(r, first, base, 1.960, window,
+                                               "Surge", src)]
+        assert got == want
+        assert lines(got) == lines(want)
     silent = np.array([r.missing for r in rows])
     got = detect.dropout_block(silent, gap_threshold, start, interval, sources)
     want = [a for r, src in zip(rows, sources)
             for a in ref_detect_dropout(r, gap_threshold, source=src)]
     assert got == want
     assert lines(got) == lines(want)
+
+
+@pytest.mark.parametrize("n, first, window, scored", [
+    (10, 8, 3, 2), (10, 10, 1, 0), (10, 12, 1, 0), (0, 0, 1, 0)])
+def test_the_core_refuses_a_window_that_does_not_fit(n, first, window, scored):
+    # The one home of the window rule: the core itself, not each entry point,
+    # so the stream cannot call it and score nothing without a word.
+    start = datetime(2021, 1, 1, tzinfo=timezone.utc)
+    with pytest.raises(SeriesTooShort, match=f"^window {window} is longer than the "
+                                             f"{scored} points it scores$"):
+        detect.mean_shift_block(np.ones((2, n)), first, [1.0, 1.0], [0.0, 0.0], 1.960,
+                                window, "Surge", start, 60.0, ["a", "b"])
 
 
 def test_merge_is_time_ordered_and_stable():

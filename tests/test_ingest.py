@@ -3,10 +3,10 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import examples
+from conftest import examples, grid_step
 from gatewatch import ingest
 from gatewatch.errors import (
     EmptyInput,
@@ -14,6 +14,7 @@ from gatewatch.errors import (
     MissingColumn,
     TimestampParseError,
 )
+from gatewatch.series import slot_time
 
 HEADER = "Flow ID,Timestamp,Fwd Pkt Len Mean,Fwd Seg Size Avg,Init Fwd Win Byts,Init Bwd Win Byts,Fwd Seg Size Min\n"
 
@@ -184,7 +185,7 @@ def test_to_series_bucket_count_rule():
             _record("b", "01/01/2020 01:03:10 AM", 3.0)]
     series = ingest.to_series(recs, 60.0, "count")
     first, last = recs[0].timestamp, recs[1].timestamp
-    expected = int((last - first).total_seconds() // 60) + 1
+    expected = (last - first) // grid_step(60.0) + 1
     assert len(series) == expected
 
 
@@ -193,10 +194,10 @@ def ref_to_series(records, interval_seconds, aggregator):
     usable = sorted((r for r in records if r.is_clean), key=lambda r: r.timestamp)
     first = usable[0].timestamp
     last = usable[-1].timestamp
-    n_buckets = int((last - first).total_seconds() // interval_seconds) + 1
+    n_buckets = (last - first) // grid_step(interval_seconds) + 1
     buckets = [[] for _ in range(n_buckets)]
     for rec in usable:
-        idx = int((rec.timestamp - first).total_seconds() // interval_seconds)
+        idx = (rec.timestamp - first) // grid_step(interval_seconds)
         buckets[idx].append(rec.value)
     values = np.full(n_buckets, np.nan)
     missing = np.ones(n_buckets, dtype=bool)
@@ -216,11 +217,24 @@ def ref_to_series(records, interval_seconds, aggregator):
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
 
+@pytest.mark.parametrize("interval", [0.1, 0.3, 0.7, 1.1, 1 / 3, 45.5, 3600.0])
+def test_one_record_per_grid_line_fills_one_bucket_each(interval):
+    # records stamped by slot_time, the grid's own lines, land one to a bucket
+    records = [ingest.FlowRecord(flow_id=f"f{k}", timestamp=slot_time(T0, interval, k),
+                                 value=float(k)) for k in range(200)]
+    series = ingest.to_series(records, interval, "count")
+    assert series.values.tolist() == [1.0] * 200
+    assert ingest.to_series(records, interval, "sum").values.tolist() == \
+        [float(k) for k in range(200)]
+
+
 @given(rows=st.lists(st.tuples(st.integers(0, 5_000_000_000),
                                st.one_of(st.none(), st.floats(-1e9, 1e9))),
                      min_size=1, max_size=40),
        repeats=st.lists(st.integers(0, 39), max_size=5),
-       interval=st.sampled_from([60.0, 3600.0, 0.7, 1234.5]))
+       interval=st.sampled_from([60.0, 3600.0, 0.7, 1234.5, 0.1, 1.1]))
+# one record on each of the first 30 lines of a 0.1 s grid
+@example(rows=[(k * 100_000, 1.0) for k in range(30)], repeats=[], interval=0.1)
 def test_to_series_matches_bucket_loop(rows, repeats, interval):
     # microsecond stamps up to ~83 minutes apart, some repeated exactly
     rows = rows + [rows[i] for i in repeats if i < len(rows)]

@@ -48,7 +48,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import examples
+from conftest import examples, grid_step
 from gatewatch import cc4, cli, detect, simulate
 from gatewatch.simulate import AttackScript, SimConfig
 
@@ -64,7 +64,7 @@ def disorder(records, interval, duplicated, delayed, skew_intervals):
     record in the first interval, or with no record that far ahead, stays in
     place)."""
     start = records[0].timestamp
-    slot = [int((rec.timestamp - start).total_seconds() // interval) for rec in records]
+    slot = [(rec.timestamp - start) // grid_step(interval) for rec in records]
     delayed = {i for i in delayed if 1 <= slot[i] <= slot[-1] - skew_intervals - 1}
     pending = sorted((slot[i] + skew_intervals + 1, i) for i in delayed)
     out = []
@@ -111,7 +111,7 @@ def disordered_traces(draw):
 
 def coverage_end(alert, start, config):
     """The end of the intervals an alert reads, on the grid at `start`."""
-    step = timedelta(seconds=config.interval_seconds)
+    step = grid_step(config.interval_seconds)
     if alert.kind == "Surge":
         return alert.timestamp + config.surge_window * step
     if alert.kind == "Dropout":     # the run and the record that closes it
@@ -128,7 +128,7 @@ def test_a_log_cut_short_gives_the_alerts_before_its_watermark(data):
     # a cut in the second half, where the surge windows are
     cut = data.draw(st.integers(len(records) // 2, len(records) - 1))
     watermark = (max(rec.timestamp for rec in records[:cut])
-                 - timedelta(seconds=config.skew_intervals * config.interval_seconds))
+                 - config.skew_intervals * grid_step(config.interval_seconds))
     start = records[0].timestamp
 
     def settled(log):

@@ -5,9 +5,10 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import grid_step
 from gatewatch import cc4, detect, lstm, simulate
 from gatewatch import forecast as fc
 from gatewatch import series as ts
@@ -135,31 +136,59 @@ class TestIntervalIndex:
            offsets_us=st.lists(st.integers(-10**12, 10**12), max_size=30),
            multiples=st.lists(st.integers(-10**6, 10**6), max_size=30),
            interval=INTERVALS)
+    # 2.1 s is three 0.7 s intervals, where the float quotient 2.1 // 0.7 is 2
     @example(start_us=0, offsets_us=[2_100_000], multiples=[], interval=0.7)
-    # 2**33 s on a 2**-20 s grid is slot 2**53, and 1 µs less is slot 2**53 - 1
-    @example(start_us=0, offsets_us=[2 ** 33 * 10 ** 6 - 1], multiples=[],
-             interval=2.0 ** -20)
-    @example(start_us=0, offsets_us=[2 ** 33 * 10 ** 6 - 1, 2 ** 33 * 10 ** 6],
+    @example(start_us=0, offsets_us=[2 ** 33 * 10 ** 6 - 1, -2 ** 33 * 10 ** 6],
              multiples=[], interval=2.0 ** -20)
-    @example(start_us=0, offsets_us=[-2 ** 33 * 10 ** 6], multiples=[],
-             interval=2.0 ** -20)
     def test_matches_python_floor_division(self, start_us, offsets_us, multiples,
                                            interval):
-        # stamps on or next to a grid line, where the float quotient rounds;
-        # a slot of 2**53 or more, past float64's integers, is refused
-        offsets_us += [round(k * interval * 1e6) for k in multiples
-                       if abs(k * interval) <= 1e6]
+        # stamps on or next to a grid line: each falls in the slot that
+        # floor-divides its µs offset by the interval's whole µs, exactly
+        offsets_us += [round(k * interval * 1e6) + d for k in multiples
+                       if abs(k * interval) <= 1e6 for d in (-1, 0, 1)]
         start = datetime(2021, 1, 1, 12, 30, 15, start_us, tzinfo=timezone.utc)
         stamps = [start + timedelta(microseconds=o) for o in offsets_us]
-        offsets = [(t - start).total_seconds() for t in stamps]
-        want = [int(offset // interval) for offset in offsets]
-        if any(abs(slot) >= 2 ** 53 for slot in want):
-            with pytest.raises(OverflowError, match="past 2\\*\\*53"):
-                ts.slots(offsets, interval)
-            return
-        got = ts.slots(offsets, interval)
+        got = ts.slots([(t - start) // ts.MICROSECOND for t in stamps], interval)
         assert got.dtype == np.int64
-        assert got.tolist() == want
+        assert got.tolist() == [(t - start) // grid_step(interval) for t in stamps]
+
+    @settings(deadline=None)
+    @given(data=st.data(),
+           interval=st.one_of(st.sampled_from([0.1, 0.3, 0.7, 1.1, 1 / 3, 45.5, 3600.0]),
+                              st.floats(min_value=1e-3, max_value=1e6)),
+           start_us=st.integers(0, 999_999))
+    @example(data=None, interval=0.1, start_us=0)
+    @example(data=None, interval=1.1, start_us=0)
+    def test_slots_inverts_slot_time(self, data, interval, start_us):
+        # every grid line maps back to its own slot, at intervals that are no
+        # dyadic fraction of a second as well
+        start = datetime(2021, 1, 1, 12, 30, 15, start_us, tzinfo=timezone.utc)
+        bound = int(2e9 / interval)   # within about 60 years of the start
+        ks = (list(range(-200, 200)) if data is None else
+              data.draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=50)))
+        offsets = [(ts.slot_time(start, interval, k) - start) // ts.MICROSECOND for k in ks]
+        assert ts.slots(offsets, interval).tolist() == ks
+
+    def test_offsets_must_be_whole_microseconds(self):
+        # seconds would be truncated to µs without a word
+        with pytest.raises(TypeError, match="whole microseconds, not float64"):
+            ts.slots([0.0, 2.5], 1.0)
+        assert ts.slots([], 1.0).tolist() == []
+        assert ts.slots(np.array([], dtype=float), 1.0).dtype == np.int64
+
+    def test_the_interval_in_whole_microseconds(self):
+        assert ts.check_interval(3600.0) == 3_600_000_000
+        assert ts.check_interval(0.1) == 100_000
+        assert ts.check_interval(1 / 3) == 333_333
+        assert ts.check_interval(1e-6) == ts.check_interval(1.4e-6) == 1
+        assert ts.check_interval(1.5e-6) == 2
+        # 0.5 µs rounds to 0 µs, half to even: a zero divisor, refused
+        assert 0.5e-6 * 1e6 == 0.5
+        for interval in (0.5e-6, 4e-7, 1e-9, 1e-300, 1e303, 1e308):
+            with pytest.raises(ValueError, match="is not a finite µs count >= 1$"):
+                ts.check_interval(interval)
+            with pytest.raises(ValueError, match="is not a finite µs count >= 1$"):
+                make([1.0, 2.0], interval)
 
 
 @pytest.mark.parametrize("interval", [0.0, -60.0, float("nan"), float("inf")])

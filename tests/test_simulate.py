@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import examples
+from conftest import examples, grid_step
 from gatewatch import simulate as sim
 from gatewatch.cc4 import (EventLogRecord, StreamConfig, cc4_classify, parse_event_obj,
                            stream_pipeline)
 from gatewatch.detect import AnomalyAlert, detect_dropout
 from gatewatch.errors import InvalidScript, TimeBaseMismatch
 from gatewatch.ingest import format_timestamp, parse_flow_csv
-from gatewatch.series import TimeSeries, to_utc
+from gatewatch.series import TimeSeries, slot_time, to_utc
 
 
 def small_config(seed=1, attacks=()):
@@ -141,8 +141,7 @@ class TestGeneration:
         for event in trace.events:
             if event.source_id != "camera-1":
                 continue
-            idx = int((event.timestamp - trace.start).total_seconds()
-                      // trace.interval_seconds)
+            idx = (event.timestamp - trace.start) // grid_step(trace.interval_seconds)
             expected = "udp" if 40 <= idx < 60 else "wifi"
             assert event.fields["proto"] == expected
 
@@ -154,8 +153,8 @@ class TestGeneration:
         assert series.missing[30:50].all()
         assert not series.missing[:30].any()
         silent = [e for e in trace.events if e.source_id == "streetlight-1"
-                  and 30 <= (e.timestamp - trace.start).total_seconds()
-                  // trace.interval_seconds < 50]
+                  and 30 <= (e.timestamp - trace.start) // grid_step(trace.interval_seconds)
+                  < 50]
         assert silent == []
 
     def test_sybil_injects_fresh_identities(self):
@@ -359,7 +358,7 @@ def ref_generate_trace(config):
         for i in range(config.duration):
             if series.missing[i]:
                 continue
-            stamp = to_utc(config.start) + timedelta(seconds=config.interval_seconds * i)
+            stamp = to_utc(config.start) + i * grid_step(config.interval_seconds)
             flooded = attacked.get((i, dev.id)) == "UdpFlood"
             events.append(EventLogRecord(
                 timestamp=stamp, source_id=dev.id,
@@ -368,7 +367,7 @@ def ref_generate_trace(config):
                         "status": "ok"}))
     for script in sybils:
         for i in range(script.start, script.end):
-            stamp = to_utc(config.start) + timedelta(seconds=config.interval_seconds * i)
+            stamp = to_utc(config.start) + i * grid_step(config.interval_seconds)
             labels.append((i, script.target_id, "Sybil"))
             for j in range(script.fake_id_count):
                 events.append(EventLogRecord(
@@ -551,17 +550,16 @@ def test_event_lines_of_awkward_records():
 
 def ref_score_detections(alerts, trace, coverage=1):
     # Scans every label for every alert.
-    span = trace.interval_seconds * trace.duration
     label_set = set(trace.labels)
     covered = set()
     tp = fp = 0
     per_kind = {}
     for alert in alerts:
-        offset = (alert.timestamp - trace.start).total_seconds()
-        if offset < 0 or offset >= span or offset % trace.interval_seconds != 0:
+        start_idx, rest = divmod(alert.timestamp - trace.start,
+                                 grid_step(trace.interval_seconds))
+        if not 0 <= start_idx < trace.duration or rest:
             raise TimeBaseMismatch(
                 f"alert at {alert.timestamp.isoformat()} is off the trace grid")
-        start_idx = int(offset // trace.interval_seconds)
         compatible = sim.COMPATIBLE.get(alert.kind, set())
         hits = [
             (i, d, k) for (i, d, k) in label_set
@@ -583,11 +581,28 @@ def ref_score_detections(alerts, trace, coverage=1):
                               false_negatives=fn, per_kind=per_kind)
 
 
+@pytest.mark.parametrize("interval", [0.1, 0.3, 0.7, 1.1, 1 / 3, 3600.0])
+def test_scoring_takes_every_alert_stamped_on_the_trace_grid(interval):
+    # slot_time's stamps are the grid score_detections reads, at intervals
+    # that are no dyadic fraction of a second too: the silence trace's own
+    # dropout alert and an alert on every grid line are on the grid
+    trace = sim.generate_trace(replace(sim.default_silence_config(seed=42),
+                                       interval_seconds=interval))
+    dropouts = [a for dev, data in trace.device_series.items()
+                for a in detect_dropout(data, 3, source=dev)]
+    score = sim.score_detections(dropouts, trace)
+    assert (len(dropouts), score.precision) == (1, 1.0)
+    every = [AnomalyAlert(timestamp=slot_time(trace.start, interval, i), kind="Dropout",
+                          observed=1.0, expected=0.0, band=None, severity="Warning",
+                          source="streetlight-1") for i in range(trace.duration)]
+    assert sim.score_detections(every, trace).recall == 1.0
+
+
 @settings(max_examples=examples(200), deadline=None)
 @given(st.data())
 def test_scoring_by_interval_matches_the_label_scan(data):
     duration = data.draw(st.integers(1, 40))
-    interval = data.draw(st.sampled_from([60.0, 3600.0, 7.5]))
+    interval = data.draw(st.sampled_from([60.0, 3600.0, 7.5, 0.7, 0.1, 1.1]))
     trace = sim.LabeledTrace(
         config=sim.SimConfig(duration=duration, interval_seconds=interval),
         device_series={}, events=[], device_ips={},

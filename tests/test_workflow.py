@@ -1,5 +1,6 @@
 """The CI workflow runs every property module in its deep step, and the
-package carries no dead import or dead private name.
+package carries no dead import or dead private name and counts its interval
+grid in whole µs, in one place.
 
 Read as plain text: the `ci-deep` step is the one line of the workflow that
 selects that hypothesis profile, and it names each module it runs. The
@@ -81,3 +82,23 @@ def test_every_private_module_name_is_used():
             unused += [f"{name}: {d}" for d in defined
                        if re.match(r"_[^_]", d) and d not in read]
     assert unused == []
+
+
+def test_the_grid_is_counted_in_whole_microseconds_in_one_place():
+    # No float seconds on the interval grid: no module calls
+    # timedelta.total_seconds(), and 1e6, the µs in a second, is read only
+    # where series.check_interval turns an interval into whole µs.
+    seconds, scales, in_check = [], [], []
+    for name, tree in _package().items():
+        check = {id(node) for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "check_interval"
+                 for node in ast.walk(fn)} if name == "series.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "total_seconds":
+                seconds.append(f"{name}:{node.lineno}")
+            elif (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                  and node.value == 1e6):
+                (in_check if id(node) in check else scales).append(f"{name}:{node.lineno}")
+    assert seconds == []
+    assert scales == []
+    assert in_check
