@@ -42,7 +42,7 @@ BLOCK_SIZE = 4096
 # the memory of rate scoring whatever the number of sources. A group holds at
 # least one source.
 RATE_BLOCK_CELLS = 2 ** 16
-# Intervals from the first accepted record that make each source's surge
+# Intervals from the first record kept that make each source's surge
 # baseline: a count, not a share of the run, so no later record moves a band
 # or a window. Every stock trace is 480 intervals long; 240 is its half.
 BASELINE_INTERVALS = 240
@@ -570,17 +570,19 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
     stamp, or with a field that holds a JSON list or object, is counted in
     `dropped_malformed` and excluded before it can move the skew window. A
     given network whose width is not the schema's raises WidthMismatch, a
-    confidence off the Z table UnsupportedConfidence, and a negative skew
-    window (`skew_intervals * interval_seconds`), an interval that
-    `series.check_interval` refuses, or a surge window or gap threshold that
-    `series.check_count` refuses ValueError, all before any record is read.
+    confidence off the Z table UnsupportedConfidence, and an interval that
+    `series.check_interval` refuses, or a skew (least 0), surge window or gap
+    threshold that `series.check_count` refuses ValueError, all before any
+    record is read.
 
     Give a network or label rows, not both. Label rows train a network of
     `radius` on the records the intake accepts or finds late, duplicates
-    aside, in (timestamp, source id) order, so the interval grid starts at the
+    aside, in (timestamp, source id) order, so the training grid starts at the
     earliest of them. Returns the alerts, the counts and the network used.
-    The surge baseline is the first BASELINE_INTERVALS intervals from the
-    first accepted record: a log with no whole surge window past it gets none.
+    The rate grid and its surge baseline, the first BASELINE_INTERVALS
+    intervals, start at the first record kept (intake row 0, never late nor a
+    duplicate): a record stamped before it is classified, not rate-counted,
+    and a log with no whole surge window past the baseline gets none.
 
     `records` is any iterable in arrival order, a list or read_events(path),
     taken in one pass into intake columns: a record is late when its stamp
@@ -601,9 +603,7 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
         raise ValueError("stream_pipeline takes a network or label rows, not both or neither")
     if network is not None and network.width != schema.total_bits:
         raise WidthMismatch(f"network width {network.width} vs schema {schema.total_bits}")
-    skew_seconds = config.skew_intervals * config.interval_seconds
-    if skew_seconds < 0:
-        raise ValueError(f"the skew window of {skew_seconds} s is negative")
+    check_count("skew_intervals", config.skew_intervals, least=0)
     skew_us = config.skew_intervals * check_interval(config.interval_seconds)
     z_score(config.confidence)
     for name in ("surge_window", "gap_threshold"):
@@ -641,10 +641,10 @@ def stream_pipeline(records: Iterable[EventLogRecord], schema: SymbolSchema,
 
     rate_alerts: list[AnomalyAlert] = []
     if len(accepted):
-        rate_slots = slots(stamps[accepted] - stamps[accepted[0]], config.interval_seconds)
-        rate_alerts = _rate_alerts(ranks[emitted], intake.names,
-                                   rate_slots[matched[accepted]], config,
-                                   intake.stamp(accepted[0]), int(rate_slots[-1]) + 1)
+        rate_slots = slots(stamps[accepted] - stamps[0], config.interval_seconds)
+        counted = matched[accepted] & (rate_slots >= 0)   # none stamped before row 0
+        rate_alerts = _rate_alerts(ranks[accepted[counted]], intake.names, rate_slots[counted],
+                                   config, intake.stamp(0), int(rate_slots[-1]) + 1)
 
     dropped_late = int(late.sum())
     counts = StreamCounts(records_in=intake.records_in, emitted_classifications=len(emitted),

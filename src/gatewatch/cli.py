@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -34,26 +33,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _between(kind, low, high=math.inf):
-    """An argparse type: a `kind` strictly between low and high, NaN refused.
+def _checked(kind, check, *args, **kwargs):
+    """An argparse type: a `kind` that the library's own check,
+    check(*args, value, **kwargs), takes; its ValueError is the usage error.
     It keeps kind's name, so argparse still says "invalid int value: 'x'"."""
     def parse(text):
         value = kind(text)
-        if not low < value < high:
-            bound = f">= {low + 1}" if kind is int else f"> {low} and < {high}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, not {text}")
+        try:
+            check(*args, value, **kwargs)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     parse.__name__ = kind.__name__
     return parse
-
-
-def _interval(text):
-    """An argparse type: seconds that series.check_interval takes."""
-    try:
-        ts.check_interval(float(text))
-    except ValueError as exc:   # float's own refusal too
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return float(text)
 
 
 def build_parser() -> _Parser:
@@ -65,12 +57,12 @@ def build_parser() -> _Parser:
             p.add_argument("--input", help="input file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file; flags win on conflict")
-        p.add_argument("--seed", type=_between(int, -1), default=None)
+        p.add_argument("--seed", type=_checked(int, ts.check_count, "seed", least=0), default=None)
 
     p = sub.add_parser("ingest", help="flow CSV -> series JSON + ingest report")
     common(p)
     p.add_argument("--value-col", default="Fwd Pkt Len Mean")
-    p.add_argument("--interval", type=_interval, default=3600.0,
+    p.add_argument("--interval", type=_checked(float, ts.check_interval), default=3600.0,
                    help="bucket width in seconds")
     p.add_argument("--aggregator", choices=["mean", "sum", "count"], default="mean")
     p.add_argument("--source-ip", default=None,
@@ -78,49 +70,51 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("inspect", help="series JSON -> diagnostics JSON")
     common(p)
-    p.add_argument("--period", type=_between(int, 1), action="append", default=None,
-                   help="candidate seasonal period (repeatable)")
+    p.add_argument("--period", type=_checked(int, ts.check_count, "candidate period", least=2),
+                   action="append", default=None, help="candidate seasonal period (repeatable)")
 
     p = sub.add_parser("forecast", help="series JSON -> forecasts + band CSV")
     common(p)
     _model_flags(p)
-    p.add_argument("--horizon", type=_between(int, 0), default=24)
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--horizon", type=_checked(int, ts.check_count, "horizon"), default=24)
+    p.add_argument("--confidence", type=_checked(float, detect.z_score), default=0.95)
 
     p = sub.add_parser("compare", help="series JSON -> model comparison report")
     common(p)
     p.add_argument("--models", default="moving_average,holt_winters",
                    help="comma-separated variants")
-    p.add_argument("--train-frac", type=_between(float, 0, 1), default=0.8)
+    p.add_argument("--train-frac", type=_checked(float, ts.check_fraction), default=0.8)
     _model_flags(p, with_variant=False)
 
     p = sub.add_parser("detect", help="surge/dropout detection -> alert JSONL")
     common(p)
     _model_flags(p)
     p.add_argument("--value-col", default="Fwd Pkt Len Mean")
-    p.add_argument("--interval", type=_interval, default=3600.0)
+    p.add_argument("--interval", type=_checked(float, ts.check_interval), default=3600.0)
     p.add_argument("--source-ip", default=None)
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--confidence", type=_checked(float, detect.z_score), default=0.95)
     p.add_argument("--mode", choices=["mean_shift", "residual"], default="mean_shift")
-    p.add_argument("--train-frac", type=_between(float, 0, 1), default=0.5)
-    p.add_argument("--window", type=_between(int, 0), default=24)
-    p.add_argument("--gap-threshold", type=_between(int, 0), default=3)
+    p.add_argument("--train-frac", type=_checked(float, ts.check_fraction), default=0.5)
+    p.add_argument("--window", type=_checked(int, ts.check_count, "window"), default=24)
+    p.add_argument("--gap-threshold", default=3,
+                   type=_checked(int, ts.check_count, "gap_threshold"))
 
     p = sub.add_parser("simulate", help="generate a labeled attack trace")
     common(p, reads_input=False)
     p.add_argument("--scenario", choices=["flood", "silence", "sybil", "clean"],
                    default="flood")
-    p.add_argument("--magnitude", type=_between(float, 0), default=10.0)
+    p.add_argument("--magnitude", type=_checked(float, simulate.check_magnitude), default=10.0)
 
     p = sub.add_parser("stream", help="event-log pipeline -> alert JSONL")
     common(p)
     p.add_argument("--labels", help="labels.csv used to train the classifier")
     p.add_argument("--network", help="pre-trained network JSON")
-    p.add_argument("--interval", type=_interval, default=3600.0)
-    p.add_argument("--radius", type=_between(int, -1), default=1)
-    p.add_argument("--confidence", type=float, default=0.95)
-    p.add_argument("--window", type=_between(int, 0), default=24)
-    p.add_argument("--gap-threshold", type=_between(int, 0), default=3)
+    p.add_argument("--interval", type=_checked(float, ts.check_interval), default=3600.0)
+    p.add_argument("--radius", type=_checked(int, ts.check_count, "radius", least=0), default=1)
+    p.add_argument("--confidence", type=_checked(float, detect.z_score), default=0.95)
+    p.add_argument("--window", type=_checked(int, ts.check_count, "surge_window"), default=24)
+    p.add_argument("--gap-threshold", default=3,
+                   type=_checked(int, ts.check_count, "gap_threshold"))
     p.add_argument("--strict-unknown", action="store_true")
     return parser
 
@@ -128,11 +122,12 @@ def build_parser() -> _Parser:
 def _model_flags(p, with_variant: bool = True):
     if with_variant:
         p.add_argument("--model", default="holt_winters", choices=VARIANTS)
-    p.add_argument("--period", type=_between(int, 1), default=24)
-    p.add_argument("--ma-window", type=_between(int, 0), default=3)
-    p.add_argument("--lstm-num-timesteps", type=_between(int, 0), default=1008)
-    p.add_argument("--lstm-epochs", type=_between(int, 0), default=1)
-    p.add_argument("--lstm-num-chunks", type=_between(int, 0), default=1)
+    p.add_argument("--period", type=_checked(int, ts.check_count, "hw_period", least=2), default=24)
+    p.add_argument("--ma-window", type=_checked(int, ts.check_count, "ma_window"), default=3)
+    p.add_argument("--lstm-num-timesteps", default=1008,
+                   type=_checked(int, ts.check_count, "lstm_num_timesteps"))
+    p.add_argument("--lstm-epochs", type=_checked(int, ts.check_count, "epochs"), default=1)
+    p.add_argument("--lstm-num-chunks", type=_checked(int, ts.check_count, "num_chunks"), default=1)
 
 
 def _config_argv(parser: _Parser, args) -> list[str]:
@@ -186,7 +181,9 @@ def _series_from_csv(args, aggregator: str) -> tuple[ts.TimeSeries, ingest.Inges
         records = [r for r in records if r.source_ip == args.source_ip]
     records, report.rows_dropped_missing, report.rows_dropped_duplicate = \
         ingest.clean(records)
-    return ingest.to_series(records, args.interval, aggregator), report
+    series = ingest.to_series(records, args.interval, aggregator)   # EmptyInput if none
+    report.series_start, report.series_end = records[0].timestamp, records[-1].timestamp
+    return series, report
 
 
 def _series_from_json(args) -> ts.TimeSeries:
@@ -338,8 +335,6 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:at] + _config_argv(parser, args) + argv[at:])
         if "input" in args and args.input is None:
             raise UsageError(f"{args.command} requires --input")
-        if "confidence" in args:  # refused before any input is read
-            detect.z_score(args.confidence)
         artifacts = COMMANDS[args.command](args)
         out = Path(args.out)
         given = [vars(args).get(key) for key in ("input", "labels", "network", "config")]

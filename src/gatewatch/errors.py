@@ -61,8 +61,8 @@ class AllTargetsZero(GatewatchError):
 
 # --- detection -------------------------------------------------------------
 
-class UnsupportedConfidence(GatewatchError):
-    pass
+class UnsupportedConfidence(GatewatchError, ValueError):
+    """A confidence that the Z table does not hold."""
 
 
 # --- classification / streaming --------------------------------------------

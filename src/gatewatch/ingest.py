@@ -82,7 +82,8 @@ class IngestReport:
 def parse_flow_csv(path, value_column: str) -> tuple[list[FlowRecord], IngestReport]:
     """Parse the Flow ID, Timestamp and value columns of a flow CSV; other
     columns are not read. Rows whose value cell is absent or fails numeric
-    coercion are retained but marked missing; clean() drops them later."""
+    coercion are retained but marked missing; clean() drops them later. The
+    report counts the rows read; its series range is left to the caller."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -120,9 +121,6 @@ def parse_flow_csv(path, value_column: str) -> tuple[list[FlowRecord], IngestRep
                 timestamp=stamp,
                 value=_coerce_float(row[i_value]) if i_value < n else None,
             ))
-    if stamps:
-        report.series_start = min(stamps.values())
-        report.series_end = max(stamps.values())
     return records, report
 
 

@@ -39,13 +39,15 @@ MICROSECOND = timedelta(microseconds=1)
 
 def check_interval(interval_seconds: float) -> int:
     """The interval in whole µs, the grid's one unit: round(interval_seconds * 1e6).
-    ValueError refuses one not positive and finite, or not a finite µs count >= 1."""
+    ValueError refuses one not positive and finite, or not a finite µs count >= 1 in int64."""
     if not (math.isfinite(interval_seconds) and interval_seconds > 0):
         raise ValueError(f"the interval of {interval_seconds} s is not a positive "
                          "finite number")
     micros = interval_seconds * 1e6
     if not (math.isfinite(micros) and round(micros) >= 1):
         raise ValueError(f"the interval of {interval_seconds} s is not a finite µs count >= 1")
+    if round(micros) >= 2 ** 63:
+        raise ValueError(f"the interval of {interval_seconds} s is past int64 µs")
     return round(micros)
 
 
@@ -189,10 +191,15 @@ class DiagnosticsReport:
         return asdict(self)
 
 
+def check_fraction(train_fraction: float) -> None:
+    """Refuse, with ValueError, a train fraction not strictly between 0 and 1."""
+    if not 0 < train_fraction < 1:   # NaN is refused too
+        raise ValueError("train_fraction must lie in (0, 1)")
+
+
 def split(series: TimeSeries, train_fraction: float) -> tuple[TimeSeries, TimeSeries]:
     """Chronological split; train receives ceil(fraction * len) points."""
-    if not 0 < train_fraction < 1:
-        raise ValueError("train_fraction must lie in (0, 1)")
+    check_fraction(train_fraction)
     n = len(series)
     if n < 2:
         raise SeriesTooShort(f"cannot split a series of length {n}")

@@ -61,6 +61,12 @@ class DeviceSpec:
             raise ValueError("base_rate must be > 0 and noise_std >= 0")
 
 
+def check_magnitude(magnitude: float) -> None:
+    """Refuse, with ValueError, a flood multiplier that is not positive and finite."""
+    if not 0 < magnitude < np.inf:   # NaN is refused too
+        raise ValueError(f"magnitude must be > 0 and finite, not {magnitude!r}")
+
+
 @dataclass(frozen=True)
 class AttackScript:
     kind: str
@@ -77,8 +83,7 @@ class AttackScript:
         check_count("end", self.end)
         # only a Sybil window injects fake ids, and at least one
         check_count("fake_id_count", self.fake_id_count, least=1 if self.kind == "Sybil" else 0)
-        if not self.magnitude > 0:
-            raise ValueError("magnitude must be > 0")
+        check_magnitude(self.magnitude)
 
 
 @dataclass

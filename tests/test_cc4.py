@@ -225,6 +225,25 @@ class TestStreamPipeline:
         assert intrusions[0].packet_class == "Attack"
         assert intrusions[0].severity == "Critical"
 
+    def test_the_rate_grid_starts_at_the_first_record_kept(self):
+        # Source a reports at :30 in hours 0-3 and 7-11, so hours 4-6 are a
+        # Dropout at 04:30. A record of b stamped 23:50 the day before,
+        # arriving second, is on time within the skew window: it is
+        # classified but not rate-counted. It moved the grid, and a's
+        # Dropout with it, to 03:50.
+        def record(stamp, source):
+            return cc4.EventLogRecord(timestamp=stamp, source_id=source,
+                                      fields={"proto": "zigbee", "packets": 3.0})
+
+        a = [record(T0 + timedelta(hours=hour, minutes=30), "a")
+             for hour in (*range(4), *range(7, 12))]
+        config = cc4.StreamConfig(interval_seconds=3600.0)
+        for log in (a, [a[0], record(T0 - timedelta(minutes=10), "b"), *a[1:]]):
+            alerts, counts, _ = cc4.stream_pipeline(log, schema(), _network(), config)
+            assert [(x.kind, x.source, x.timestamp) for x in alerts] == \
+                [("Dropout", "a", T0 + timedelta(hours=4, minutes=30))]
+            assert counts.emitted_classifications == len(log)
+
     def test_late_records_dropped_not_reordered(self):
         config = cc4.StreamConfig(interval_seconds=60.0, skew_intervals=5)
         events = [_event(0, "a"), _event(20, "a"), _event(1, "a")]
@@ -517,12 +536,17 @@ def test_naive_and_aware_stamps_in_one_stream_give_the_utc_alerts(labels):
 
 
 @pytest.mark.parametrize("labels", [None, []], ids=["network", "labels"])
-@pytest.mark.parametrize("skew_intervals, interval_seconds", [(-1, 60.0), (2, -60.0)])
-def test_a_negative_skew_window_is_refused(labels, skew_intervals, interval_seconds):
+@pytest.mark.parametrize("skew_intervals, interval_seconds, message", [
+    (-1, 60.0, r"^skew_intervals must be an int >= 0, not -1$"),
+    (1.5, 60.0, r"^skew_intervals must be an int >= 0, not 1\.5$"),
+    (2, -60.0, r"^the interval of -60\.0 s is not a positive finite number$")],
+    ids=["-1-60.0", "1.5-60.0", "2--60.0"])
+def test_a_negative_skew_window_is_refused(labels, skew_intervals, interval_seconds, message):
+    # the skew is a count of intervals, refused by the count rule
     network = None if labels is not None else _network()
     config = cc4.StreamConfig(interval_seconds=interval_seconds,
                               skew_intervals=skew_intervals)
-    with pytest.raises(ValueError, match=r"skew window of -\d+\.0 s is negative"):
+    with pytest.raises(ValueError, match=message):
         cc4.stream_pipeline([_event(1, "a")], schema(), network, config, labels)
 
 

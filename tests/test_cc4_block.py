@@ -190,6 +190,8 @@ def ref_stream_pipeline(records, schema, network, config):
         seen.add(key)
         accepted.append(rec)
 
+    # the rate grid starts at the first record kept, never late nor a duplicate
+    start = accepted[0].timestamp if accepted else None
     accepted.sort(key=lambda r: (r.timestamp, r.source_id))
     intrusion_alerts = []
     per_source = {}
@@ -201,7 +203,8 @@ def ref_stream_pipeline(records, schema, network, config):
             continue
         packet_class, ambiguous = ref_classify(network, vector)
         counts.emitted_classifications += 1
-        per_source.setdefault(rec.source_id, []).append(rec.timestamp)
+        if rec.timestamp >= start:   # one stamped before the grid is not rate-counted
+            per_source.setdefault(rec.source_id, []).append(rec.timestamp)
         flag = packet_class == "Attack" or (config.strict_unknown
                                             and packet_class == "Unknown")
         if flag:
@@ -214,7 +217,6 @@ def ref_stream_pipeline(records, schema, network, config):
 
     rate_alerts = []
     if accepted:
-        start = accepted[0].timestamp
         duration = (accepted[-1].timestamp - start) // grid_step(config.interval_seconds) + 1
         rate_alerts = ref_rate_alerts(per_source, config, start, duration)
     return merge_alerts(intrusion_alerts, rate_alerts), counts
@@ -668,7 +670,7 @@ def test_rate_scoring_in_groups_matches_the_per_source_reference(data):
         surge_window=data.draw(st.integers(min_value=1, max_value=8)),
         gap_threshold=data.draw(st.integers(min_value=1, max_value=8)))
     stamps = [rec.timestamp for rec in records]
-    duration = (max(stamps) - min(stamps)) // grid_step(60.0) + 1
+    duration = (max(stamps) - stamps[0]) // grid_step(60.0) + 1
     group = data.draw(st.sampled_from([1, 2, 3, None]))
     cells = cc4.RATE_BLOCK_CELLS if group is None else group * duration
     with mock.patch.object(cc4, "RATE_BLOCK_CELLS", cells), \

@@ -9,6 +9,7 @@ import pytest
 from gatewatch import cc4, cli, detect, lstm, simulate
 from gatewatch import series as ts
 from gatewatch.errors import NonFiniteLoss
+from gatewatch.forecast import ForecasterConfig, fit
 from gatewatch.series import TimeSeries
 
 
@@ -54,6 +55,60 @@ def seasonal_values(n=480, seed=0):
     rng = np.random.default_rng(seed)
     return (10.0 + np.sin(2 * np.pi * t / 24)
             + rng.normal(0, 0.1, n)).tolist()
+
+
+# The library call each numeric flag's value meets downstream, by flag name,
+# or by (command, flag name) where the command hands it to another call. A
+# ValueError from it is a refusal; any other outcome takes the value.
+AGREEMENT_SERIES = TimeSeries.from_values(seasonal_values(48), interval_seconds=3600.0)
+AGREEMENT_WINDOWS = np.arange(20, dtype=float).reshape(10, 2) / 20
+AGREEMENT_SCHEMA = cc4.SymbolSchema(encoders=(
+    cc4.FieldEncoder(name="packets", kind="thermometer", bin_edges=(5.0,)),))
+
+
+def _agreement_fit(**setting):
+    return fit(ForecasterConfig(**setting), AGREEMENT_SERIES)
+
+
+def _agreement_stream(**setting):
+    network = cc4.CC4Network(radius=0, vectors=np.array([[1, 0]]), classes=["Known"])
+    return cc4.stream_pipeline([], AGREEMENT_SCHEMA, network, cc4.StreamConfig(**setting))
+
+
+LIBRARY_RULES = {
+    "seed": np.random.default_rng,
+    "interval": lambda v: TimeSeries.from_values([1.0], interval_seconds=v),
+    ("stream", "interval"): lambda v: _agreement_stream(interval_seconds=v),
+    "period": lambda v: _agreement_fit(variant="holt_winters", hw_period=v),
+    ("inspect", "period"): lambda v: ts.diagnose(AGREEMENT_SERIES, [v]),
+    "ma_window": lambda v: _agreement_fit(variant="moving_average", ma_window=v),
+    "lstm_num_timesteps": lambda v: _agreement_fit(variant="lstm", lstm_units=2,
+                                                   lstm_num_timesteps=v),
+    "lstm_epochs": lambda v: lstm.train_chunked(AGREEMENT_WINDOWS, AGREEMENT_WINDOWS[:, 0],
+                                                2, epochs=v),
+    "lstm_num_chunks": lambda v: lstm.train_chunked(AGREEMENT_WINDOWS,
+                                                    AGREEMENT_WINDOWS[:, 0], 2, num_chunks=v),
+    "horizon": lambda v: _agreement_fit(variant="moving_average").forecast(v),
+    "confidence": detect.z_score,
+    ("stream", "confidence"): lambda v: _agreement_stream(confidence=v),
+    "train_frac": lambda v: ts.split(AGREEMENT_SERIES, v),
+    "window": lambda v: detect.mean_shift_alerts(AGREEMENT_SERIES, [1.0, 2.0], 1.96, v,
+                                                 "Surge"),
+    ("stream", "window"): lambda v: _agreement_stream(surge_window=v),
+    "gap_threshold": lambda v: detect.detect_dropout(AGREEMENT_SERIES, v),
+    ("stream", "gap_threshold"): lambda v: _agreement_stream(gap_threshold=v),
+    "magnitude": lambda v: simulate.AttackScript(kind="UdpFlood", target_id="d", start=0,
+                                                 end=1, magnitude=v),
+    "radius": lambda v: cc4.cc4_train([([0, 1], "Known")], v),
+}
+AGREEMENT_TEXTS = ["-1", "0", "1", "2", "0.5", "0.97", "1e-9", "1e13", "nan", "inf", "-inf"]
+
+
+def numeric_flags():
+    """(command, action) for every flag of every subcommand that has a type."""
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    return [(command, action) for command, sub in subparsers.choices.items()
+            for action in sub._actions if action.type is not None]
 
 
 class TestUsageErrors:
@@ -143,6 +198,66 @@ class TestUsageErrors:
         assert run(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    # The command line refuses a value exactly when the library call that
+    # takes it downstream does: one rule per setting. It took --magnitude inf,
+    # which generate_trace alone refused, and refused --confidence 0.97 only
+    # after the flags were read, with a data error.
+    @pytest.mark.parametrize("command, action", [
+        pytest.param(command, action, id=f"{command}-{action.dest}")
+        for command, action in numeric_flags()])
+    def test_a_flag_refuses_a_value_exactly_when_the_library_does(self, command, action):
+        rule = LIBRARY_RULES.get((command, action.dest)) or LIBRARY_RULES[action.dest]
+        kind = {"int": int, "float": float}[action.type.__name__]
+        disagree = []
+        for text in AGREEMENT_TEXTS:
+            try:
+                value = kind(text)
+            except ValueError:
+                continue   # argparse says "invalid int value"
+            try:
+                rule(value)
+                library = "takes"
+            except ValueError:
+                library = "refuses"
+            try:
+                # "--flag=-inf", as "-inf" alone is read as a flag
+                cli.build_parser().parse_args(
+                    [command, "--out", "o", f"{action.option_strings[0]}={text}"])
+                flag = "takes"
+            except cli.UsageError:
+                flag = "refuses"
+            if flag != library:
+                disagree.append(f"{action.option_strings[0]} {text}: the flag {flag} it, "
+                                f"the library {library} it")
+        assert disagree == []
+
+    # An untabulated confidence is refused as the flags are read, like every
+    # other value out of its range, so before any input is read (this one
+    # does not exist): one usage line, with the Z table's own message.
+    @pytest.mark.parametrize("command, extra", [
+        ("forecast", ["--model", "lstm"]),
+        ("detect", []),
+        ("stream", ["--labels", "labels.csv"]),
+        ("stream", ["--network", "network.json"]),
+    ])
+    @pytest.mark.parametrize("confidence", [0.97, 7, 0.5])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_untabulated_confidence(self, tmp_path, capsys, command, extra, confidence,
+                                    via):
+        argv = [command, "--input", str(tmp_path / "nope"), *extra,
+                "--out", str(tmp_path / "o")]
+        if via == "flag":
+            argv += ["--confidence", str(confidence)]
+        else:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"confidence": confidence}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: usage: argument --confidence: {float(confidence)} not tabulated; "
+            f"supported: {sorted(detect.Z_TABLE)}\n")
         assert not (tmp_path / "o").exists()
 
     # --config values go through argparse: each bad value is one usage line
@@ -297,46 +412,6 @@ class TestDataErrors:
             assert capsys.readouterr().err == \
                 f"error: data: IoFailure: [Errno 2] No such file or directory: '{path}'\n"
 
-    def test_untabulated_confidence(self, tmp_path, capsys):
-        path = series_file(tmp_path, seasonal_values(200))
-        assert run("forecast", "--input", str(path), "--out",
-                   str(tmp_path / "o"), "--confidence", "0.97") == 2
-        assert "UnsupportedConfidence" in capsys.readouterr().err
-
-    def test_untabulated_confidence_on_stream(self, trace_dir, tmp_path,
-                                              capsys):
-        assert run("stream", "--input", str(trace_dir / "events.jsonl"),
-                   "--labels", str(trace_dir / "labels.csv"),
-                   "--out", str(tmp_path / "o"), "--confidence", "0.97") == 2
-        assert "UnsupportedConfidence" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command, extra", [
-        ("forecast", ["--model", "lstm"]),
-        ("detect", []),
-        ("stream", ["--labels", "labels.csv"]),
-    ])
-    def test_untabulated_confidence_before_any_input_is_read(self, tmp_path, capsys,
-                                                             command, extra):
-        # The input does not exist: the confidence is refused first.
-        assert run(command, "--input", str(tmp_path / "nope"), *extra,
-                   "--out", str(tmp_path / "o"), "--confidence", "0.97") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: data: UnsupportedConfidence: ")
-        assert err.count("\n") == 1
-
-    def test_untabulated_confidence_on_a_stream_that_emits_nothing(self, tmp_path,
-                                                                   capsys):
-        events = tmp_path / "events.jsonl"
-        events.write_text('{"ts": "2021-01-01T00:00:00+00:00", "src": "a", '
-                          '"proto": "udp", "packets": 3.0, "status": ["ok"]}\n',
-                          encoding="utf-8")
-        network = tmp_path / "network.json"
-        network.write_text(json.dumps(self.NETWORK), encoding="utf-8")
-        assert run("stream", "--input", str(events), "--network", str(network),
-                   "--out", str(tmp_path / "o"), "--confidence", "7") == 2
-        assert capsys.readouterr().err.startswith("error: data: UnsupportedConfidence")
-        assert not (tmp_path / "o").exists()
-
     def test_simulate_a_flood_whose_rates_overflow(self, tmp_path, capsys):
         # a finite magnitude whose scaled rates are not: one error line, no
         # numpy overflow warning and no file
@@ -395,6 +470,22 @@ class TestDataErrors:
                        "is not a finite µs count >= 1\n")
         assert not (tmp_path / "o").exists()
 
+    # past int64 µs, the unit the grid's offsets are counted in: 1e13 s ended
+    # in numpy's OverflowError, exit 2, naming no interval
+    @pytest.mark.parametrize("interval", [1e13, 1e17, 9.3e12])
+    @pytest.mark.parametrize("command", ["ingest", "detect", "stream"])
+    def test_an_interval_past_int64_microseconds_is_a_usage_error(self, trace_dir, tmp_path,
+                                                                  capsys, command, interval):
+        flow = ["--input", str(trace_dir / "flow.csv")]
+        inputs = {"ingest": flow, "detect": flow + ["--source-ip", "10.0.0.2"],
+                  "stream": ["--input", str(trace_dir / "events.jsonl"),
+                             "--labels", str(trace_dir / "labels.csv")]}
+        assert run(command, *inputs[command], "--interval", repr(interval),
+                   "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (f"error: usage: argument --interval: the interval "
+                                           f"of {interval!r} s is past int64 µs\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["inspect", "detect"])
     @pytest.mark.parametrize("interval", [4e-7, 1e308])
     def test_a_series_whose_interval_is_no_whole_microsecond(self, tmp_path, capsys,
@@ -447,9 +538,10 @@ class TestDataErrors:
 
     def test_a_skew_window_past_timedelta_is_a_data_error(self, trace_dir, tmp_path,
                                                           capsys):
-        # five intervals of 1e17 s is past int64 µs (and timedelta's range)
+        # 2e12 s is 2e18 µs, inside int64, but five intervals of it are not
+        # (nor in timedelta's range)
         assert run("stream", "--input", str(trace_dir / "events.jsonl"),
-                   "--labels", str(trace_dir / "labels.csv"), "--interval", "1e17",
+                   "--labels", str(trace_dir / "labels.csv"), "--interval", "2e12",
                    "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: data: OverflowError: ") and err.count("\n") == 1
@@ -794,6 +886,33 @@ class TestSimulateAndIngest:
         report = json.loads((out / "ingest_report.json").read_text(
             encoding="utf-8"))
         assert report["rows_read"] > 0
+
+    # Rows at 01:00 and 04:00 have no value, and 10.0.0.2 reports from 03:00:
+    # the report's range is that of the series written, the first and last
+    # kept record, while rows_read stays the file's count. The range was
+    # every parsed row's, 01:00-05:00 for each.
+    @pytest.mark.parametrize("source, kept, points, missing", [
+        (None, ("02:00", "05:00"), 4, 2),
+        ("10.0.0.1", ("02:00", "03:00"), 2, 2),
+        ("10.0.0.2", ("03:00", "05:00"), 3, 0)])
+    def test_the_ingest_report_spans_the_series_written(self, tmp_path, source, kept,
+                                                        points, missing):
+        rows = [("1", "01", ""), ("1", "02", "1.0"), ("2", "03", "2.0"), ("1", "03", "3.0"),
+                ("2", "05", "4.0"), ("1", "04", "abc")]
+        flow = tmp_path / "flow.csv"
+        flow.write_text("Flow ID,Timestamp,Fwd Pkt Len Mean\n" + "".join(
+            f"10.0.0.{ip}-10.0.0.254-1000-53-17,01/02/2021 {hour}:00:00 AM,{value}\n"
+            for ip, hour, value in rows), encoding="utf-8")
+        out = tmp_path / "o"
+        flags = ["--source-ip", source] if source else []
+        assert run("ingest", "--input", str(flow), "--out", str(out), *flags) == 0
+        series = json.loads((out / "series.json").read_text(encoding="utf-8"))
+        report = json.loads((out / "ingest_report.json").read_text(encoding="utf-8"))
+        first, last = (f"2021-02-01T{hour}:00+00:00" for hour in kept)
+        assert (series["start"], len(series["values"])) == (first, points)
+        assert report == {"rows_read": 6, "rows_dropped_missing": missing,
+                          "rows_dropped_duplicate": 0, "series_start": first,
+                          "series_end": last}
 
     def test_ingest_source_ip_filter(self, trace_dir, tmp_path):
         out = tmp_path / "one-device"

@@ -310,10 +310,7 @@ def ref_parse_flow_csv(path, value_column):
             records.append(ingest.FlowRecord(
                 flow_id=row[i_id].strip() if i_id < n else "",
                 timestamp=stamp.replace(tzinfo=timezone.utc), value=value))
-    if records:
-        report.series_start = min(r.timestamp for r in records)
-        report.series_end = max(r.timestamp for r in records)
-    return records, report, None
+    return records, report, None   # the series range is the caller's, after clean
 
 
 def _stamp_texts(stamp):

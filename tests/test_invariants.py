@@ -7,8 +7,11 @@ of rule (metamorphic testing: Chen, Cheung & Yiu, HKUST-CS98-01, 1998).
   largest stamp less the skew window: a record after the cut is either late
   or stamped at or past it. Coverage is a surge window, a dropout run with the
   interval of the record that closes it, or an Intrusion alert's own
-  interval. The rate grid starts at the first accepted record, so the traces
-  start with their earliest record, as every simulated trace does.
+  interval. The rate grid starts at the first record kept, the log's first
+  here, so a log whose first record is not its earliest is drawn too.
+- A record of a new source, stamped up to the skew window before the first
+  record and arriving second: no other source's alert moves. It is on time,
+  classified, and not rate-counted, as it is stamped before the grid.
 - A log followed by itself: the same alerts and network; the second copy is
   late or dropped as duplicates, so only `records_in` and the late, duplicate
   and malformed counts grow. This pins the intake's skew and dedupe rules.
@@ -50,6 +53,7 @@ from hypothesis import strategies as st
 
 from conftest import examples, grid_step
 from gatewatch import cc4, cli, detect, simulate
+from gatewatch.series import MICROSECOND
 from gatewatch.simulate import AttackScript, SimConfig
 
 SCHEMA = simulate.event_schema()
@@ -124,6 +128,10 @@ def coverage_end(alert, start, config):
 @given(st.data())
 def test_a_log_cut_short_gives_the_alerts_before_its_watermark(data):
     records, labels, config = data.draw(disordered_traces())
+    # a record of one of the next few intervals may lead, ahead of earlier
+    # ones (on time within the skew window, else late): the grid starts at it
+    lead = data.draw(st.integers(0, 12))
+    records = [records[lead], *records[:lead], *records[lead + 1:]]
     network = cc4.stream_pipeline(records, SCHEMA, None, config, labels)[2]
     # a cut in the second half, where the surge windows are
     cut = data.draw(st.integers(len(records) // 2, len(records) - 1))
@@ -136,6 +144,26 @@ def test_a_log_cut_short_gives_the_alerts_before_its_watermark(data):
         return [a for a in alerts if coverage_end(a, start, config) <= watermark]
 
     assert settled(records[:cut]) == settled(records)
+
+
+@settings(max_examples=examples(30), deadline=None)
+@given(disordered_traces(), st.data())
+def test_a_new_source_stamped_before_the_first_record_moves_no_other_alert(trace, data):
+    # The grid started at the earliest accepted record, so such a record
+    # moved every slot of every source, and every Dropout and surge window
+    # with them.
+    records, labels, config = trace
+    network = cc4.stream_pipeline(records, SCHEMA, None, config, labels)[2]
+    skew = config.skew_intervals * grid_step(config.interval_seconds)
+    early = records[0].timestamp - data.draw(st.integers(0, skew // MICROSECOND)) * MICROSECOND
+    assert "newcomer" not in {rec.source_id for rec in records}
+    newcomer = records[0]._replace(timestamp=early, source_id="newcomer")
+    alerts, counts, _ = cc4.stream_pipeline(records, SCHEMA, network, config)
+    again, recounts, _ = cc4.stream_pipeline([records[0], newcomer, *records[1:]], SCHEMA,
+                                             network, config)
+    assert [a for a in again if a.source != "newcomer"] == alerts
+    assert recounts == replace(counts, records_in=counts.records_in + 1,
+                               emitted_classifications=counts.emitted_classifications + 1)
 
 
 def stream(args, out):

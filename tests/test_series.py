@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -190,6 +191,19 @@ class TestIntervalIndex:
             with pytest.raises(ValueError, match="is not a finite µs count >= 1$"):
                 make([1.0, 2.0], interval)
 
+    def test_the_interval_fits_int64_microseconds(self):
+        # The grid counts offsets in int64 µs: an interval of 1e13 s (1e19 µs)
+        # ended in numpy's OverflowError, which named no interval.
+        below = math.nextafter(2 ** 63 / 1e6, 0)
+        assert ts.check_interval(below) == round(below * 1e6) < 2 ** 63
+        assert ts.check_interval(9e12) == 9 * 10 ** 18
+        for interval in (2 ** 63 / 1e6, 1e13, 1e17, 1e302):
+            message = f"^{re.escape(f'the interval of {interval!r} s')} is past int64 µs$"
+            with pytest.raises(ValueError, match=message):
+                ts.check_interval(interval)
+            with pytest.raises(ValueError, match=message):
+                make([1.0, 2.0], interval)
+
 
 @pytest.mark.parametrize("interval", [0.0, -60.0, float("nan"), float("inf")])
 def test_a_grid_interval_must_be_positive_and_finite(interval):
@@ -286,6 +300,7 @@ COUNT_ARGUMENTS = {
         for probe in ([0, 1, 0], [1, 1, 1], [0, 0, 0])]),
     "stream-window": ("surge_window", 1, 3, lambda v: _stream("surge_window", v)),
     "stream-gap": ("gap_threshold", 1, 3, lambda v: _stream("gap_threshold", v)),
+    "stream-skew": ("skew_intervals", 0, 2, lambda v: _stream("skew_intervals", v)),
     "simulate": ("duration", 1, 360, lambda v: simulate.generate_trace(replace(
         simulate.default_sybil_config(), duration=v)).events),
     "new_id_counts": ("duration", 1, 360, lambda v: _new_ids(v).values.tolist()),

@@ -83,9 +83,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="at most 64536 devices, not 64537"):
             sim.SimConfig(duration=1, fleet=fleet).validate()
 
-    @pytest.mark.parametrize("magnitude", [0.0, -3.0, float("nan")])
+    # an infinite magnitude was taken here and refused only by generate_trace
+    @pytest.mark.parametrize("magnitude", [0.0, -3.0, float("nan"), float("inf")])
     def test_flood_magnitude_must_be_positive(self, magnitude):
-        with pytest.raises(ValueError, match="magnitude must be > 0"):
+        message = f"^magnitude must be > 0 and finite, not {magnitude!r}$"
+        with pytest.raises(ValueError, match=message):
+            sim.check_magnitude(magnitude)
+        with pytest.raises(ValueError, match=message):
             sim.AttackScript(kind="UdpFlood", target_id="camera-1", start=0, end=5,
                              magnitude=magnitude)
 

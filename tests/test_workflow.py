@@ -1,6 +1,7 @@
 """The CI workflow runs every property module in its deep step, and the
-package carries no dead import or dead private name and counts its interval
-grid in whole µs, in one place.
+package carries no dead import or dead private name, counts its interval
+grid in whole µs, in one place, and types every CLI flag with the library
+check its value meets.
 
 Read as plain text: the `ci-deep` step is the one line of the workflow that
 selects that hypothesis profile, and it names each module it runs. The
@@ -102,3 +103,17 @@ def test_the_grid_is_counted_in_whole_microseconds_in_one_place():
     assert seconds == []
     assert scales == []
     assert in_check
+
+
+def test_every_flag_type_is_built_by_checked():
+    # A flag's type is cli._checked(kind, the library's check): no bare int or
+    # float beside it, and no second adapter restating a rule.
+    tree = _package()["cli.py"]
+    types = [keyword.value for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "add_argument"
+             for keyword in node.keywords if keyword.arg == "type"]
+    assert types
+    assert [ast.unparse(t) for t in types
+            if not (isinstance(t, ast.Call) and isinstance(t.func, ast.Name)
+                    and t.func.id == "_checked")] == []
